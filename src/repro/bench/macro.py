@@ -168,7 +168,7 @@ def bench_llm_serve(scale: str = "smoke") -> BenchmarkResult:
 
 
 def bench_cluster_1k(scale: str = "smoke") -> BenchmarkResult:
-    """One large control-plane run, serial engine vs time-warp engine.
+    """One large control-plane run, conservative vs speculative engine.
 
     A fabric of fig4 cells — every device co-locates one
     latency-critical ``bert_infer`` with one ``resnet50_train`` under

@@ -6,11 +6,16 @@ answers the question a production fleet actually faces: jobs arrive and
 depart online, devices crash / throttle / flap, and the packed cluster
 must keep its latency-critical tenants alive through all of it.
 
-One :class:`ClusterController` owns a single shared
-:class:`~repro.gpu.engine.EventLoop` with one device shard per simulated
+One :class:`ClusterController` drives one device shard per simulated
 GPU — a :class:`~repro.gpu.device.GPUDevice`, its own sharing-policy
 instance, and a :class:`~repro.core.server.TallyServer` holding the
-shard's functional client state.  On top of the shards it runs:
+shard's functional client state — each on its own event loop in a
+:class:`~repro.cluster.parallel.ClusterShardDomain`.  The controller's
+loop holds only control events; it reaches the shards through the
+shard engine's op protocol (:mod:`repro.engine`).  ``engine="serial"``
+advances every shard exactly to each control event;
+``engine="parallel"`` lets shards speculate past it and roll back, in
+worker processes when asked.  On top of the shards it runs:
 
 * **admission control** — arriving jobs are first-fit placed under the
   same compute-budget / memory / one-HP-per-GPU constraints as
@@ -61,17 +66,12 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, fields
 
-from ..check import (
-    InvariantChecker,
-    ServiceLedger,
-    check_request_conservation,
-)
-from ..core.server import TallyServer, migrate_client
+from ..check import ServiceLedger, check_request_conservation
+from ..engine import CommitTracer, InlineBackend, Op, ProcessBackend
 from ..errors import HarnessError
 from ..faults import DeviceFaultEvent, FaultConfig, FaultInjector
-from ..gpu import EventLoop, GPUDevice
+from ..gpu import EventLoop
 from ..harness import JobSpec, RunConfig, standalone
-from ..harness.colocate import _traffic_for, make_policy
 from ..metrics import LatencySummary
 from ..metrics.recovery import RecoveryReport, ServiceRecovery
 from ..trace import (
@@ -84,15 +84,8 @@ from ..trace import (
     ScaleDecision,
     Tracer,
 )
-from ..workloads import (
-    InferenceJob,
-    LLMServingJob,
-    TrainingJob,
-    WorkloadKind,
-    get_llm_model,
-    get_model,
-)
 from ..workloads.memory import A100_MEMORY_BYTES
+from .parallel import ClusterShardProgram
 from .placement import ClusterJob, Placement
 from .simulate import ClusterResult, ServiceOutcome, _to_jobspec
 
@@ -207,7 +200,6 @@ class _Tenant:
 
     job: ClusterJob
     spec: JobSpec
-    driver: object
     client_id: str
     role: str               # "inference" | "training" | "llm"
     demand: float
@@ -230,14 +222,12 @@ class _Tenant:
 
 
 class _ShardState:
-    """The accounting half of a shard: placement truth, no simulation.
+    """The controller's view of one shard: placement truth, no simulation.
 
     This is everything admission control, migration targeting and the
-    autoscaler read or write — it lives wherever the *decisions* are
-    made.  The serial controller extends it with the live simulation
-    objects (:class:`_Shard`); the parallel controller keeps bare
-    instances as coordinator-side proxies while the live objects run
-    inside workers.
+    autoscaler read or write.  The live device runs in a
+    :class:`~repro.cluster.parallel.ClusterShardDomain` on the shard
+    engine and is reached only through ops.
     """
 
     def __init__(self, index: int) -> None:
@@ -254,10 +244,6 @@ class _ShardState:
         self.has_high = False
         self.tenants: dict[str, _Tenant] = {}
         self.flap_transitions = 0
-
-    # populated by the serial shard; proxies leave them None
-    checker = None
-    injector = None
 
     def add(self, tenant: _Tenant) -> None:
         self.tenants[tenant.client_id] = tenant
@@ -285,74 +271,20 @@ class _ShardState:
         return self.memory + tenant_memory <= capacity
 
 
-class _Shard(_ShardState):
-    """One simulated GPU: device + policy + functional server."""
-
-    def __init__(self, index: int, engine: EventLoop, config: RunConfig,
-                 policy_name: str, tracer, checker, injector) -> None:
-        super().__init__(index)
-        self.checker = checker
-        self.injector = injector
-        self.device = GPUDevice(
-            config.spec, engine,
-            colocation_slowdown=config.colocation_slowdown,
-            tracer=tracer, check=checker, faults=injector,
-        )
-        self.policy = make_policy(policy_name, self.device, engine,
-                                  tally_config=config.tally_config)
-        self.server = TallyServer(tracer=tracer)
-
-
-def _build_driver(config: RunConfig, spec: JobSpec, policy,
-                  client_id: str):
-    """Construct the driver for one admitted job on ``policy``.
-
-    Module-level because it runs in two places: on the serial
-    controller's shared loop, and inside a parallel worker's shard
-    domain — both must build byte-identical drivers from the same
-    (config, spec) inputs.
-    """
-    if spec.role == "llm":
-        llm_model = get_llm_model(spec.model)
-        traffic = _traffic_for(spec, llm_model.mean_request_time(),
-                               config)
-        return LLMServingJob(llm_model, traffic, policy, client_id,
-                             priority=spec.effective_priority,
-                             seed=spec.traffic_seed)
-    model = get_model(spec.model)
-    expected = ("inference" if model.kind is WorkloadKind.INFERENCE
-                else "training")
-    if expected != spec.role:
-        raise HarnessError(
-            f"model {spec.model!r} is a {expected} workload, "
-            f"not {spec.role}")
-    trace = model.build_trace(config.spec, seed=config.trace_seed)
-    if spec.role == "inference":
-        traffic = _traffic_for(spec, trace.duration, config)
-        return InferenceJob(trace, traffic, policy, client_id,
-                            priority=spec.effective_priority)
-    return TrainingJob(trace, policy, client_id,
-                       priority=spec.effective_priority)
-
-
 class ClusterController:
     """Event-driven control plane over ``devices`` shards.
 
     Build one, then :meth:`run` it; or use :func:`run_controlplane`.
-    ``engine="parallel"`` returns the time-warp sharded implementation
-    (:class:`repro.cluster.parallel.ParallelClusterController`) — same
-    arguments, bit-identical committed metrics, ``workers`` processes.
+    The controller's own :class:`~repro.gpu.engine.EventLoop` holds only
+    control events (arrivals, device faults, drains, restores,
+    autoscaler ticks).  Each device runs in a
+    :class:`~repro.cluster.parallel.ClusterShardDomain` on the shard
+    engine (:mod:`repro.engine`) and is reached only through
+    timestamped ops.  ``engine="serial"`` advances every shard exactly
+    to each control event and never speculates; ``engine="parallel"``
+    lets shards speculate ahead and roll back, in ``workers`` processes
+    when ``workers > 1``.  Both commit bit-identical results.
     """
-
-    def __new__(cls, *args, engine: str = "serial", workers: int = 0,
-                **kwargs):
-        if engine not in ("serial", "parallel"):
-            raise HarnessError(
-                f"engine must be 'serial' or 'parallel', got {engine!r}")
-        if cls is ClusterController and engine == "parallel":
-            from .parallel import ParallelClusterController
-            return super().__new__(ParallelClusterController)
-        return super().__new__(cls)
 
     def __init__(self, jobs: list[ClusterJob], devices: int, *,
                  engine: str = "serial",
@@ -373,6 +305,9 @@ class ClusterController:
                  migration_downtime: float = 0.05,
                  autoscale: AutoscalerConfig | None = None,
                  standby: int = 0) -> None:
+        if engine not in ("serial", "parallel"):
+            raise HarnessError(
+                f"engine must be 'serial' or 'parallel', got {engine!r}")
         if devices < 1:
             raise HarnessError("need at least one device")
         if not jobs:
@@ -391,9 +326,6 @@ class ClusterController:
         self.policy_name = policy
         self.jobs = list(jobs)
         self.placement = placement
-        self.faults = faults
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.check_enabled = bool(check)
         self.compute_budget = compute_budget
         self.capacity_bytes = (capacity_bytes if capacity_bytes is not None
                                else A100_MEMORY_BYTES)
@@ -416,12 +348,15 @@ class ClusterController:
             if not 0 <= index < devices:
                 raise HarnessError(
                     f"drain index {index} outside 0..{devices - 1}")
+            if not 0 <= when < duration:
+                raise HarnessError(
+                    f"drain time {when} for device {index} outside the "
+                    f"run [0, {duration})")
         self.drain_schedule = tuple(drain)
 
         self.engine_mode = engine
-        self.workers = workers
         self.engine = EventLoop()
-        self.shards = [self._make_shard(i) for i in range(devices)]
+        self.shards = [_ShardState(i) for i in range(devices)]
         self.autoscale = autoscale
         # the LAST `standby` shards form the elastic pool: they accept
         # nothing until a scale-up decision finishes their warm-up
@@ -446,211 +381,189 @@ class ClusterController:
         self._fault_counts: Counter[str] = Counter()
         self._ran = False
 
-    # ------------------------------------------------------------------
-    # Shard-op hooks
-    #
-    # Every touch of live simulation state (devices, policies, servers,
-    # drivers) goes through one of these.  The serial controller calls
-    # the objects directly on its shared loop; the parallel controller
-    # overrides each hook to issue the equivalent cross-shard operation
-    # to a worker.  Decision logic above this surface is shared verbatim
-    # — that sharing is what makes the bit-identity guarantee credible.
-    # ------------------------------------------------------------------
-    def _make_shard(self, index: int) -> _ShardState:
-        return _Shard(
-            index, self.engine, self.config, self.policy_name,
-            self.tracer,
-            InvariantChecker() if self.check_enabled else None,
-            FaultInjector(self.faults) if self.faults is not None else None)
+        # shard engine: control events buffer trace output until commit
+        self.tracer = self._commit = CommitTracer(
+            tracer if tracer is not None else NULL_TRACER)
+        self._fault_source = (FaultInjector(faults)
+                              if faults is not None else None)
+        program = ClusterShardProgram(
+            config=self.config, policy=policy, check=bool(check),
+            faults=faults, traced=self.tracer.enabled)
+        if engine == "parallel" and workers > 1 and devices > 1:
+            self._backend = ProcessBackend(program, devices, workers)
+        else:
+            self._backend = InlineBackend(program, devices)
+        self._hints: dict[float, list] = {}
+        self._seq = 0
+        self.rollbacks = 0
 
-    def _note_control(self, time: float, hint) -> None:
-        """Register a scheduled control event's shard-touch hint.
+    # ------------------------------------------------------------------
+    # Shard engine plumbing
+    # ------------------------------------------------------------------
+    def _issue(self, shard_index: int, kind: str, payload=None, *,
+               want_result: bool = False):
+        """Send one op to a shard at the current control time."""
+        self._seq += 1
+        return self._backend.op(Op(
+            seq=self._seq, shard=shard_index, at=self.engine.now,
+            kind=kind, payload=payload, want_result=want_result))
+
+    def _schedule(self, time: float, hint, callback) -> None:
+        """Schedule a control event with its shard-touch hint.
 
         ``hint`` is an iterable of shard indices the event may operate
         on, ``None`` for "could touch anything", or a zero-arg callable
-        returning either (evaluated lazily at the barrier).  The serial
-        engine has no barriers, so this is a no-op; the parallel
-        coordinator uses hints to decide which shards may speculate
+        returning either (evaluated lazily at the barrier).  The
+        parallel engine uses hints to decide which shards may speculate
         past the event.  Hints are best-effort: a wrong hint costs a
         rollback, never correctness.
         """
+        self._hints.setdefault(time, []).append(hint)
+        self.engine.schedule_at(time, callback)
 
-    def _device_fault_schedule(self, index: int):
-        shard = self.shards[index]
-        if shard.injector is None:
-            return ()
-        return shard.injector.device_fault_schedule(
-            index, self.config.duration)
+    def _lookahead(self) -> float:
+        """Speculation depth past each grant.
 
-    def _op_admit(self, shard: _ShardState, spec: JobSpec,
-                  client_id: str):
-        """Build the driver and connect the client; returns the driver."""
-        driver = _build_driver(self.config, spec, shard.policy, client_id)
-        shard.server.connect(client_id, spec.effective_priority)
-        return driver
+        0 for the serial engine; otherwise the minimum cross-shard
+        latency (migration downtime, autoscaler interval, mean arrival
+        spacing).
+        """
+        if self.engine_mode == "serial":
+            return 0.0
+        candidates = [self.migration_downtime]
+        if self.autoscale is not None:
+            candidates.append(self.autoscale.interval)
+        if self.arrival_rate:
+            candidates.append(1.0 / self.arrival_rate)
+        positive = [c for c in candidates if c > 0]
+        return min(positive) if positive else self.config.duration
 
-    def _op_start(self, tenant: _Tenant, shard: _ShardState) -> None:
-        if tenant.role == "training":
-            tenant.driver.start()
-        else:
-            tenant.driver.start(since=self.engine.now)
-
-    def _op_depart(self, tenant: _Tenant) -> None:
-        if tenant.role == "training":
-            tenant.driver.stop()
-        else:
-            tenant.driver.close()
-
-    def _op_set_speed(self, shard: _ShardState, factor: float) -> None:
-        shard.device.set_speed_factor(factor)
-
-    def _op_checkpoint(self, tenant: _Tenant, source: _ShardState) -> None:
-        tenant.driver.checkpoint()
-
-    def _op_detach(self, tenant: _Tenant, source: _ShardState) -> int:
-        """Disconnect from the source policy; report pending requests."""
-        source.policy.disconnect(tenant.client_id)
-        if tenant.role == "inference":
-            return tenant.driver.pending_requests
-        return 0
-
-    def _op_transfer(self, tenant: _Tenant, source: _ShardState,
-                     target: _ShardState) -> None:
-        migrate_client(source.server, target.server, tenant.client_id,
-                       ts=self.engine.now)
-
-    def _op_restore(self, tenant: _Tenant, target: _ShardState) -> None:
-        tenant.driver.restore(target.policy)
-
-    def _op_evict(self, tenant: _Tenant, owner: _ShardState) -> None:
-        tenant.driver.crash()
-        owner.policy.disconnect(tenant.client_id)
-        owner.server.disconnect(tenant.client_id, ts=self.engine.now)
-
-    def _pending_of(self, tenant: _Tenant) -> int:
-        return tenant.driver.pending_requests
-
-    def _hp_window_tails(self, tenants: "list[_Tenant]", since: float,
-                         until: float) -> dict[str, float]:
-        """Windowed p99 per latency-critical tenant (absent = no data)."""
-        tails: dict[str, float] = {}
-        for tenant in tenants:
-            latencies = _tenant_latencies(tenant, since, until)
-            if latencies:
-                tails[tenant.client_id] = LatencySummary.of(latencies).p99
-        return tails
-
-    def _tenant_report(self, tenant: _Tenant) -> dict:
-        """Final per-tenant read-out used by :meth:`_collect`."""
-        start, end = self.config.window
-        report: dict = {
-            "ledger": self._ledger(tenant),
-            "completed": tenant.driver.completions_in(start, end),  # type: ignore[attr-defined]
-        }
-        if tenant.latency_critical:
-            report["latencies"] = _tenant_latencies(tenant, start, end)
-            report["post_latencies"] = (
-                _tenant_latencies(tenant, tenant.restored_at, end)
-                if tenant.restored_at is not None else None)
-        return report
-
-    def _gather_shard_stats(self) -> tuple[Counter, int, int]:
-        """(non-device fault counts, invariant checks, events processed)."""
-        injected: Counter[str] = Counter()
-        checks = 0
-        for shard in self.shards:
-            if shard.injector is not None:
-                injected.update(
-                    {kind: count for kind, count
-                     in shard.injector.injected.items()
-                     if not kind.startswith("device_")})
-            if shard.checker is not None:
-                checks += shard.checker.checks_run
-        return injected, checks, self.engine.events_processed
+    def _speculation_plan(self, grant: float,
+                          limit: float) -> tuple[float, frozenset[int]]:
+        """Clamp the window and hold back shards using control hints."""
+        spec_target = limit
+        holdback: set[int] = set()
+        for time in sorted(self._hints):
+            if time < grant:
+                del self._hints[time]  # already fired
+                continue
+            if time >= spec_target:
+                break
+            clamped = False
+            for hint in self._hints[time]:
+                shards = hint() if callable(hint) else hint
+                if shards is None:
+                    # this event may touch anything: nobody speculates
+                    # at or past it
+                    spec_target = time
+                    clamped = True
+                    break
+                holdback.update(shards)
+            if clamped:
+                break
+        return spec_target, frozenset(holdback)
 
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
     def run(self) -> ClusterResult:
-        """Run the scenario to ``config.duration`` and collect metrics."""
+        """Run the scenario to ``config.duration`` and collect metrics.
+
+        Each round grants the shards the time of the next control event
+        (the horizon), commits trace output below it, then runs every
+        control event at the horizon; ops they issue land on shards
+        sitting exactly there (or roll speculated shards back).
+        """
         if self._ran:
             raise HarnessError("controller already ran; build a fresh one")
         self._ran = True
-        self._schedule_initial_jobs()
-        self._schedule_device_faults()
-        for index, when in self.drain_schedule:
-            self._note_control(when, None)
-            self.engine.schedule_at(
-                when, lambda i=index: self.drain(i))
-        self._arm_slot_faults()
-        if self.autoscale is not None:
-            self._note_control(self.autoscale.interval, self._tick_hint)
-            self.engine.schedule_at(self.autoscale.interval,
-                                    self._autoscale_tick)
-        self.engine.run_until(self.config.duration)
-        return self._collect()
+        duration = self.config.duration
+        backend = self._backend
+        backend.start()
+        try:
+            self._schedule_initial_jobs()
+            self._schedule_device_faults()
+            for index, when in self.drain_schedule:
+                self._schedule(when, None, lambda i=index: self.drain(i))
+            # slot faults are armed inside each shard domain's build
+            if self.autoscale is not None:
+                self._schedule(self.autoscale.interval, self._tick_hint,
+                               self._autoscale_tick)
+            lookahead = self._lookahead()
+            engine = self.engine
+            commit = self._commit
+            while True:
+                grant = engine.peek_time()
+                if grant is None or grant > duration:
+                    break
+                spec_target, holdback = self._speculation_plan(
+                    grant, min(grant + lookahead, duration))
+                outputs = backend.advance(grant, spec_target, holdback)
+                for index in sorted(outputs):
+                    commit.add_shard_events(index, outputs[index])
+                commit.commit(grant)
+                engine.advance_to(grant, inclusive=True)
+            reports, outputs, stats = backend.finalize(duration)
+            engine.advance_to(duration)
+            for index in sorted(outputs):
+                commit.add_shard_events(index, outputs[index])
+            commit.close()
+            self.rollbacks = sum(r for _, r in stats.values())
+            return self._collect(reports, stats)
+        finally:
+            backend.stop()
 
     def _schedule_initial_jobs(self) -> None:
-        engine = self.engine
         if self.placement is not None and self.arrival_rate is None:
             # Static start: every job admitted to its placement bin at
             # t=0 (bin order), then the run continues online.
             for gpu_index, gpu_jobs in enumerate(self.placement.bins):
                 for job in gpu_jobs:
                     shard = self.shards[gpu_index]
-                    self._note_control(0.0, (gpu_index,))
-                    engine.schedule_at(
-                        0.0, lambda j=job, s=shard: self._admit(j, s))
+                    self._schedule(
+                        0.0, (gpu_index,),
+                        lambda j=job, s=shard: self._admit(j, s))
             return
         if self.arrival_rate is None:
             for job in self.jobs:
-                self._note_control(0.0, None)
-                engine.schedule_at(
-                    0.0, lambda j=job: self._on_job_arrival(j))
+                self._schedule(0.0, None,
+                               lambda j=job: self._on_job_arrival(j))
             return
         times = schedule_arrivals(len(self.jobs), self.arrival_rate,
                                   seed=self.config.trace_seed)
         for job, when in zip(self.jobs, times):
             if when >= self.config.duration:
                 continue  # arrived after the run window; never existed
-            self._note_control(when, None)
-            engine.schedule_at(
-                when, lambda j=job: self._on_job_arrival(j))
+            self._schedule(when, None,
+                           lambda j=job: self._on_job_arrival(j))
 
     def _schedule_device_faults(self) -> None:
         duration = self.config.duration
-        for shard in self.shards:
-            for event in self._device_fault_schedule(shard.index):
-                # a crash migrates tenants to unpredictable targets; a
-                # plain degrade/recover only touches its own device
-                hint = (None if event.kind == "crash" or event.flapping
-                        else (shard.index,))
-                self._note_control(min(event.time, duration), hint)
-                self.engine.schedule_at(
-                    min(event.time, duration),
-                    lambda s=shard, e=event: self._on_device_fault(s, e))
+        if self._fault_source is not None:
+            for shard in self.shards:
+                for event in self._fault_source.device_fault_schedule(
+                        shard.index, duration):
+                    # a crash migrates tenants to unpredictable targets;
+                    # a plain degrade/recover only touches its own device
+                    hint = (None if event.kind == "crash" or event.flapping
+                            else (shard.index,))
+                    self._schedule(
+                        min(event.time, duration), hint,
+                        lambda s=shard, e=event: self._on_device_fault(s, e))
         for index, when in self.fail_device:
             shard = self.shards[index]
             crash = DeviceFaultEvent(when, "crash")
-            self._note_control(when, None)
-            self.engine.schedule_at(
-                when, lambda s=shard, e=crash: self._on_device_fault(s, e))
-
-    def _arm_slot_faults(self) -> None:
-        if self.faults is None or self.faults.slot_fault_rate <= 0:
-            return
-        from ..faults import arm_slot_faults
-
-        for shard in self.shards:
-            arm_slot_faults(shard.device, self.engine, shard.injector,
-                            self.config.duration, tracer=self.tracer)
+            self._schedule(
+                when, None,
+                lambda s=shard, e=crash: self._on_device_fault(s, e))
 
     # ------------------------------------------------------------------
     # Admission control
     # ------------------------------------------------------------------
     def _find_shard(self, job_demand: float, job_memory: int,
                     is_high: bool, *,
-                    exclude: "_Shard | None" = None) -> "_Shard | None":
+                    exclude: "_ShardState | None" = None
+                    ) -> "_ShardState | None":
         for shard in self.shards:
             if shard is exclude:
                 continue
@@ -686,7 +599,7 @@ class ClusterController:
                 self._admit(job, shard)
                 admitted_any = True
 
-    def _admit(self, job: ClusterJob, shard: _Shard) -> None:
+    def _admit(self, job: ClusterJob, shard: _ShardState) -> None:
         spec = _to_jobspec(job)
         n = self._client_counters[job.model]
         self._client_counters[job.model] += 1
@@ -696,9 +609,9 @@ class ClusterController:
             raise HarnessError(
                 f"LLM tenant {job.model!r}: depart_at is not supported "
                 "(LLM endpoints have no graceful-close surface yet)")
-        driver = self._op_admit(shard, spec, client_id)
+        self._issue(shard.index, "admit", (client_id, spec))
         tenant = _Tenant(
-            job=job, spec=spec, driver=driver, client_id=client_id,
+            job=job, spec=spec, client_id=client_id,
             role=spec.role, demand=job.demand(self.config.spec),
             memory=job.memory(), device=shard.index, admitted_at=now,
         )
@@ -706,13 +619,12 @@ class ClusterController:
         self._tenants.append(tenant)
         self.admitted += 1
         self._emit_admission(client_id, "admitted", device=shard.index)
-        self._op_start(tenant, shard)
+        self._issue(shard.index, "start", client_id)
         if job.depart_at is not None:
             # a departure frees capacity: the queue drain may admit
             # anywhere, so no shard hint
-            self._note_control(max(now, job.depart_at), None)
-            self.engine.schedule_at(max(now, job.depart_at),
-                                    lambda t=tenant: self._depart(t))
+            self._schedule(max(now, job.depart_at), None,
+                           lambda t=tenant: self._depart(t))
 
     def _emit_admission(self, client_id: str, action: str, *,
                         device: int = -1) -> None:
@@ -728,7 +640,7 @@ class ClusterController:
         if tenant.evicted or tenant.departed:
             return
         tenant.departed = True
-        self._op_depart(tenant)
+        self._issue(tenant.device, "depart", tenant.client_id)
         shard = self.shards[tenant.device]
         if tenant.client_id in shard.tenants:
             shard.remove(tenant)
@@ -737,7 +649,8 @@ class ClusterController:
     # ------------------------------------------------------------------
     # Device faults
     # ------------------------------------------------------------------
-    def _on_device_fault(self, shard: _Shard, event: DeviceFaultEvent) -> None:
+    def _on_device_fault(self, shard: _ShardState,
+                         event: DeviceFaultEvent) -> None:
         if not shard.alive:
             return  # the device is already dead; nothing left to break
         self._fault_counts[f"device_{event.kind}"] += 1
@@ -750,16 +663,16 @@ class ClusterController:
         if event.kind == "crash":
             self._fail_device(shard)
         elif event.kind == "degrade":
-            self._op_set_speed(shard, event.factor)
+            self._issue(shard.index, "speed", event.factor)
             if event.flapping:
                 shard.flap_transitions += 1
                 if (shard.flap_transitions >= self.flap_threshold
                         and shard.accepting):
                     self._quarantine(shard)
         elif event.kind == "recover":
-            self._op_set_speed(shard, 1.0)
+            self._issue(shard.index, "speed", 1.0)
 
-    def _fail_device(self, shard: _Shard) -> None:
+    def _fail_device(self, shard: _ShardState) -> None:
         """Reactive failover: the device died, everyone must move."""
         shard.alive = False
         shard.accepting = False
@@ -772,7 +685,7 @@ class ClusterController:
             self._migrate(tenant, shard, reason=reason)
         self._drain_admission_queue()
 
-    def _quarantine(self, shard: _Shard) -> None:
+    def _quarantine(self, shard: _ShardState) -> None:
         """A flapping device is unstable: stop admissions, move HP off.
 
         Best-effort tenants stay — they tolerate the slow windows, and
@@ -824,18 +737,24 @@ class ClusterController:
         since = max(0.0, now - self.autoscale.signal_window)
         live = [t for t in self._tenants
                 if not (t.evicted or t.departed) and t.latency_critical]
-        tails = self._hp_window_tails(live, since, now)
+        by_shard: dict[int, list[str]] = {}
+        for tenant in live:
+            by_shard.setdefault(tenant.device, []).append(tenant.client_id)
+        latencies: dict[str, list[float]] = {}
+        for index in sorted(by_shard):
+            latencies.update(self._backend.query(
+                index, "tails", (by_shard[index], since, now)))
         worst = 0.0
         for tenant in live:
-            tail = tails.get(tenant.client_id)
-            if tail is None:
+            window = latencies[tenant.client_id]
+            if not window:
                 continue
             baseline_tail = _baseline_tail(
                 standalone(tenant.spec, self.config))
             threshold = tenant.job.sla_factor * baseline_tail
             if not 0 < threshold < float("inf"):
                 continue
-            worst = max(worst, tail / threshold)
+            worst = max(worst, LatencySummary.of(window).p99 / threshold)
         return worst
 
     def _tick_hint(self):
@@ -854,9 +773,8 @@ class ClusterController:
         cfg = self.autoscale
         now = self.engine.now
         if now + cfg.interval < self.config.duration:
-            self._note_control(now + cfg.interval, self._tick_hint)
-            self.engine.schedule_at(now + cfg.interval,
-                                    self._autoscale_tick)
+            self._schedule(now + cfg.interval, self._tick_hint,
+                           self._autoscale_tick)
         queue_depth = len(self._admission_queue)
         pressure = self._p99_pressure(now)
         if queue_depth >= cfg.queue_high or pressure >= cfg.p99_high:
@@ -900,13 +818,12 @@ class ClusterController:
             0.0, cfg.warmup_max - cfg.warmup_min)
         # warm-up completion touches no shard directly, but its queue
         # drain can admit anywhere — hint lazily on queue depth
-        self._note_control(
+        self._schedule(
             now + delay,
-            lambda: None if self._admission_queue else ())
-        self.engine.schedule_at(
-            now + delay, lambda s=spare: self._finish_warmup(s))
+            lambda: None if self._admission_queue else (),
+            lambda s=spare: self._finish_warmup(s))
 
-    def _finish_warmup(self, shard: _Shard) -> None:
+    def _finish_warmup(self, shard: _ShardState) -> None:
         shard.warming = False
         if not shard.alive:
             return  # crashed mid-warm-up; the pool lost a spare
@@ -939,7 +856,7 @@ class ClusterController:
     # ------------------------------------------------------------------
     # Live migration
     # ------------------------------------------------------------------
-    def _migrate(self, tenant: _Tenant, source: _Shard, *,
+    def _migrate(self, tenant: _Tenant, source: _ShardState, *,
                  reason: str) -> None:
         now = self.engine.now
         if tenant.role == "llm":
@@ -948,14 +865,17 @@ class ClusterController:
             # batching driver state does not).  On a dead device the
             # endpoint is lost; on a draining/flapping one it rides out.
             if not source.alive:
-                self._evict(tenant, source,
-                            pending=self._pending_of(tenant))
+                self._evict(tenant, source)
             return
-        self._op_checkpoint(tenant, source)
+        self._issue(source.index, "checkpoint", tenant.client_id)
         if tenant.paused_since is None:
             tenant.paused_since = now
         tenant.move_seq += 1
-        pending = self._op_detach(tenant, source)
+        # disconnect from the source policy; an inference driver
+        # reports the requests it still holds
+        pending = self._issue(
+            source.index, "detach", tenant.client_id,
+            want_result=tenant.role == "inference") or 0
         source.remove(tenant)
         if tenant.departed and tenant.role == "training":
             # A stopped trainer has nothing left to run; don't re-place.
@@ -964,32 +884,32 @@ class ClusterController:
                                   tenant.latency_critical, exclude=source)
         if target is None and tenant.latency_critical:
             target = self._make_room(tenant, exclude=source)
-        if target is None:
-            if self.tracer.enabled:
-                self.tracer.emit(MigrationStart(
-                    ts=now, client_id=tenant.client_id, kernel="",
-                    source=source.index, target=-1, reason=reason,
-                    pending=pending,
-                ))
-            self._evict(tenant, source, pending=pending)
-            return
         if self.tracer.enabled:
             self.tracer.emit(MigrationStart(
                 ts=now, client_id=tenant.client_id, kernel="",
-                source=source.index, target=target.index, reason=reason,
-                pending=pending,
+                source=source.index,
+                target=target.index if target is not None else -1,
+                reason=reason, pending=pending,
             ))
-        self._op_transfer(tenant, source, target)
+        if target is None:
+            self._evict(tenant, source)
+            return
+        # functional state (memory image, modules, reply cache) and the
+        # frozen driver move from source to target
+        image = self._issue(source.index, "export", tenant.client_id,
+                            want_result=True)
+        self._issue(target.index, "import",
+                    (tenant.client_id, tenant.spec, image))
+        self._issue(source.index, "finish_export", tenant.client_id)
         target.add(tenant)
         tenant.device = target.index
         seq = tenant.move_seq
-        self._note_control(now + self.migration_downtime, (target.index,))
-        self.engine.schedule_at(
-            now + self.migration_downtime,
+        self._schedule(
+            now + self.migration_downtime, (target.index,),
             lambda: self._complete_restore(tenant, target, seq))
 
     def _make_room(self, tenant: _Tenant,
-                   exclude: _Shard) -> "_Shard | None":
+                   exclude: _ShardState) -> "_ShardState | None":
         """Re-pack: displace best-effort tenants so a HP tenant fits.
 
         Scans healthy shards for one whose best-effort tenants, moved
@@ -1022,7 +942,7 @@ class ClusterController:
             return shard
         return None
 
-    def _complete_restore(self, tenant: _Tenant, target: _Shard,
+    def _complete_restore(self, tenant: _Tenant, target: _ShardState,
                           seq: int) -> None:
         if tenant.evicted or seq != tenant.move_seq:
             return  # superseded by a later migration leg (or eviction)
@@ -1033,7 +953,7 @@ class ClusterController:
         downtime = self.engine.now - (tenant.paused_since
                                       if tenant.paused_since is not None
                                       else self.engine.now)
-        self._op_restore(tenant, target)
+        self._issue(target.index, "restore", tenant.client_id)
         tenant.paused_since = None
         tenant.restored_at = self.engine.now
         tenant.downtime += downtime
@@ -1045,79 +965,62 @@ class ClusterController:
                 target=target.index, downtime=downtime,
             ))
 
-    def _evict(self, tenant: _Tenant, owner: _Shard, *,
-               pending: int) -> None:
+    def _evict(self, tenant: _Tenant, owner: _ShardState) -> None:
         """No capacity anywhere: the tenant dies, its work is shed."""
         tenant.evicted = True
         tenant.device = -1
         self.jobs_evicted += 1
-        self._op_evict(tenant, owner)
+        self._issue(owner.index, "evict", tenant.client_id)
         owner.remove(tenant)
 
     # ------------------------------------------------------------------
     # Collection
     # ------------------------------------------------------------------
-    def _ledger(self, tenant: _Tenant) -> ServiceLedger | None:
-        driver = tenant.driver
-        if tenant.role == "inference":
-            assert isinstance(driver, InferenceJob)
-            return ServiceLedger(
-                client_id=tenant.client_id,
-                arrivals=driver.arrivals_total,
-                completed=len(driver.records),
-                pending=driver.pending_requests,
-                shed=driver.shed_requests,
-            )
-        if tenant.role == "llm":
-            assert isinstance(driver, LLMServingJob)
-            arrivals = len(driver.requests)
-            completed = sum(1 for r in driver.requests if r.completed)
-            # evictions, TTFT-deadline sheds, and work stranded by a
-            # device crash are all "shed" for conservation purposes
-            dropped = sum(1 for r in driver.requests
-                          if r.evicted or r.deadline_shed)
-            pending = driver.pending_requests
-            stranded = arrivals - completed - dropped - pending
-            return ServiceLedger(
-                client_id=tenant.client_id, arrivals=arrivals,
-                completed=completed, pending=pending,
-                shed=dropped + stranded,
-            )
-        return None  # training has no request ledger
+    def _collect(self, reports: dict, stats: dict) -> ClusterResult:
+        """Build the result from the shards' final reports.
 
-    def _collect(self) -> ClusterResult:
+        ``reports`` maps shard index to
+        :meth:`~repro.cluster.parallel.ClusterShardDomain.finalize`
+        output; ``stats`` maps it to ``(events, rollbacks)``.
+        """
         config = self.config
         start, end = config.window
         span = end - start
-        reports = {tenant.client_id: self._tenant_report(tenant)
-                   for tenant in self._tenants}
-        ledgers = [report["ledger"] for report in reports.values()
-                   if report["ledger"] is not None]
-        audits = check_request_conservation(ledgers)
+        clients = {client_id: data
+                   for report in reports.values()
+                   for client_id, data in report["clients"].items()}
+        ledgers: dict[str, ServiceLedger] = {}
+        for tenant in self._tenants:
+            counts = clients[tenant.client_id]["ledger"]
+            if counts is not None:
+                arrivals, completed, pending, shed = counts
+                ledgers[tenant.client_id] = ServiceLedger(
+                    client_id=tenant.client_id, arrivals=arrivals,
+                    completed=completed, pending=pending, shed=shed)
+        audits = check_request_conservation(ledgers.values())
         services: list[ServiceOutcome] = []
         recoveries: list[ServiceRecovery] = []
         total_throughput = 0.0
-        requests_shed = 0
+        requests_shed = sum(ledger.shed for ledger in ledgers.values())
         for tenant in self._tenants:
-            report = reports[tenant.client_id]
-            ledger = report["ledger"]
-            if ledger is not None:
-                requests_shed += ledger.shed
+            data = clients[tenant.client_id]
             baseline = standalone(tenant.spec, config)
-            completed = report["completed"]
             if baseline.rate > 0:
-                total_throughput += (completed / span) / baseline.rate
+                total_throughput += (data["completed"] / span) / baseline.rate
             if not tenant.latency_critical:
                 continue
             baseline_tail = _baseline_tail(baseline)
-            latencies = report["latencies"]
+            # (window key, latency) pairs: completion or first-token time
+            pairs = data["lat"] or []
+            latencies = [lat for key, lat in pairs if start <= key < end]
             tail = (LatencySummary.of(latencies).p99 if latencies
                     else float("inf"))  # zero completions: worst outcome
             threshold = tenant.job.sla_factor * baseline_tail
             attainment = (sum(1 for lat in latencies if lat <= threshold)
                           / len(latencies) if latencies else float("nan"))
-            post = report["post_latencies"]
-            if post is not None:
+            if tenant.restored_at is not None:
+                post = [lat for key, lat in pairs
+                        if tenant.restored_at <= key < end]
                 post_attainment = (
                     sum(1 for lat in post if lat <= threshold) / len(post)
                     if post else float("nan"))
@@ -1139,8 +1042,12 @@ class ClusterController:
                 post_recovery_attainment=post_attainment,
                 evicted=tenant.evicted,
             ))
-        injected, shard_checks, events = self._gather_shard_stats()
-        self._fault_counts.update(injected)
+        for report in reports.values():
+            self._fault_counts.update(report["injected"])
+        shard_checks = sum(report["checks_run"]
+                           for report in reports.values())
+        events = self.engine.events_processed + sum(
+            shard_events for shard_events, _rollbacks in stats.values())
         report = RecoveryReport(
             services=tuple(recoveries),
             migrations=len(self._downtimes),
@@ -1153,7 +1060,6 @@ class ClusterController:
             scale_ups=self.scale_ups,
             scale_downs=self.scale_downs,
         )
-        checks = audits + shard_checks
         return ClusterResult(
             policy=self.policy_name,
             gpus_used=len(self.shards),
@@ -1161,7 +1067,7 @@ class ClusterController:
             total_normalized_throughput=total_throughput,
             events=events,
             recovery=report,
-            invariant_checks=checks,
+            invariant_checks=audits + shard_checks,
         )
 
 
@@ -1171,25 +1077,6 @@ def _baseline_tail(baseline) -> float:
     if baseline.serving is not None and baseline.serving.ttft is not None:
         return baseline.serving.ttft.p99
     return float("inf")
-
-
-def _tenant_latencies(tenant: _Tenant, since: float,
-                      until: float) -> list[float]:
-    driver = tenant.driver
-    if tenant.role == "inference":
-        assert isinstance(driver, InferenceJob)
-        return driver.latencies(since=since, until=until)
-    assert isinstance(driver, LLMServingJob)
-    return [r.ttft for r in driver.requests
-            if r.first_token is not None
-            and since <= r.first_token < until]
-
-
-def _tenant_tail(tenant: _Tenant, since: float, until: float) -> float:
-    latencies = _tenant_latencies(tenant, since, until)
-    if not latencies:
-        return float("inf")  # zero completions: the worst SLA outcome
-    return LatencySummary.of(latencies).p99
 
 
 # ---------------------------------------------------------------------------
@@ -1296,10 +1183,11 @@ def run_controlplane(jobs: list[ClusterJob] | None = None,
       first-fit as they arrive (all at t=0, or Poisson-spaced when
       ``arrival_rate`` is given).
 
-    ``engine="parallel"`` runs device shards on the time-warp engine
-    (:mod:`repro.engine`) with ``workers`` processes (``workers<=1``
-    uses the in-process backend); committed results are bit-identical
-    to the serial engine.
+    ``engine="serial"`` advances every device shard exactly to each
+    control event; ``engine="parallel"`` lets shards speculate on the
+    time-warp engine (:mod:`repro.engine`) with ``workers`` processes
+    (``workers<=1`` uses the in-process backend).  Committed results
+    are bit-identical between the two.
     """
     if placement is not None:
         job_list = placement.jobs()

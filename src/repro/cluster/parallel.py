@@ -1,60 +1,55 @@
-"""Time-warp parallel cluster engine: sharded control-plane execution.
+"""Device shards of the cluster control plane.
 
-The serial :class:`~repro.cluster.controlplane.ClusterController` runs
-every device shard on one shared event loop.  This module runs the same
-control plane over the optimistic engine in :mod:`repro.engine`: each
-shard (device + policy + server + drivers) lives in its own
-:class:`ClusterShardDomain` with a private loop, the coordinator keeps
-the *decision* half (admission, migration targeting, autoscaling — the
-exact code, inherited unchanged), and all cross-shard effects travel as
-timestamped ops.
+Every :class:`~repro.cluster.controlplane.ClusterController` run keeps
+its device shards here, on the shard engine in :mod:`repro.engine`:
+each shard (device + policy + server + drivers) lives in its own
+:class:`ClusterShardDomain` with a private event loop, while the
+controller keeps the *decision* half (admission, migration targeting,
+autoscaling) and reaches a shard only through timestamped ops
+(``apply``), read-only queries (``query``) and the end-of-run
+``finalize``.  This module is the one place where devices, policies,
+servers and drivers are built.
 
-The coordinator's loop holds only control events, so its next event
-time is a *horizon*: every shard may run exclusively up to it.  Beyond
-the horizon, shards speculate into an open window bounded by the
-minimum cross-shard latency (migration downtime, autoscaler interval,
-mean arrival spacing) and clamped by *hints* — each scheduled control
-event declares which shards it might touch (``None`` = anything).  An
-op landing in a shard's speculated past triggers deterministic
-coast-forward rollback (:class:`~repro.engine.shard.ShardCell`), so a
-wrong hint costs time, never correctness.
-
-Committed metrics, trace summaries and invariant audits are
-bit-identical to the serial engine across the fault chaos matrix — the
-test suite asserts it for inline and process backends alike.  Select
-with ``ClusterController(..., engine="parallel", workers=N)`` or
-``--parallel-shards`` on the cluster CLIs; see ``docs/performance.md``
-for measured speedups.
+The controller's loop holds only control events, so its next event
+time is a *horizon*: every shard may run exclusively up to it.  With
+``engine="serial"`` shards advance exactly to each horizon and never
+speculate.  With ``engine="parallel"`` shards speculate beyond it, into
+a window bounded by the minimum cross-shard latency and clamped by the
+*hints* each scheduled control event declares (``None`` = may touch
+anything); an op landing in a shard's speculated past triggers
+deterministic coast-forward rollback
+(:class:`~repro.engine.shard.ShardCell`), so a wrong hint costs time,
+never correctness.  Committed metrics, trace summaries and invariant
+audits are bit-identical between the two engines and between the
+inline and process backends; see ``docs/performance.md`` for measured
+speedups.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from ..check import InvariantChecker, ServiceLedger
-from ..engine import CommitTracer, InlineBackend, Op, ProcessBackend
+from ..check import InvariantChecker
+from ..core.server import TallyServer
 from ..engine.shard import ShardProgram
 from ..errors import HarnessError
 from ..faults import FaultConfig, FaultInjector, arm_slot_faults
-from ..gpu import EventLoop
+from ..gpu import EventLoop, GPUDevice
 from ..harness import JobSpec, RunConfig
-from ..metrics import LatencySummary
+from ..harness.colocate import _traffic_for, make_policy
 from ..trace import NULL_TRACER
-from ..workloads import InferenceJob, TrainingJob, get_model
-from ..harness.colocate import _traffic_for
-from .controlplane import (
-    ClusterController,
-    _build_driver,
-    _Shard,
-    _ShardState,
-    _Tenant,
+from ..workloads import (
+    InferenceJob,
+    LLMServingJob,
+    TrainingJob,
+    WorkloadKind,
+    get_llm_model,
+    get_model,
 )
 
 __all__ = [
     "ClusterShardDomain",
     "ClusterShardProgram",
-    "ParallelClusterController",
 ]
 
 
@@ -85,17 +80,17 @@ class ClusterShardProgram(ShardProgram):
 
 
 class ClusterShardDomain:
-    """Worker-side shard: live device/policy/server plus its drivers.
+    """One simulated GPU: device, policy, functional server, drivers.
 
     Implements the engine's domain contract (``loop`` / ``apply`` /
-    ``query`` / ``outputs`` / ``finalize``).  Every op handler mirrors
-    one serial ``_op_*`` hook of :class:`ClusterController` — same
-    calls, same order, same simulated instant.
+    ``query`` / ``outputs`` / ``finalize``).  Each op kind is one
+    controller-side action on the shard, applied at its simulated
+    instant.
     """
 
     def __init__(self, index: int, program: ClusterShardProgram) -> None:
         self.index = index
-        self.config = program.config
+        config = self.config = program.config
         self.loop = EventLoop()
         self.outputs: list = []
         tracer = (_BufferTracer(self.outputs) if program.traced
@@ -103,24 +98,28 @@ class ClusterShardDomain:
         self.checker = InvariantChecker() if program.check else None
         self.injector = (FaultInjector(program.faults)
                          if program.faults is not None else None)
-        self.shard = _Shard(index, self.loop, program.config,
-                            program.policy, tracer, self.checker,
-                            self.injector)
+        self.device = GPUDevice(
+            config.spec, self.loop,
+            colocation_slowdown=config.colocation_slowdown,
+            tracer=tracer, check=self.checker, faults=self.injector,
+        )
+        self.policy = make_policy(program.policy, self.device, self.loop,
+                                  tally_config=config.tally_config)
+        self.server = TallyServer(tracer=tracer)
         self.drivers: dict[str, object] = {}
         self.roles: dict[str, str] = {}
         if (program.faults is not None
                 and program.faults.slot_fault_rate > 0):
-            arm_slot_faults(self.shard.device, self.loop, self.injector,
-                            program.config.duration, tracer=tracer)
+            arm_slot_faults(self.device, self.loop, self.injector,
+                            config.duration, tracer=tracer)
 
     # -- engine contract -----------------------------------------------
     def apply(self, kind: str, payload, at: float):
-        shard = self.shard
         if kind == "admit":
             client_id, spec = payload
-            driver = _build_driver(self.config, spec, shard.policy,
+            driver = _build_driver(self.config, spec, self.policy,
                                    client_id)
-            shard.server.connect(client_id, spec.effective_priority)
+            self.server.connect(client_id, spec.effective_priority)
             self.drivers[client_id] = driver
             self.roles[client_id] = spec.role
             return None
@@ -139,39 +138,39 @@ class ClusterShardDomain:
                 driver.close()
             return None
         if kind == "speed":
-            shard.device.set_speed_factor(payload)
+            self.device.set_speed_factor(payload)
             return None
         if kind == "checkpoint":
             self.drivers[payload].checkpoint()
             return None
         if kind == "detach":
-            shard.policy.disconnect(payload)
+            self.policy.disconnect(payload)
             if self.roles[payload] == "inference":
                 return self.drivers[payload].pending_requests
             return 0
         if kind == "export":
-            ckpt = shard.server.checkpoint(payload)
+            ckpt = self.server.checkpoint(payload)
             frozen = self.drivers[payload].freeze_state()
             return (ckpt, frozen)
         if kind == "import":
             client_id, spec, (ckpt, frozen) = payload
-            shard.server.restore(ckpt)
-            driver = _thaw_driver(self.config, spec, shard.policy, frozen)
+            self.server.restore(ckpt)
+            driver = _thaw_driver(self.config, spec, self.policy, frozen)
             self.drivers[client_id] = driver
             self.roles[client_id] = spec.role
             return None
         if kind == "finish_export":
-            shard.server.disconnect(payload, ts=at)
+            self.server.disconnect(payload, ts=at)
             self.drivers.pop(payload)
             self.roles.pop(payload)
             return None
         if kind == "restore":
-            self.drivers[payload].restore(shard.policy)
+            self.drivers[payload].restore(self.policy)
             return None
         if kind == "evict":
             self.drivers[payload].crash()
-            shard.policy.disconnect(payload)
-            shard.server.disconnect(payload, ts=at)
+            self.policy.disconnect(payload)
+            self.server.disconnect(payload, ts=at)
             return None
         raise HarnessError(f"unknown shard op {kind!r}")
 
@@ -187,7 +186,6 @@ class ClusterShardDomain:
         start, end = self.config.window
         clients: dict[str, dict] = {}
         for client_id, driver in self.drivers.items():
-            role = self.roles[client_id]
             clients[client_id] = {
                 "ledger": self._ledger_fields(client_id),
                 "completed": driver.completions_in(start, end),
@@ -223,7 +221,11 @@ class ClusterShardDomain:
         return None
 
     def _ledger_fields(self, client_id: str):
-        """(arrivals, completed, pending, shed) — mirrors ``_ledger``."""
+        """(arrivals, completed, pending, shed) of one service.
+
+        For LLM endpoints, evictions, TTFT-deadline sheds and work
+        stranded by a device crash all count as shed.
+        """
         driver = self.drivers[client_id]
         role = self.roles[client_id]
         if role == "inference":
@@ -240,13 +242,39 @@ class ClusterShardDomain:
         return None
 
 
+def _build_driver(config: RunConfig, spec: JobSpec, policy,
+                  client_id: str):
+    """Construct the driver for one admitted job on ``policy``."""
+    if spec.role == "llm":
+        llm_model = get_llm_model(spec.model)
+        traffic = _traffic_for(spec, llm_model.mean_request_time(),
+                               config)
+        return LLMServingJob(llm_model, traffic, policy, client_id,
+                             priority=spec.effective_priority,
+                             seed=spec.traffic_seed)
+    model = get_model(spec.model)
+    expected = ("inference" if model.kind is WorkloadKind.INFERENCE
+                else "training")
+    if expected != spec.role:
+        raise HarnessError(
+            f"model {spec.model!r} is a {expected} workload, "
+            f"not {spec.role}")
+    trace = model.build_trace(config.spec, seed=config.trace_seed)
+    if spec.role == "inference":
+        traffic = _traffic_for(spec, trace.duration, config)
+        return InferenceJob(trace, traffic, policy, client_id,
+                            priority=spec.effective_priority)
+    return TrainingJob(trace, policy, client_id,
+                       priority=spec.effective_priority)
+
+
 def _thaw_driver(config: RunConfig, spec: JobSpec, policy, frozen: dict):
     """Rebuild a frozen driver on the target shard's loop.
 
     The trace and traffic are regenerated from (config, spec) exactly
     as :func:`_build_driver` builds them — both are pure functions of
-    seeds, so the thawed driver is byte-equivalent to the serial
-    engine's still-live driver object at the same instant.
+    seeds, so the thawed driver is byte-equivalent to the source
+    shard's driver at the same instant.
     """
     model = get_model(spec.model)
     trace = model.build_trace(config.spec, seed=config.trace_seed)
@@ -254,241 +282,3 @@ def _thaw_driver(config: RunConfig, spec: JobSpec, policy, frozen: dict):
         traffic = _traffic_for(spec, trace.duration, config)
         return InferenceJob.thaw(trace, traffic, policy, frozen)
     return TrainingJob.thaw(trace, policy, frozen)
-
-
-class ParallelClusterController(ClusterController):
-    """The serial control plane's decision core over the sharded engine.
-
-    Every ``_op_*`` hook issues a timestamped op instead of touching a
-    live object; everything above the hook surface — placement logic,
-    hysteresis, conservation accounting — is inherited unchanged, which
-    is what makes "bit-identical committed metrics" a structural claim
-    rather than a hopeful one.
-    """
-
-    def __init__(self, jobs, devices, *, engine: str = "parallel",
-                 workers: int = 0, **kwargs) -> None:
-        self._hints: dict[float, list] = {}
-        super().__init__(jobs, devices, engine=engine, workers=workers,
-                         **kwargs)
-        self._commit = CommitTracer(self.tracer)
-        self.tracer = self._commit
-        self._fault_source = (FaultInjector(self.faults)
-                              if self.faults is not None else None)
-        program = ClusterShardProgram(
-            config=self.config, policy=self.policy_name,
-            check=self.check_enabled, faults=self.faults,
-            traced=self._commit.sink.enabled)
-        n = len(self.shards)
-        if workers > 1:
-            self._backend = InlineBackend(program, n) if n == 1 else \
-                ProcessBackend(program, n, workers)
-        else:
-            self._backend = InlineBackend(program, n)
-        self._seq = 0
-        self._final_reports: dict = {}
-        self._final_clients: dict = {}
-        self._shard_stats: dict = {}
-        self.rollbacks = 0
-
-    # -- op plumbing ----------------------------------------------------
-    def _issue(self, shard_index: int, kind: str, payload=None, *,
-               want_result: bool = False):
-        self._seq += 1
-        return self._backend.op(Op(
-            seq=self._seq, shard=shard_index, at=self.engine.now,
-            kind=kind, payload=payload, want_result=want_result))
-
-    # -- hook overrides: shard construction & hints ---------------------
-    def _make_shard(self, index: int) -> _ShardState:
-        return _ShardState(index)
-
-    def _note_control(self, time: float, hint) -> None:
-        self._hints.setdefault(time, []).append(hint)
-
-    def _device_fault_schedule(self, index: int):
-        if self._fault_source is None:
-            return ()
-        return self._fault_source.device_fault_schedule(
-            index, self.config.duration)
-
-    # -- hook overrides: shard operations -------------------------------
-    def _op_admit(self, shard: _ShardState, spec: JobSpec,
-                  client_id: str):
-        self._issue(shard.index, "admit", (client_id, spec))
-        return None  # the driver lives in the worker
-
-    def _op_start(self, tenant: _Tenant, shard: _ShardState) -> None:
-        self._issue(shard.index, "start", tenant.client_id)
-
-    def _op_depart(self, tenant: _Tenant) -> None:
-        self._issue(tenant.device, "depart", tenant.client_id)
-
-    def _op_set_speed(self, shard: _ShardState, factor: float) -> None:
-        self._issue(shard.index, "speed", factor)
-
-    def _op_checkpoint(self, tenant: _Tenant,
-                       source: _ShardState) -> None:
-        self._issue(source.index, "checkpoint", tenant.client_id)
-
-    def _op_detach(self, tenant: _Tenant, source: _ShardState) -> int:
-        if tenant.role == "inference":
-            return self._issue(source.index, "detach", tenant.client_id,
-                               want_result=True)
-        self._issue(source.index, "detach", tenant.client_id)
-        return 0
-
-    def _op_transfer(self, tenant: _Tenant, source: _ShardState,
-                     target: _ShardState) -> None:
-        image = self._issue(source.index, "export", tenant.client_id,
-                            want_result=True)
-        self._issue(target.index, "import",
-                    (tenant.client_id, tenant.spec, image))
-        self._issue(source.index, "finish_export", tenant.client_id)
-
-    def _op_restore(self, tenant: _Tenant, target: _ShardState) -> None:
-        self._issue(target.index, "restore", tenant.client_id)
-
-    def _op_evict(self, tenant: _Tenant, owner: _ShardState) -> None:
-        self._issue(owner.index, "evict", tenant.client_id)
-
-    def _pending_of(self, tenant: _Tenant) -> int:
-        return 0  # feeds only the unused `pending` arg of the LLM path
-
-    # -- hook overrides: reads ------------------------------------------
-    def _hp_window_tails(self, tenants, since: float,
-                         until: float) -> dict[str, float]:
-        by_shard: dict[int, list[str]] = {}
-        for tenant in tenants:
-            by_shard.setdefault(tenant.device, []).append(
-                tenant.client_id)
-        tails: dict[str, float] = {}
-        for index in sorted(by_shard):
-            answer = self._backend.query(
-                index, "tails", (by_shard[index], since, until))
-            for client_id, latencies in answer.items():
-                if latencies:
-                    tails[client_id] = LatencySummary.of(latencies).p99
-        return tails
-
-    def _tenant_report(self, tenant: _Tenant) -> dict:
-        data = self._final_clients[tenant.client_id]
-        start, end = self.config.window
-        ledger = None
-        if data["ledger"] is not None:
-            arrivals, completed, pending, shed = data["ledger"]
-            ledger = ServiceLedger(
-                client_id=tenant.client_id, arrivals=arrivals,
-                completed=completed, pending=pending, shed=shed)
-        report: dict = {"ledger": ledger, "completed": data["completed"]}
-        if tenant.latency_critical:
-            pairs = data["lat"] or []
-            report["latencies"] = [lat for key, lat in pairs
-                                   if start <= key < end]
-            report["post_latencies"] = (
-                [lat for key, lat in pairs
-                 if tenant.restored_at <= key < end]
-                if tenant.restored_at is not None else None)
-        return report
-
-    def _gather_shard_stats(self):
-        injected: Counter[str] = Counter()
-        checks = 0
-        events = self.engine.events_processed
-        for report in self._final_reports.values():
-            injected.update(
-                {kind: count for kind, count
-                 in report["injected"].items()
-                 if not kind.startswith("device_")})
-            checks += report["checks_run"]
-        for shard_events, _rollbacks in self._shard_stats.values():
-            events += shard_events
-        return injected, checks, events
-
-    # -- the barrier loop -----------------------------------------------
-    def _lookahead(self) -> float:
-        """Minimum cross-shard latency = safe speculation depth."""
-        candidates = [self.migration_downtime]
-        if self.autoscale is not None:
-            candidates.append(self.autoscale.interval)
-        if self.arrival_rate:
-            candidates.append(1.0 / self.arrival_rate)
-        positive = [c for c in candidates if c > 0]
-        return min(positive) if positive else self.config.duration
-
-    def _speculation_plan(self, grant: float,
-                          limit: float) -> tuple[float, frozenset[int]]:
-        """Clamp the window and hold back shards using control hints."""
-        spec_target = limit
-        holdback: set[int] = set()
-        for time in sorted(self._hints):
-            if time < grant:
-                del self._hints[time]  # already fired
-                continue
-            if time >= spec_target:
-                break
-            clamped = False
-            for hint in self._hints[time]:
-                shards = hint() if callable(hint) else hint
-                if shards is None:
-                    # this event may touch anything: nobody speculates
-                    # at or past it
-                    spec_target = time
-                    clamped = True
-                    break
-                holdback.update(shards)
-            if clamped:
-                break
-        return spec_target, frozenset(holdback)
-
-    def run(self):
-        if self._ran:
-            raise HarnessError("controller already ran; build a fresh one")
-        self._ran = True
-        duration = self.config.duration
-        backend = self._backend
-        backend.start()
-        try:
-            self._schedule_initial_jobs()
-            self._schedule_device_faults()
-            for index, when in self.drain_schedule:
-                self._note_control(when, None)
-                self.engine.schedule_at(
-                    when, lambda i=index: self.drain(i))
-            # slot faults are armed inside each worker's domain build
-            if self.autoscale is not None:
-                self._note_control(self.autoscale.interval,
-                                   self._tick_hint)
-                self.engine.schedule_at(self.autoscale.interval,
-                                        self._autoscale_tick)
-            lookahead = self._lookahead()
-            engine = self.engine
-            commit = self._commit
-            while True:
-                grant = engine.peek_time()
-                if grant is None or grant > duration:
-                    break
-                spec_target, holdback = self._speculation_plan(
-                    grant, min(grant + lookahead, duration))
-                outputs = backend.advance(grant, spec_target, holdback)
-                for index in sorted(outputs):
-                    commit.add_shard_events(index, outputs[index])
-                commit.commit(grant)
-                # run every control event at the horizon (ops land on
-                # shards sitting exactly there, or roll them back)
-                engine.advance_to(grant, inclusive=True)
-            reports, outputs, stats = backend.finalize(duration)
-            engine.advance_to(duration)
-            for index in sorted(outputs):
-                commit.add_shard_events(index, outputs[index])
-            commit.close()
-            self._final_reports = reports
-            self._final_clients = {
-                client_id: data
-                for report in reports.values()
-                for client_id, data in report["clients"].items()}
-            self._shard_stats = stats
-            self.rollbacks = sum(r for _, r in stats.values())
-            return self._collect()
-        finally:
-            backend.stop()

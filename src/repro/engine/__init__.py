@@ -30,11 +30,13 @@ This package exploits that structure:
   buffers fossil-collected.
 
 Backends: :class:`~repro.engine.backends.InlineBackend` runs every
-shard in-process (deterministic, used by tests and ``workers<=1``);
-:class:`~repro.engine.backends.ProcessBackend` runs shard groups in
-worker processes — the configuration that actually buys wall-clock
-speedup.  Both speak the identical protocol, and both are validated
-bit-identical to the serial engine (see ``docs/performance.md``).
+shard in-process (deterministic; the conservative schedule, the tests
+and ``workers<=1``); :class:`~repro.engine.backends.ProcessBackend`
+runs shard groups in worker processes — the configuration that
+actually buys wall-clock speedup.  Both speak the identical protocol,
+and speculative runs on either are validated bit-identical to the
+conservative schedule, which never speculates (see
+``docs/performance.md``).
 """
 
 from .backends import EngineBackend, InlineBackend, ProcessBackend

@@ -9,12 +9,12 @@ flushes them to the real tracer in a deterministic merge order:
 
 ``(ts, source, arrival)`` — timestamp first; the coordinator (source
 ``-1``) before shards at equal timestamps (control events schedule the
-work shards then perform — the serial engine runs them first for the
-same reason); per-source arrival order last.  Cross-source ties at
-*identical float timestamps* are measure-zero between continuous
-processes, so this normalized order reproduces the serial trace up to
-same-timestamp permutation — summaries (which count, not order) are
-bit-identical, and the bit-identity suite asserts exactly that.
+work shards then perform); per-source arrival order last.
+Cross-source ties at *identical float timestamps* are measure-zero
+between continuous processes, so this normalized order makes the
+committed trace the same with or without speculation, on any backend,
+up to same-timestamp permutation — summaries (which count, not order)
+are bit-identical, and the bit-identity suite asserts exactly that.
 """
 
 from __future__ import annotations

@@ -90,6 +90,16 @@ class TestControlPlaneBasics:
             run_controlplane(jobs=fleet(), devices=2, config=CFG,
                              fail_device=((0, 99.0),))
 
+    def test_drain_time_validated(self):
+        with pytest.raises(HarnessError,
+                           match=r"drain time -0.5 for device 0 outside"):
+            run_controlplane(jobs=fleet(), devices=2, config=CFG,
+                             drain=((0, -0.5),))
+        with pytest.raises(HarnessError,
+                           match=r"drain time 3.0 for device 1 outside"):
+            run_controlplane(jobs=fleet(), devices=2, config=CFG,
+                             drain=((1, CFG.duration),))
+
     def test_fault_free_run_matches_static_expectations(self):
         placement = packed_placement(fleet(), compute_budget=1.5)
         result = run_controlplane(placement=placement, config=CFG,

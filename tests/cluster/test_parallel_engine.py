@@ -1,10 +1,19 @@
-"""Bit-identity of the time-warp parallel engine against the serial core.
+"""Bit-identity of the cluster controller's two engines, and an
+independent oracle for its per-shard loops.
 
-The serial control plane is the oracle: for every scenario the
-parallel engine must commit *exactly* the same result — metrics,
-ledgers, audits, event counts — under both backends (inline, which
-speculates maximally and therefore exercises rollback paths hardest,
-and the process backend, which adds pickling and pipe ordering).
+Every run drives device shards through the shard op protocol.  The
+conservative engine (``engine="serial"``: each shard advances exactly
+to each control event, no speculation) is the reference for
+speculation and rollback: the speculative engine must commit *exactly*
+the same result — metrics, ledgers, audits, event counts — under both
+backends (inline, which speculates maximally and therefore exercises
+rollback paths hardest, and the process backend, which adds pickling
+and pipe ordering).
+
+:func:`~repro.cluster.evaluate_placement`, which runs each bin through
+``run_colocation`` on its own event loop, is the reference for the
+per-shard loops themselves: a fault-free control-plane run of the same
+placement must reproduce its service outcomes and throughput exactly.
 
 Comparison is by ``repr``: ClusterResult carries NaN fields (mttr on
 fault-free runs, post-recovery attainment) that defeat dataclass
@@ -13,8 +22,15 @@ equality, and ``repr`` renders NaN identically on both sides.
 
 import pytest
 
-from repro.cluster.controlplane import AutoscalerConfig, ClusterController
-from repro.cluster.placement import ClusterJob
+from repro.cluster import (
+    AutoscalerConfig,
+    ClusterController,
+    ClusterJob,
+    Placement,
+    evaluate_placement,
+    run_controlplane,
+)
+from repro.errors import HarnessError
 from repro.faults import FaultConfig
 from repro.harness import RunConfig
 from repro.trace import Tracer
@@ -104,5 +120,36 @@ def test_process_backend_bit_identity():
 
 
 def test_engine_parameter_is_validated():
-    with pytest.raises(Exception):
+    message = "engine must be 'serial' or 'parallel', got 'warp9'"
+    with pytest.raises(HarnessError, match=message):
         ClusterController(_jobs(), 3, config=_CONFIG, engine="warp9")
+    with pytest.raises(HarnessError, match=message):
+        run_controlplane(jobs=_jobs(), devices=3, config=_CONFIG,
+                         engine="warp9")
+
+
+def _oracle_placement(seed: int) -> Placement:
+    """Three bins, each an HP service next to a trainer."""
+    pairs = [("bert_infer", "resnet50_train"),
+             ("resnet50_infer", "pointnet_train"),
+             ("llama7b_serve", "bert_train")]
+    return Placement(bins=[
+        [ClusterJob(service, load=0.3, traffic_seed=seed + 2 * i),
+         ClusterJob(trainer, traffic_seed=seed + 2 * i + 1)]
+        for i, (service, trainer) in enumerate(pairs)])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("policy", ["Tally", "TGS", "MPS-Priority"])
+def test_fault_free_run_matches_evaluate_placement(policy, seed):
+    """Per-shard loops reproduce one ``run_colocation`` per bin."""
+    placement = _oracle_placement(seed)
+    config = RunConfig(duration=1.0, warmup=0.2, trace_seed=seed)
+    static = evaluate_placement(placement, policy, config)
+    online = run_controlplane(placement=placement, policy=policy,
+                              config=config, compute_budget=2.0)
+    assert online.services == static.services
+    assert (online.total_normalized_throughput
+            == static.total_normalized_throughput)
+    # the controller's loop adds one admission event per job
+    assert online.events == static.events + len(placement.jobs())
