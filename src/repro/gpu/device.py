@@ -11,7 +11,12 @@ Two launch kinds are modelled:
 
 * ``ORIGINAL`` — every grid block is dispatched once; blocks that start
   together complete together (one event per wave-batch), which keeps
-  the event count proportional to waves, not blocks.
+  the event count proportional to waves, not blocks.  Waves are
+  batched further: a launch alone on the device runs its full waves as
+  one *wave chain*, and a launch sharing the device whose chunks each
+  just restart themselves runs them as one *staggered chain*.  Both
+  settle in one event and are cut short, exactly, whenever anything
+  else changes (see ``docs/performance.md``).
 * ``PTB`` — ``workers`` persistent blocks hold their slots and consume
   one logical block per iteration; a preemption request makes workers
   exit after the iteration in flight, bounding turnaround at one
@@ -63,6 +68,13 @@ from .specs import GPUSpec
 
 __all__ = ["LaunchStatus", "DeviceLaunch", "GPUDevice"]
 
+#: a staggered chain whose break lies more full cycles ahead than this
+#: plans a checkpoint instead of summing its way there
+_PLAN_CYCLES = 16
+#: twice the unit roundoff of a double: the checkpoint's safety margin
+#: per summed wave
+_ULP = 2.0 ** -52
+
 
 class LaunchStatus(enum.Enum):
     """Lifecycle of a device launch."""
@@ -76,27 +88,37 @@ class LaunchStatus(enum.Enum):
 class _Batch:
     """A run of identical work intervals settled by one simulation event.
 
-    Two flavours share this record and the truncation machinery:
+    Three flavours share this record and the truncation machinery:
 
     * a **PTB batch** — ``count`` persistent workers executing ``iters``
       iterations of ``iter_duration`` each;
     * an **ORIGINAL wave chain** — ``iters`` back-to-back full waves of
       ``count`` blocks each, only formed while the launch has the
-      device to itself (so nothing can change a wave's size or price).
+      device to itself (so nothing can change a wave's size or price);
+    * a **staggered chain** — every chained chunk of one ORIGINAL launch
+      that shares the device.  ``chunks`` holds one
+      ``(end, born, seq, blocks)`` record per chunk: the event key the
+      per-wave model would give the chunk's wave in flight, sorted by
+      that key.  Each chunk refills itself with ``blocks`` blocks every
+      ``iter_duration``; ``count`` totals the chained blocks, ``iters``
+      is the sequence number the next wave it starts takes, and
+      ``event`` fires at the first wave boundary where
+      ``blocks_to_start`` can no longer refill the chunk in turn.
 
-    The settlement event sits at ``started + iters * iter_duration``; a
-    preemption request, a kill, a new arrival, or a co-location change
-    truncates the batch at the next interval boundary (the interval in
-    flight keeps the duration it started with, exactly as per-interval
-    events would have priced it).
+    For the first two the settlement event sits at ``started + iters *
+    iter_duration``.  A preemption request, a kill, a new arrival, or a
+    co-location change truncates any batch at the next interval boundary
+    (the interval in flight keeps the duration it started with, exactly
+    as per-interval events would have priced it); a staggered chain
+    turns back into one per-wave event per chunk instead.
     """
 
     __slots__ = ("launch", "count", "threads", "started", "iter_duration",
-                 "iters", "event")
+                 "iters", "event", "chunks")
 
     def __init__(self, launch: "DeviceLaunch", count: int, threads: int,
                  started: float, iter_duration: float, iters: int,
-                 event: Event) -> None:
+                 event: Event, chunks: list | None = None) -> None:
         self.launch = launch
         self.count = count
         self.threads = threads
@@ -104,6 +126,7 @@ class _Batch:
         self.iter_duration = iter_duration
         self.iters = iters
         self.event = event
+        self.chunks = chunks
 
 
 class DeviceLaunch:
@@ -114,7 +137,7 @@ class DeviceLaunch:
         "total_blocks", "block_offset", "blocks_to_start", "blocks_inflight",
         "blocks_done", "tasks_done", "preempt_requested", "killed",
         "blocks_killed", "status", "submitted_at", "arrived_at",
-        "started_at", "finished_at", "seq", "batches",
+        "started_at", "finished_at", "seq", "batches", "waves", "is_ptb",
     )
 
     _seq = itertools.count()
@@ -140,7 +163,8 @@ class DeviceLaunch:
         if self.total_blocks < 1:
             raise GPUSimError(f"{descriptor.name}: launch needs >= 1 block")
         self.block_offset = block_offset
-        if config.kind is LaunchKind.PTB:
+        self.is_ptb = config.kind is LaunchKind.PTB
+        if self.is_ptb:
             self.blocks_to_start = min(config.workers, self.total_blocks)
         else:
             self.blocks_to_start = self.total_blocks
@@ -156,15 +180,14 @@ class DeviceLaunch:
         self.started_at = float("nan")
         self.finished_at = float("nan")
         self.seq = next(DeviceLaunch._seq)
-        #: in-flight :class:`_Batch` records (PTB iteration batches or
-        #: ORIGINAL wave chains)
+        #: in-flight :class:`_Batch` records (PTB iteration batches,
+        #: ORIGINAL wave chains or a staggered chain)
         self.batches: list[_Batch] = []
+        #: completion event -> ``(blocks, born)`` of each ORIGINAL chunk
+        #: whose wave in flight has its own event (is not chained)
+        self.waves: dict[Event, tuple[int, float]] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def is_ptb(self) -> bool:
-        return self.config.kind is LaunchKind.PTB
-
     @property
     def tasks_remaining(self) -> int:
         """Logical blocks not yet executed (PTB progress; for resume)."""
@@ -229,6 +252,14 @@ class GPUDevice:
         #: batches and ORIGINAL wave chains — truncated on arrivals and
         #: co-location transitions
         self._chains: list[_Batch] = []
+        #: the staggered chains among ``_chains`` (at most one per launch)
+        self._staggered: list[_Batch] = []
+        #: batches started and group dispatches run so far, and the last
+        #: per-wave ORIGINAL batch a single-launch dispatch started —
+        #: together they tell a pure self-refill in O(1)
+        self._starts = 0
+        self._groups = 0
+        self._refill: tuple | None = None
         self._rr = 0  # round-robin cursor for same-priority fairness
         # Utilization accounting (thread-seconds of busy time).
         self._busy_thread_seconds = 0.0
@@ -327,6 +358,9 @@ class GPUDevice:
         launch.preempt_requested = True
         # Batched PTB iterations settle at the next boundary: the flag
         # write lands mid-iteration, workers exit when it completes.
+        # No launch's chunks may keep refilling past this point either.
+        if self._staggered:
+            self._truncate_staggered()
         for batch in launch.batches:
             self._truncate_batch(batch)
         # If nothing is in flight and the launch has already reached the
@@ -357,6 +391,9 @@ class GPUDevice:
                 kernel=launch.descriptor.name, launch_seq=launch.seq,
                 mechanism="kill",
             ))
+        # Freed slots change every staggered chain's next boundary.
+        if self._staggered:
+            self._truncate_staggered()
         launch.preempt_requested = True
         launch.killed = True
         # Credit iterations that fully completed inside in-flight PTB
@@ -368,6 +405,7 @@ class GPUDevice:
             if batch in self._chains:
                 self._chains.remove(batch)
         launch.batches.clear()
+        launch.waves.clear()
         if launch.blocks_inflight > 0:
             # The batch completion events still fire, but the resources
             # are returned now and the events become no-ops.
@@ -522,6 +560,7 @@ class GPUDevice:
         self._start_batch(launch, fit, solo=True)
 
     def _dispatch_group(self, group: list[DeviceLaunch]) -> None:
+        self._groups += 1  # rotating ``_rr`` rules out a pure self-refill
         self._rr = (self._rr + 1) % len(group)
         group = group[self._rr:] + group[:self._rr]
         progress = True
@@ -552,17 +591,12 @@ class GPUDevice:
                 self._start_batch(launch, fit)
                 progress = True
 
-    def _colocated(self, client_id: str) -> bool:
-        active = self._active_clients
-        if active == 0:
-            return False
-        if active > 1:
-            return True
-        return self._client_inflight.get(client_id, 0) == 0
-
     def _block_duration(self, launch: DeviceLaunch) -> float:
         duration = launch.descriptor.block_duration
-        if self._colocated(launch.client_id):
+        # co-located: some other client has blocks in flight
+        active = self._active_clients
+        if active > 1 or (active == 1 and self._client_inflight.get(
+                launch.client_id, 0) == 0):
             duration *= self.colocation_slowdown
         if self._speed_factor != 1.0:
             duration *= self._speed_factor
@@ -572,6 +606,7 @@ class GPUDevice:
                      solo: bool = False) -> None:
         if self.check.enabled:
             self.check.verify_dispatch(self, launch)
+        self._starts += 1
         self._account()
         tpb = launch.descriptor.threads_per_block
         threads = count * tpb
@@ -605,10 +640,13 @@ class GPUDevice:
                     and self._alone_on_device(launch)):
                 self._start_wave_chain(launch, count, threads, duration)
             else:
-                self.engine.schedule(
-                    duration,
+                event = self.engine.schedule_at(
+                    self.engine.now + duration,
                     lambda: self._finish_batch(launch, count, threads),
                 )
+                launch.waves[event] = (count, self.engine.now)
+                if solo:
+                    self._refill = (launch, count, duration)
 
     def _alone_on_device(self, launch: DeviceLaunch) -> bool:
         """Whether ``launch`` holds every claimed resource on the device
@@ -637,15 +675,36 @@ class GPUDevice:
                       threads: int) -> None:
         if launch.killed:
             return  # resources already reclaimed by kill()
+        if launch.waves:
+            launch.waves.pop(self.engine.current[3], None)
+        staggered = self._staggered
+        if staggered:
+            # dispatch reads blocks_to_start: bring chains up to now
+            for chain in staggered:
+                self._advance(chain)
         self._release(launch, count, threads)
         launch.blocks_done += count
         finished = (launch.blocks_inflight == 0
                     and (launch.blocks_to_start == 0
                          or launch.preempt_requested))
+        groups = self._groups
+        starts = self._starts
         if finished:
             self._finalize(launch)
+            if staggered:
+                self._recheck_staggered(starts, groups)
         else:
+            self._refill = None
             self._dispatch()
+            refill = self._refill
+            if (self._starts == starts + 1 and self._groups == groups
+                    and refill is not None and refill[0] is launch
+                    and refill[1] == count):
+                # A pure self-refill: the chunk restarted alone, through
+                # the single-launch path, and nothing else changed.
+                self._chain_wave(launch, count, refill[2])
+            elif staggered:
+                self._recheck_staggered(starts, groups)
         if self.check.enabled:
             self.check.verify(self)
 
@@ -751,6 +810,10 @@ class GPUDevice:
         resources) when it fires, exactly as per-interval events did at
         every boundary.
         """
+        if batch.chunks is not None:
+            self._advance(batch)
+            self._dissolve(batch)
+            return
         if batch.iters <= 1:
             return
         q = (self.engine.now - batch.started) / batch.iter_duration
@@ -780,7 +843,10 @@ class GPUDevice:
         boundary re-evaluates the co-location factor."""
         for batch in list(self._chains):
             if batch.launch.client_id != changed_client:
-                self._truncate_batch(batch)
+                if batch.chunks is not None:
+                    self._reprice_staggered(batch)
+                else:
+                    self._truncate_batch(batch)
 
     def _truncate_chains(self) -> None:
         """A new launch reached the device: every batched schedule may
@@ -789,12 +855,270 @@ class GPUDevice:
         for batch in list(self._chains):
             self._truncate_batch(batch)
 
+    # ------------------------------------------------------------------
+    # Staggered chains: per-chunk wave batching for shared ORIGINAL grids
+    # ------------------------------------------------------------------
+    def _chainable(self, launch: DeviceLaunch, count: int) -> bool:
+        """Whether every chunk of ``launch`` keeps refilling itself.
+
+        Called after a pure self-refill of a ``count``-block chunk.  The
+        free pool is back where it was, so every later wave boundary of
+        any chunk replays this one — as long as nothing else changes —
+        when ``launch`` cannot fit one more block (each chunk refills to
+        exactly its own size), no launch above it waits for blocks
+        (whatever a chunk frees would go there), and the launch still
+        has a full refill left.  Launches below it saw the same free
+        pool and did not start.
+        """
+        if launch.blocks_to_start < count:
+            return False
+        if (self._slots_free > 0 and self._threads_free
+                >= launch.descriptor.threads_per_block):
+            return False
+        for other in self._resident:
+            if other is launch:
+                return True
+            if other.blocks_to_start > 0 and not other.preempt_requested:
+                return False
+        return False  # pragma: no cover - a dispatched launch is resident
+
+    def _chain_wave(self, launch: DeviceLaunch, count: int,
+                    duration: float) -> None:
+        """After a pure self-refill of a ``count``-block chunk, fold the
+        launch's per-wave chunks — the refill among them — into its
+        staggered chain (forming it on first use) when
+        :meth:`_chainable` allows."""
+        chain = None
+        for batch in launch.batches:
+            if batch.chunks is not None:
+                chain = batch
+                break
+        join = self._chainable(launch, count)
+        if chain is None:
+            if not join:
+                return
+            chain = _Batch(launch, 0, 0, self.engine.now, duration, 0,
+                           None, [])  # type: ignore[arg-type]
+            launch.batches.append(chain)
+            self._chains.append(chain)
+            self._staggered.append(chain)
+        else:
+            # The refill drew on the chain's blocks_to_start either way.
+            chain.event.cancel()
+            if not join or chain.iter_duration != duration:
+                self._plan(chain)
+                return
+        # Chunks join behind the chain's earliest record (a new chain's
+        # is its earliest chunk) while they fit in its cycle.
+        records = chain.chunks
+        if records:
+            front = records[0][:3]
+        else:
+            front = None
+            for event, (_blocks, born) in launch.waves.items():
+                key = (event.time, born, event.seq)
+                if front is None or key < front:
+                    front = key
+        kept = {}
+        for event, wave in launch.waves.items():
+            key = (event.time, wave[1], event.seq)
+            if key >= front and self._in_cycle(key[0], key[1], front[0],
+                                               duration):
+                event.cancel()
+                records.append(key + (wave[0],))
+                chain.count += wave[0]
+            else:
+                kept[event] = wave
+        launch.waves = kept
+        records.sort()
+        self._plan(chain)
+
+    @staticmethod
+    def _in_cycle(end: float, born: float, first: float,
+                  duration: float) -> bool:
+        """Whether a chunk whose wave in flight has key ``(end, born)``
+        comes before the next boundary ``(first + duration, first)`` of
+        the chain's earliest chunk.  When every chunk does, rounded
+        addition being monotone keeps all later boundaries in the same
+        cyclic order (see :meth:`_plan`)."""
+        limit = first + duration
+        return end < limit or (end == limit and born <= first)
+
+    def _plan(self, chain: _Batch) -> None:
+        """Schedule ``chain``'s one event at its first boundary whose
+        chunk ``blocks_to_start`` can no longer refill.
+
+        Boundaries come in the cyclic order of the chunks' records:
+        every later boundary of a chunk comes one ``iter_duration``
+        after its previous one, rounded addition is monotone, and so
+        the order of ``t + d`` never differs from the order of ``t``.
+        Full cycles are counted, not walked.  The break's time is the
+        repeated sum the per-wave events would have computed; when it
+        lies several cycles ahead, the event is a checkpoint at a lower
+        bound of it instead, which plans again from there (most chains
+        are cut by an arrival or a pricing change long before).  The
+        sequence numbers of the waves the chain will start are reserved
+        now, in boundary order, so their keys stay comparable with
+        every other event.
+        """
+        chunks = chain.chunks
+        k = len(chunks)
+        left = chain.launch.blocks_to_start
+        cycles = left // chain.count
+        left -= cycles * chain.count
+        index = 0
+        while left >= chunks[index][3]:
+            left -= chunks[index][3]
+            index += 1
+        base = self.engine.reserve(cycles * k + index)
+        chain.iters = base  # rank of the next wave the chain starts
+        end, born, seq, _count = chunks[index]
+        d = chain.iter_duration
+        if cycles > _PLAN_CYCLES:
+            # the repeated sum strays from end + cycles * d by less than
+            # (cycles + 2) rounding errors of at most _ULP / 2 each
+            approx = end + cycles * d
+            chain.event = self.engine.schedule_at(
+                approx - (cycles + 4) * _ULP * approx,
+                lambda: self._replan(chain))
+            return
+        if cycles:
+            for _ in range(cycles - 1):
+                end += d
+            born = end
+            end += d
+            seq = base + (cycles - 1) * k + index
+        chain.event = self.engine.schedule_as(
+            end, born, seq, lambda: self._staggered_done(chain))
+
+    def _replan(self, chain: _Batch) -> None:
+        """A checkpoint short of the break: catch up and plan again."""
+        self._advance(chain)
+        self._plan(chain)
+
+    def _advance(self, chain: _Batch) -> None:
+        """Run ``chain``'s wave boundaries that the per-wave model would
+        have run before the current event: each one retires a chunk's
+        wave and starts the next in its place.
+
+        Boundaries run in cyclic order (see :meth:`_plan`) — round ``c``
+        of the chunk at position ``p`` is boundary ``c * k + p`` — so
+        each chunk is advanced on its own, and the chunks that ran one
+        more round rotate to the back.
+        """
+        chunks = chain.chunks
+        now, born_now, seq_now, _ = self.engine.current
+        if chunks[0][0] > now:
+            return
+        d = chain.iter_duration
+        k = len(chunks)
+        base = chain.iters
+        moved = []
+        blocks = 0
+        runs = 0
+        for p, (end, born, seq, count) in enumerate(chunks):
+            c = 0
+            while end < now or (end == now and (
+                    born < born_now or (born == born_now
+                                        and seq < seq_now))):
+                born = end
+                end += d
+                seq = base + c * k + p
+                c += 1
+            moved.append((end, born, seq, count))
+            blocks += c * count
+            runs += c
+        if not runs:
+            return
+        q = runs % k
+        chain.chunks = moved[q:] + moved[:q]
+        chain.iters = base + runs
+        launch = chain.launch
+        launch.blocks_done += blocks
+        launch.blocks_to_start -= blocks
+
+    def _reprice_staggered(self, chain: _Batch) -> None:
+        """Another client's residency flipped: the chain's next waves
+        start at the new price.  Waves in flight keep theirs; a chunk
+        whose wave now ends beyond the earliest chunk's next boundary
+        leaves the chain as a per-wave event (it rejoins on refill)."""
+        self._advance(chain)
+        duration = self._block_duration(chain.launch)
+        if duration == chain.iter_duration:
+            return
+        chain.iter_duration = duration
+        chunks = chain.chunks
+        first = chunks[0][0]
+        keep = [r for r in chunks
+                if self._in_cycle(r[0], r[1], first, duration)]
+        if len(keep) < len(chunks):
+            self._rearm([r for r in chunks if r not in keep], chain.launch)
+            chain.chunks = keep
+            chain.count = sum(r[3] for r in keep)
+        chain.event.cancel()
+        self._plan(chain)
+
+    def _rearm(self, records: list, launch: DeviceLaunch) -> None:
+        """Give each ``(end, born, seq, blocks)`` record back its own
+        per-wave event, under the key the per-wave model gave it."""
+        tpb = launch.descriptor.threads_per_block
+        schedule_as = self.engine.schedule_as
+        finish = self._finish_batch
+        waves = launch.waves
+        for end, born, seq, count in records:
+            event = schedule_as(end, born, seq,
+                                lambda c=count: finish(launch, c, c * tpb))
+            waves[event] = (count, born)
+
+    def _dissolve(self, chain: _Batch) -> None:
+        """Turn ``chain`` (advanced to now) back into one per-wave event
+        per chunk."""
+        chain.event.cancel()
+        self._chains.remove(chain)
+        self._staggered.remove(chain)
+        chain.launch.batches.remove(chain)
+        self._rearm(chain.chunks, chain.launch)
+
+    def _recheck_staggered(self, starts: int, groups: int) -> None:
+        """A completion changed more than its own chunk: keep each
+        staggered chain whose launch still refills every chunk (see
+        :meth:`_chainable`), dissolve the others.  Launches below a kept
+        chain saw this dispatch's final free pool and did not start, so
+        they will not at its boundaries either; a group dispatch (which
+        rotates the round-robin cursor) dissolves every chain.  A batch
+        started since ``starts`` may have drawn on a kept chain's
+        blocks, so its break is planned again."""
+        for chain in list(self._staggered):
+            if self._groups == groups and self._chainable(chain.launch, 0):
+                if self._starts != starts:
+                    chain.event.cancel()
+                    self._plan(chain)
+            else:
+                self._dissolve(chain)
+
+    def _truncate_staggered(self) -> None:
+        """The world is about to change: dissolve every staggered chain."""
+        for chain in list(self._staggered):
+            self._advance(chain)
+            self._dissolve(chain)
+
+    def _staggered_done(self, chain: _Batch) -> None:
+        """The boundary where ``chain``'s cycle breaks: run it as the
+        per-wave event it stands for, with the other chunks per-wave."""
+        self._advance(chain)
+        _end, _born, _seq, count = chain.chunks.pop(0)
+        self._dissolve(chain)
+        self._finish_batch(chain.launch, count,
+                           count * chain.launch.descriptor.threads_per_block)
+
     def _wave_chain_done(self, batch: _Batch) -> None:
         launch = batch.launch
         if batch in self._chains:
             self._chains.remove(batch)
         if launch.killed:
             return  # resources already reclaimed by kill()
+        if self._staggered:
+            self._truncate_staggered()
         if batch in launch.batches:
             launch.batches.remove(batch)
         count = batch.count
@@ -827,6 +1151,8 @@ class GPUDevice:
         stop = (launch.preempt_requested
                 or launch.tasks_done >= launch.total_blocks)
         if stop:
+            if self._staggered:
+                self._truncate_staggered()
             self._release(launch, workers, batch.threads)
             if launch.blocks_inflight == 0:
                 self._finalize(launch)

@@ -6,12 +6,17 @@ GPU device, schedulers, and workload drivers all build on it.
 
 Hot-path design (see ``docs/performance.md``):
 
-* heap entries are ``(time, seq, event)`` **tuples**, so every heap
-  sift compares in C (tuple comparison) instead of calling a Python
-  ``__lt__`` — on real runs this removes millions of interpreted calls;
+* heap entries are ``(time, born, seq, event)`` **tuples**, so every
+  heap sift compares in C (tuple comparison) instead of calling a
+  Python ``__lt__`` — on real runs this removes millions of interpreted
+  calls.  ``born`` is the simulated time the event was scheduled at;
+  for ordinary events it rises with ``seq``, so the order is plain
+  ``(time, seq)``.  :meth:`EventLoop.schedule_as` lets the device
+  re-create an event that *would have been* scheduled earlier (a
+  batched interval boundary) under its original tie-breaking key;
 * :class:`Event` handles are slotted and carry only what cancellation
-  needs; the heap never compares them (the ``(time, seq)`` prefix is
-  unique);
+  needs; the heap never compares them (the ``(time, born, seq)``
+  prefix is unique);
 * cancellation is O(1) and lazy, with an in-place compaction sweep once
   dead entries dominate, so drivers polling :attr:`EventLoop.pending`
   never spin over a graveyard;
@@ -35,6 +40,9 @@ from ..errors import GPUSimError
 
 __all__ = ["Event", "EventLoop"]
 
+_INF = float("inf")
+_NEG_INF = float("-inf")
+
 
 class Event:
     """A scheduled callback; cancellable until it fires."""
@@ -53,8 +61,11 @@ class Event:
         """Prevent the event from firing (O(1); removed lazily)."""
         if not self.cancelled:
             self.cancelled = True
-            if self.loop is not None:
-                self.loop._note_cancel()
+            loop = self.loop
+            if loop is not None:
+                loop._cancelled += 1
+                if loop._cancelled >= loop.COMPACT_THRESHOLD:
+                    loop._compact()
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -81,10 +92,16 @@ class EventLoop:
 
     def __init__(self) -> None:
         self.now = 0.0
-        #: heap of ``(time, seq, Event)`` — C-speed tuple comparisons.
+        #: ordering key ``(time, born, seq, event)`` of the event being
+        #: run; between drains, a key just below (exclusive
+        #: :meth:`advance_to`) or just above (inclusive) every event at
+        #: ``now``.  Batched device schedules compare their virtual
+        #: interval boundaries against it to resolve equal-time ties.
+        self.current: tuple = (0.0, _NEG_INF, -1, None)
+        #: heap of ``(time, born, seq, Event)`` — C-speed tuple comparisons.
         #: While ``_sorted`` is True the array is fully sorted and
         #: ``_head`` entries at the front have already been consumed.
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, float, int, Event]] = []
         self._seq = 0
         self._cancelled = 0  # cancelled events still sitting in the heap
         self._sorted = True  # every push so far non-decreasing in time
@@ -96,9 +113,10 @@ class EventLoop:
     # ------------------------------------------------------------------
     def schedule_at(self, time: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run at absolute simulation time ``time``."""
-        if time < self.now:
+        now = self.now
+        if not time >= now:  # also rejects NaN; ``inf`` stays legal
             raise GPUSimError(
-                f"cannot schedule event at {time:.9f} before now ({self.now:.9f})"
+                f"cannot schedule event at {time:.9f} before now ({now:.9f})"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -107,20 +125,60 @@ class EventLoop:
         if self._sorted:
             # Monotone run: a push at/after the current tail keeps the
             # array sorted, so it is a plain append (no sift at all).
-            if not heap or len(heap) == self._head or time >= heap[-1][0]:
-                heap.append((time, seq, event))
+            # ``seq`` is the largest yet, so only an equal time needs
+            # ``born`` (a :meth:`schedule_as` tail may be born later).
+            if (not heap or len(heap) == self._head
+                    or time > heap[-1][0]
+                    or (time == heap[-1][0] and now >= heap[-1][1])):
+                heap.append((time, now, seq, event))
             else:
                 self._exit_sorted_mode()
-                heappush(heap, (time, seq, event))
+                heappush(heap, (time, now, seq, event))
         else:
-            heappush(heap, (time, seq, event))
+            heappush(heap, (time, now, seq, event))
         return event
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise GPUSimError(f"negative delay {delay!r}")
         return self.schedule_at(self.now + delay, fn)
+
+    def reserve(self, count: int) -> int:
+        """Reserve ``count`` consecutive sequence numbers; return the
+        first.  Every later :meth:`schedule_at` gets a larger one."""
+        seq = self._seq
+        self._seq = seq + count
+        return seq
+
+    def schedule_as(self, time: float, born: float, seq: int,
+                    fn: Callable[[], None]) -> Event:
+        """Schedule ``fn`` at ``time`` under the ordering key of an
+        event scheduled at simulated time ``born`` with sequence number
+        ``seq`` (from :meth:`reserve`, or a cancelled event's own).
+
+        The device uses this to turn a batched interval boundary back
+        into the event the per-interval model would have scheduled, so
+        equal-time ties fall exactly as they would have; ``born`` may
+        lie ahead of ``now`` for a boundary whose wave has not started
+        yet.  Each ``(born, seq)`` pair must be used by at most one live
+        event.
+        """
+        if not (time >= self.now and born <= time):
+            raise GPUSimError(
+                f"cannot schedule event at {time!r} born {born!r} "
+                f"(now {self.now!r})")
+        event = Event(time, seq, fn, self)
+        entry = (time, born, seq, event)
+        heap = self._heap
+        if self._sorted and heap and len(heap) != self._head \
+                and entry[:3] < heap[-1][:3]:
+            self._exit_sorted_mode()
+        if self._sorted:
+            heap.append(entry)
+        else:
+            heappush(heap, entry)
+        return event
 
     def call_soon(self, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` at the current time (after pending same-time events)."""
@@ -141,16 +199,15 @@ class EventLoop:
             self._head = 0
         self._sorted = False
 
-    def _note_cancel(self) -> None:
-        self._cancelled += 1
+    def _compact(self) -> None:
+        """Drop cancelled entries once they are half the queue."""
         heap = self._heap
-        if (self._cancelled >= self.COMPACT_THRESHOLD
-                and self._cancelled * 2 >= len(heap) - self._head):
+        if self._cancelled * 2 >= len(heap) - self._head:
             # Rebuild in place: run loops hold a reference to the list.
             # A filtered sorted array stays sorted, so sorted mode (and
             # its no-sift pushes) survives the sweep.
             heap[:] = [entry for entry in heap[self._head:]
-                       if not entry[2].cancelled]
+                       if not entry[3].cancelled]
             self._head = 0
             if not self._sorted:
                 heapify(heap)
@@ -169,7 +226,7 @@ class EventLoop:
         heap = self._heap
         if self._sorted:
             head = self._head
-            while head < len(heap) and heap[head][2].cancelled:
+            while head < len(heap) and heap[head][3].cancelled:
                 head += 1
                 self._cancelled -= 1
             self._head = head
@@ -179,7 +236,7 @@ class EventLoop:
                 self._cancelled = 0
                 return None
             return heap[head][0]
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][3].cancelled:
             heappop(heap)
             self._cancelled -= 1
         if not heap:
@@ -188,43 +245,43 @@ class EventLoop:
             return None
         return heap[0][0]
 
-    def _pop_next(self) -> tuple[float, Event] | None:
-        """Remove and return the next live event, or None."""
+    def _pop_next(self) -> tuple | None:
+        """Remove and return the next live heap entry, or None."""
         heap = self._heap
         if self._sorted:
             head = self._head
             n = len(heap)
             while head < n:
-                time, _seq, event = heap[head]
+                entry = heap[head]
                 head += 1
-                if event.cancelled:
+                if entry[3].cancelled:
                     self._cancelled -= 1
                     continue
                 self._head = head
-                return time, event
+                return entry
             del heap[:]
             self._head = 0
             self._cancelled = 0
             return None
         while heap:
-            time, _seq, event = heappop(heap)
-            if event.cancelled:
+            entry = heappop(heap)
+            if entry[3].cancelled:
                 self._cancelled -= 1
                 continue
-            return time, event
+            return entry
         self._sorted = True
         self._cancelled = 0
         return None
 
     def step(self) -> bool:
         """Run the next event; return False if none remain."""
-        nxt = self._pop_next()
-        if nxt is None:
+        entry = self._pop_next()
+        if entry is None:
             return False
-        time, event = nxt
-        self.now = time
+        self.now = entry[0]
+        self.current = entry
         self.events_processed += 1
-        event.fn()
+        entry[3].fn()
         return True
 
     def _drain(self, limit: float | None, inclusive: bool,
@@ -249,11 +306,13 @@ class EventLoop:
                 head = self._head
                 n = len(heap)
                 while head < n:
-                    when, _seq, event = heap[head]
+                    entry = heap[head]
+                    event = entry[3]
                     if event.cancelled:
                         head += 1
                         self._cancelled -= 1
                         continue
+                    when = entry[0]
                     if limit is not None and (
                             when > limit
                             or (when == limit and not inclusive)):
@@ -262,6 +321,7 @@ class EventLoop:
                     head += 1
                     self._head = head
                     self.now = when
+                    self.current = entry
                     self.events_processed += 1
                     event.fn()
                     processed += 1
@@ -288,11 +348,13 @@ class EventLoop:
                 if limit is not None and (
                         when > limit or (when == limit and not inclusive)):
                     return processed
-                _w, _s, event = pop(heap)
+                entry = pop(heap)
+                event = entry[3]
                 if event.cancelled:
                     self._cancelled -= 1
                     continue
                 self.now = when
+                self.current = entry
                 self.events_processed += 1
                 event.fn()
                 processed += 1
@@ -319,12 +381,16 @@ class EventLoop:
         ``time`` run too (:meth:`run_until` semantics).  Returns the
         number of events executed.
         """
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise GPUSimError(
                 f"cannot advance to {time:.9f} before now ({self.now:.9f})")
         processed = self._drain(time, inclusive, max_events)
         if time > self.now:
             self.now = time
+        # Between drains the clock sits just past every event at ``time``
+        # (inclusive) or just before them (exclusive: they stay pending).
+        self.current = ((time, _INF, _INF, None) if inclusive
+                        else (time, _NEG_INF, -1, None))
         return processed
 
     def run_until(self, time: float, *, max_events: int | None = None) -> None:

@@ -136,3 +136,52 @@ def test_boundary_grant_then_same_time_schedule():
     loop.schedule_at(2.0, lambda: ran.append("op"))
     loop.run_until(3.0)
     assert ran == ["local", "op", "later"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda loop: loop.schedule_at(float("nan"), lambda: None),
+    lambda loop: loop.schedule(float("nan"), lambda: None),
+    lambda loop: loop.advance_to(float("nan")),
+    lambda loop: loop.advance_to(float("nan"), inclusive=True),
+], ids=["schedule_at", "schedule", "advance_to", "advance_to-inclusive"])
+def test_nan_times_are_rejected(call):
+    loop = EventLoop()
+    ran = []
+    loop.schedule_at(1.0, lambda: ran.append(1.0))
+    loop.schedule_at(2.0, lambda: ran.append(2.0))
+    with pytest.raises(GPUSimError):
+        call(loop)
+    # nothing ran, the clock did not move, the queue kept its order
+    assert ran == [] and loop.now == 0.0 and loop.pending == 2
+    loop.run()
+    assert ran == [1.0, 2.0]
+
+
+def test_infinite_time_stays_legal():
+    loop = EventLoop()
+    ran = []
+    loop.schedule_at(float("inf"), lambda: ran.append("never"))
+    loop.schedule(1.0, lambda: ran.append("once"))
+    loop.advance_to(10.0)
+    assert ran == ["once"] and loop.pending == 1
+    loop.run_until(float("inf"))
+    assert ran == ["once", "never"]
+
+
+def test_schedule_as_orders_by_birth_then_sequence():
+    # an event re-created under an earlier key runs before same-time
+    # events scheduled after that key, in both storage modes
+    for warm in (False, True):
+        loop = EventLoop()
+        ran = []
+        seq = loop.reserve(1)
+        if warm:
+            loop.schedule_at(0.5, lambda: None)
+        loop.schedule_at(1.0, lambda: ran.append("early"))
+        loop.advance_to(0.75)
+        loop.schedule_at(2.0, lambda: ran.append("late"))
+        loop.schedule_as(2.0, 0.25, seq, lambda: ran.append("rearmed"))
+        loop.schedule_as(2.0, 1.5, loop.reserve(1),
+                         lambda: ran.append("future-born"))
+        loop.run()
+        assert ran == ["early", "rearmed", "late", "future-born"]
