@@ -95,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--current", default=DEFAULT_TRAJECTORY,
                          help="current report (newest trajectory entry)")
     compare.add_argument("--threshold", type=float, default=0.25,
-                         help="fail when events/s drops more than this "
-                              "fraction below baseline (default 0.25)")
+                         help="fail when work per wall second (simulated "
+                              "seconds, launches or events) drops more than "
+                              "this fraction below baseline (default 0.25)")
     compare.add_argument("--hit-rate-drop", type=float, default=0.10,
                          help="fail when a benchmark's transform-cache "
                               "hit rate drops more than this many points "

@@ -1,13 +1,22 @@
 """Regression gating: compare a bench report against a baseline.
 
 The CI ``perf`` job runs the smoke suite and fails when any benchmark's
-events-per-second throughput drops more than ``threshold`` (default
-25 %) below the checked-in baseline
+throughput — units of work per wall second — drops more than
+``threshold`` (default 25 %) below the checked-in baseline
 (``benchmarks/baselines/BENCH_baseline.json``).  The baseline is a
 recorded :class:`~repro.bench.harness.BenchReport`; refresh it with
 ``repro-bench run --out benchmarks/baselines/BENCH_baseline.json``
 whenever a deliberate trade-off (or a hardware change on the reference
 machine) moves the numbers.
+
+The unit of work is what the benchmark exists to get through, not the
+events it happens to take: batching cuts events without cutting work,
+and an events-per-second gate would punish it.  Macro benchmarks do
+simulated seconds (``simulated_s``, or ``simulated_gpu_s`` summed over
+devices, in ``extra``), ``micro.device_dispatch`` does kernel launches
+(``launches``), and the others do events.  A benchmark is gated on the
+first of those ``extra`` fields both reports carry (see
+:data:`WORK_UNITS`).
 
 Comparison is by benchmark *name*: benchmarks present on only one side
 are reported but never fail the gate, so adding a benchmark does not
@@ -33,10 +42,18 @@ import json
 from dataclasses import dataclass, field
 
 from ..errors import ReproError
-from .harness import BenchReport
+from .harness import BenchmarkResult, BenchReport
 
-__all__ = ["Comparison", "RegressionReport", "compare_reports",
-           "load_report"]
+__all__ = ["Comparison", "RegressionReport", "WORK_UNITS",
+           "compare_reports", "load_report"]
+
+#: ``(extra key, unit)`` of the work a benchmark gets through, in order
+#: of preference; a benchmark recording none of them is gated on events
+WORK_UNITS = (
+    ("simulated_s", "sim-s/s"),
+    ("simulated_gpu_s", "sim-GPU-s/s"),
+    ("launches", "launches/s"),
+)
 
 
 def load_report(path: str) -> BenchReport:
@@ -58,7 +75,8 @@ def load_report(path: str) -> BenchReport:
 
 @dataclass(frozen=True)
 class Comparison:
-    """One benchmark's baseline-vs-current throughput comparison.
+    """One benchmark's baseline-vs-current throughput comparison, in
+    units of work (``unit``) per wall second.
 
     Benchmarks that report a transform-cache hit rate (the
     ``cache_hit_rate`` key in ``extra``) are additionally gated on it:
@@ -68,17 +86,18 @@ class Comparison:
     """
 
     name: str
-    baseline_eps: float
-    current_eps: float
+    baseline_rate: float
+    current_rate: float
+    unit: str = "events/s"
     baseline_hit_rate: float | None = None
     current_hit_rate: float | None = None
 
     @property
     def ratio(self) -> float:
-        """current / baseline events-per-second (>1 means faster)."""
-        if self.baseline_eps <= 0:
+        """current / baseline throughput (>1 means faster)."""
+        if self.baseline_rate <= 0:
             return float("inf")
-        return self.current_eps / self.baseline_eps
+        return self.current_rate / self.baseline_rate
 
     def regressed(self, threshold: float) -> bool:
         return self.ratio < 1.0 - threshold
@@ -127,9 +146,10 @@ class RegressionReport:
         lines = []
         for c in self.comparisons:
             mark = "REGRESSED" if c.regressed(self.threshold) else "ok"
+            digits = 3 if c.unit.startswith("sim-") else 0
             line = (
-                f"  {c.name}: {c.baseline_eps:,.0f} -> "
-                f"{c.current_eps:,.0f} events/s "
+                f"  {c.name}: {c.baseline_rate:,.{digits}f} -> "
+                f"{c.current_rate:,.{digits}f} {c.unit} "
                 f"({c.ratio:.2f}x) [{mark}]"
             )
             if c.baseline_hit_rate is not None \
@@ -155,6 +175,21 @@ class RegressionReport:
                   f"{self.threshold:.0%} below baseline, cache hit rate "
                   f"within {self.hit_rate_drop:.0%}")
         return "\n".join([header] + lines)
+
+
+def _rates(baseline: BenchmarkResult,
+           current: BenchmarkResult) -> tuple[float, float, str]:
+    """Work per wall second on both sides, in the first unit both
+    record (events when neither records another)."""
+    for key, unit in WORK_UNITS:
+        if key in baseline.extra and key in current.extra:
+            return (_per_wall_s(float(baseline.extra[key]), baseline),
+                    _per_wall_s(float(current.extra[key]), current), unit)
+    return baseline.events_per_s, current.events_per_s, "events/s"
+
+
+def _per_wall_s(work: float, result: BenchmarkResult) -> float:
+    return work / result.wall_s if result.wall_s > 0 else 0.0
 
 
 def _hit_rate(extra: dict) -> float | None:
@@ -184,8 +219,7 @@ def compare_reports(baseline: BenchReport, current: BenchReport, *,
     base_by_name = {b.name: b for b in baseline.benchmarks}
     cur_by_name = {b.name: b for b in current.benchmarks}
     comparisons = [
-        Comparison(name, base_by_name[name].events_per_s,
-                   cur_by_name[name].events_per_s,
+        Comparison(name, *_rates(base_by_name[name], cur_by_name[name]),
                    baseline_hit_rate=_hit_rate(base_by_name[name].extra),
                    current_hit_rate=_hit_rate(cur_by_name[name].extra))
         for name in base_by_name if name in cur_by_name

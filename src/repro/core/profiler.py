@@ -14,9 +14,15 @@ two quantities —
 
 Once every candidate has a measurement, :meth:`TransparentProfiler.
 choose` returns the fastest configuration whose turnaround meets the
-bound, falling back to the lowest-turnaround one if none qualifies.
-Repeat measurements update an exponential moving average, so the
-profile adapts if co-location conditions shift.
+bound, falling back to the fastest within 2x of the lowest turnaround
+if none qualifies.  Repeat measurements update an exponential moving
+average, so the profile adapts if co-location conditions shift.
+
+``choose`` runs once per best-effort kernel execution, so the profiler
+keeps one record per descriptor (:class:`_Profile`): the candidate
+list, the measurements in candidate order and the count still
+unmeasured.  A decision hashes the descriptor once and scans a short
+list; it never hashes a ``(descriptor, config)`` pair.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from ..errors import SchedulerError
 from ..gpu.kernel import KernelDescriptor
 from ..gpu.specs import GPUSpec
-from .candidates import ORIGINAL_CONFIG, SchedConfig, generate_candidates
+from .candidates import SchedConfig, SchedKind, generate_candidates
 from .config import TallyConfig
 
 __all__ = ["Measurement", "TransparentProfiler"]
@@ -50,6 +56,37 @@ class Measurement:
         self.samples += 1
 
 
+class _Profile:
+    """Everything the profiler knows about one kernel descriptor.
+
+    ``measured`` holds the :class:`Measurement` of each candidate in
+    candidate order (None while unmeasured) and ``unmeasured`` counts
+    the Nones, so :meth:`TransparentProfiler.choose` scans a list
+    instead of hashing a ``(descriptor, config)`` pair per candidate.
+    ``by_config`` maps every recorded configuration to its measurement,
+    including configurations outside the candidate list (a degraded
+    execution records the rung it actually ran).
+    """
+
+    __slots__ = ("candidates", "measured", "unmeasured", "by_config")
+
+    def __init__(self, candidates: list[SchedConfig]) -> None:
+        self.candidates = candidates
+        self.measured: list[Measurement | None] = [None] * len(candidates)
+        self.unmeasured = len(candidates)
+        self.by_config: dict[SchedConfig, Measurement] = {}
+
+    def add(self, config: SchedConfig, measurement: Measurement) -> None:
+        """Store the first measurement of ``config``."""
+        self.by_config[config] = measurement
+        try:
+            index = self.candidates.index(config)
+        except ValueError:
+            return
+        self.measured[index] = measurement
+        self.unmeasured -= 1
+
+
 class TransparentProfiler:
     """Runtime measurement cache for best-effort launch configurations."""
 
@@ -60,28 +97,33 @@ class TransparentProfiler:
         # bare name: two kernels sharing a name with different launch
         # geometry (blocks, threads, shared memory) have different
         # candidate sets and must not inherit each other's profile.
-        self._candidates: dict[KernelDescriptor, list[SchedConfig]] = {}
-        self._measurements: dict[
-            tuple[KernelDescriptor, SchedConfig], Measurement] = {}
-        self._prewarmed: set[KernelDescriptor] = set()
+        self._profiles: dict[KernelDescriptor, _Profile] = {}
         self.profiling_runs = 0
         self.decisions = 0
 
+    def _profile(self, descriptor: KernelDescriptor) -> _Profile:
+        profile = self._profiles.get(descriptor)
+        if profile is None:
+            profile = _Profile(
+                generate_candidates(descriptor, self.spec, self.config))
+            self._profiles[descriptor] = profile
+        return profile
+
     # ------------------------------------------------------------------
     def prewarm(self, descriptor: KernelDescriptor) -> None:
-        """Seed every candidate with the analytic cost model's estimate.
+        """Seed every unmeasured candidate with the analytic cost
+        model's estimate.
 
         Models a server whose profile cache is already warm; runtime
         measurements keep refining the entries.
         """
-        if descriptor in self._prewarmed:
-            return
-        self._prewarmed.add(descriptor)
-        from .candidates import SchedKind
+        self._prewarm(descriptor, self._profile(descriptor))
 
-        for candidate in self.candidates(descriptor):
-            key = (descriptor, candidate)
-            if key in self._measurements:
+    def _prewarm(self, descriptor: KernelDescriptor,
+                 profile: _Profile) -> None:
+        for candidate, measured in zip(profile.candidates,
+                                       profile.measured):
+            if measured is not None:
                 continue
             if candidate.kind is SchedKind.SLICED:
                 turnaround = descriptor.slice_duration(
@@ -94,31 +136,32 @@ class TransparentProfiler:
             else:
                 turnaround = descriptor.duration(self.spec)
                 duration = turnaround
-            self._measurements[key] = Measurement(turnaround, duration)
+            profile.add(candidate, Measurement(turnaround, duration))
 
     # ------------------------------------------------------------------
     def candidates(self, descriptor: KernelDescriptor) -> list[SchedConfig]:
         """Candidate configurations for ``descriptor`` (cached per descriptor)."""
-        cached = self._candidates.get(descriptor)
-        if cached is None:
-            cached = generate_candidates(descriptor, self.spec, self.config)
-            self._candidates[descriptor] = cached
-        return cached
+        return self._profile(descriptor).candidates
 
     def lookup(self, descriptor: KernelDescriptor,
                config: SchedConfig) -> Measurement | None:
         """The stored measurement, or None if never profiled."""
-        return self._measurements.get((descriptor, config))
+        profile = self._profiles.get(descriptor)
+        return None if profile is None else profile.by_config.get(config)
 
     def record(self, descriptor: KernelDescriptor, config: SchedConfig,
                turnaround: float, duration: float) -> None:
         """Store one measurement sample."""
-        if turnaround < 0 or duration < 0:
-            raise SchedulerError("measurements must be non-negative")
-        key = (descriptor, config)
-        existing = self._measurements.get(key)
+        if not (turnaround >= 0 and duration >= 0):  # also rejects NaN
+            raise SchedulerError(
+                "measurements must be non-negative numbers, got "
+                f"turnaround={turnaround!r} duration={duration!r}")
+        profile = self._profiles.get(descriptor)
+        if profile is None:
+            profile = self._profile(descriptor)
+        existing = profile.by_config.get(config)
         if existing is None:
-            self._measurements[key] = Measurement(turnaround, duration)
+            profile.add(config, Measurement(turnaround, duration))
         else:
             existing.update(turnaround, duration)
 
@@ -131,64 +174,52 @@ class TransparentProfiler:
         that, the best measured configuration is used (paper Fig. 3,
         ``launch_and_profile``).
         """
-        if self.config.prewarm_profiles:
-            self.prewarm(descriptor)
-        candidates = self.candidates(descriptor)
-        for candidate in candidates:
-            if (descriptor, candidate) not in self._measurements:
+        profile = self._profiles.get(descriptor)
+        if profile is None:
+            profile = self._profile(descriptor)
+        if profile.unmeasured:
+            if self.config.prewarm_profiles:
+                self._prewarm(descriptor, profile)
+            else:
                 self.profiling_runs += 1
-                return candidate, True
-
+                for candidate, m in zip(profile.candidates,
+                                        profile.measured):
+                    if m is None:
+                        return candidate, True
         self.decisions += 1
-        bound = self.config.turnaround_latency_bound
-        feasible: list[tuple[float, float, SchedConfig]] = []
-        fallback: list[tuple[float, float, SchedConfig]] = []
-        for candidate in candidates:
-            m = self._measurements[(descriptor, candidate)]
-            fallback.append((m.turnaround, m.duration, candidate))
-            if m.turnaround <= bound:
-                feasible.append((m.duration, m.turnaround, candidate))
-        if feasible:
-            return min(feasible, key=lambda item: item[:2])[2], False
-        # Nothing meets the bound.  Chasing the absolute minimum
-        # turnaround can be ruinous (a sub-capacity slice releases the
-        # GPU marginally sooner than a PTB launch but serializes partial
-        # waves, multiplying the kernel's duration), so accept any
-        # config within 2x of the best turnaround and take the fastest.
-        best_turnaround = min(item[0] for item in fallback)
-        pool = [item for item in fallback
-                if item[0] <= 2.0 * best_turnaround]
-        return min(pool, key=lambda item: (item[1], item[0]))[2], False
+        return self._select(profile), False
 
     def best_known(self, descriptor: KernelDescriptor) -> SchedConfig:
         """The configuration :meth:`choose` would settle on (no profiling)."""
-        candidates = self.candidates(descriptor)
-        measured = [
-            c for c in candidates
-            if (descriptor, c) in self._measurements
-        ]
-        if not measured:
-            return candidates[0] if candidates else ORIGINAL_CONFIG
-        bound = self.config.turnaround_latency_bound
-        feasible = [
-            c for c in measured
-            if self._measurements[(descriptor, c)].turnaround <= bound
-        ]
-        if feasible:
-            return min(feasible, key=lambda c: (
-                self._measurements[(descriptor, c)].duration,
-                self._measurements[(descriptor, c)].turnaround,
-            ))
-        best_turnaround = min(
-            self._measurements[(descriptor, c)].turnaround
-            for c in measured
-        )
-        pool = [
-            c for c in measured
-            if self._measurements[(descriptor, c)].turnaround
-            <= 2.0 * best_turnaround
-        ]
-        return min(pool, key=lambda c: (
-            self._measurements[(descriptor, c)].duration,
-            self._measurements[(descriptor, c)].turnaround,
-        ))
+        profile = self._profile(descriptor)
+        if profile.unmeasured == len(profile.candidates):
+            return profile.candidates[0]
+        return self._select(profile)
+
+    def _select(self, profile: _Profile) -> SchedConfig:
+        """The fastest measured candidate whose turnaround meets the
+        bound (ties go to the lower turnaround, then to candidate order).
+
+        When nothing meets the bound, chasing the absolute minimum
+        turnaround can be ruinous (a sub-capacity slice releases the GPU
+        marginally sooner than a PTB launch but serializes partial
+        waves, multiplying the kernel's duration), so any candidate
+        within 2x of the best turnaround qualifies instead.
+        """
+        best = self._fastest(profile, self.config.turnaround_latency_bound)
+        if best is None:
+            least = min([m.turnaround for m in profile.measured
+                         if m is not None])
+            best = self._fastest(profile, 2.0 * least)
+        return best
+
+    @staticmethod
+    def _fastest(profile: _Profile, bound: float) -> SchedConfig | None:
+        best = None
+        best_key = None
+        for candidate, m in zip(profile.candidates, profile.measured):
+            if m is not None and m.turnaround <= bound:
+                key = (m.duration, m.turnaround)
+                if best_key is None or key < best_key:
+                    best, best_key = candidate, key
+        return best

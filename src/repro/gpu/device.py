@@ -12,11 +12,12 @@ Two launch kinds are modelled:
 * ``ORIGINAL`` — every grid block is dispatched once; blocks that start
   together complete together (one event per wave-batch), which keeps
   the event count proportional to waves, not blocks.  Waves are
-  batched further: a launch alone on the device runs its full waves as
-  one *wave chain*, and a launch sharing the device whose chunks each
-  just restart themselves runs them as one *staggered chain*.  Both
-  settle in one event and are cut short, exactly, whenever anything
-  else changes (see ``docs/performance.md``).
+  batched further: a launch alone on the device runs all its waves,
+  the partial last wave folded in, as one *wave chain*, and a launch
+  sharing the device whose chunks each just restart themselves runs
+  them as one *staggered chain*.  Both settle in one event and are cut
+  short, exactly, whenever anything else changes (see
+  ``docs/performance.md``).
 * ``PTB`` — ``workers`` persistent blocks hold their slots and consume
   one logical block per iteration; a preemption request makes workers
   exit after the iteration in flight, bounding turnaround at one
@@ -94,7 +95,12 @@ class _Batch:
       iterations of ``iter_duration`` each;
     * an **ORIGINAL wave chain** — ``iters`` back-to-back full waves of
       ``count`` blocks each, only formed while the launch has the
-      device to itself (so nothing can change a wave's size or price);
+      device to itself (so nothing can change a wave's size or price).
+      A chain that runs through the launch's partial last wave holds
+      ``tail = (T, born, seq, blocks)``: the key of the event that ends
+      its full waves at the *virtual boundary* ``T``, and the partial
+      wave's size; its ``event`` settles the whole launch at ``T +
+      iter_duration`` (see :meth:`GPUDevice._start_wave_chain`);
     * a **staggered chain** — every chained chunk of one ORIGINAL launch
       that shares the device.  ``chunks`` holds one
       ``(end, born, seq, blocks)`` record per chunk: the event key the
@@ -106,15 +112,16 @@ class _Batch:
       ``blocks_to_start`` can no longer refill the chunk in turn.
 
     For the first two the settlement event sits at ``started + iters *
-    iter_duration``.  A preemption request, a kill, a new arrival, or a
-    co-location change truncates any batch at the next interval boundary
-    (the interval in flight keeps the duration it started with, exactly
-    as per-interval events would have priced it); a staggered chain
-    turns back into one per-wave event per chunk instead.
+    iter_duration`` (one wave later for a chain with a ``tail``).  A
+    preemption request, a kill, a new arrival, or a co-location change
+    truncates any batch at the next interval boundary (the interval in
+    flight keeps the duration it started with, exactly as per-interval
+    events would have priced it); a staggered chain turns back into one
+    per-wave event per chunk instead.
     """
 
     __slots__ = ("launch", "count", "threads", "started", "iter_duration",
-                 "iters", "event", "chunks")
+                 "iters", "event", "chunks", "tail")
 
     def __init__(self, launch: "DeviceLaunch", count: int, threads: int,
                  started: float, iter_duration: float, iters: int,
@@ -127,6 +134,7 @@ class _Batch:
         self.iters = iters
         self.event = event
         self.chunks = chunks
+        self.tail: tuple | None = None
 
 
 class DeviceLaunch:
@@ -254,6 +262,10 @@ class GPUDevice:
         self._chains: list[_Batch] = []
         #: the staggered chains among ``_chains`` (at most one per launch)
         self._staggered: list[_Batch] = []
+        #: the wave chain among ``_chains`` that runs through its
+        #: launch's partial last wave, if any (it holds the device alone,
+        #: so there is at most one)
+        self._fold: _Batch | None = None
         #: batches started and group dispatches run so far, and the last
         #: per-wave ORIGINAL batch a single-launch dispatch started —
         #: together they tell a pure self-refill in O(1)
@@ -338,6 +350,8 @@ class GPUDevice:
         """
         if launch.done:
             return True
+        if self._fold is not None:
+            self._catch_up()  # a boundary due now runs unflagged
         if self.tracer.enabled and not launch.preempt_requested:
             self.tracer.emit(PreemptRequest(
                 ts=self.engine.now, client_id=launch.client_id,
@@ -361,7 +375,7 @@ class GPUDevice:
         # No launch's chunks may keep refilling past this point either.
         if self._staggered:
             self._truncate_staggered()
-        for batch in launch.batches:
+        for batch in launch.batches[:]:  # a folded chain may leave
             self._truncate_batch(batch)
         # If nothing is in flight and the launch has already reached the
         # device (it may have been starved of slots and never started),
@@ -394,6 +408,8 @@ class GPUDevice:
         # Freed slots change every staggered chain's next boundary.
         if self._staggered:
             self._truncate_staggered()
+        if self._fold is not None and self._fold.launch is launch:
+            self._unfold(self._fold)
         launch.preempt_requested = True
         launch.killed = True
         # Credit iterations that fully completed inside in-flight PTB
@@ -435,23 +451,33 @@ class GPUDevice:
 
     def resident_for(self, client_id: str) -> list[DeviceLaunch]:
         """The client's resident, unfinished launches (for cleanup)."""
+        if self._fold is not None:
+            self._catch_up()
         return [l for l in self._resident
                 if l.client_id == client_id and not l.done]
 
     @property
     def threads_free(self) -> int:
+        if self._fold is not None:
+            self._catch_up()
         return self._threads_free
 
     @property
     def slots_free(self) -> int:
+        if self._fold is not None:
+            self._catch_up()
         return self._slots_free
 
     @property
     def resident_launches(self) -> tuple[DeviceLaunch, ...]:
+        if self._fold is not None:
+            self._catch_up()
         return tuple(self._resident)
 
     def utilization(self) -> float:
         """Mean fraction of thread capacity busy since t=0."""
+        if self._fold is not None:
+            self._catch_up()
         self._account()
         if self.engine.now <= 0:
             return 0.0
@@ -635,10 +661,11 @@ class GPUDevice:
             self._start_ptb_batch(launch, count, threads)
         else:
             duration = self._block_duration(launch)
-            if (solo and launch.blocks_to_start >= count
-                    and launch.blocks_inflight == count
-                    and self._alone_on_device(launch)):
-                self._start_wave_chain(launch, count, threads, duration)
+            chained = (self._solo_chain(launch, count)
+                       if solo and launch.blocks_to_start else 0)
+            if chained:
+                self._start_wave_chain(launch, count, threads, duration,
+                                       chained)
             else:
                 event = self.engine.schedule_at(
                     self.engine.now + duration,
@@ -647,6 +674,16 @@ class GPUDevice:
                 launch.waves[event] = (count, self.engine.now)
                 if solo:
                     self._refill = (launch, count, duration)
+
+    def _solo_chain(self, launch: DeviceLaunch, count: int) -> int:
+        """How many of ``launch``'s blocks still to start run in the
+        wave chain of its just-started ``count``-block wave: all of
+        them, partial last wave included, when that wave is all the
+        launch has in flight and the launch is alone on the device
+        (see :meth:`_alone_on_device`); none otherwise."""
+        if launch.blocks_inflight == count and self._alone_on_device(launch):
+            return launch.blocks_to_start
+        return 0
 
     def _alone_on_device(self, launch: DeviceLaunch) -> bool:
         """Whether ``launch`` holds every claimed resource on the device
@@ -743,23 +780,37 @@ class GPUDevice:
             self._chains.append(batch)
 
     def _start_wave_chain(self, launch: DeviceLaunch, count: int,
-                          threads: int, duration: float) -> None:
-        """Chain the remaining full waves of a solo ORIGINAL launch.
+                          threads: int, duration: float,
+                          blocks: int) -> None:
+        """Chain the waves of a solo ORIGINAL launch's next ``blocks``
+        blocks behind its ``count``-block wave in flight.
 
         The launch holds the whole device, so every subsequent wave
         starts the instant the previous one completes, with the same
-        size and the same price — ``1 + blocks_to_start // count`` waves
-        collapse into one settlement event (a sub-``count`` remainder
-        wave, which occupies fewer threads, runs normally afterwards).
-        Bookkeeping for the not-yet-started waves stays in
-        ``blocks_to_start`` until settlement, so block conservation
-        holds at every observable point.
+        price — ``1 + blocks // count`` full waves collapse into one
+        event at their end ``T``.  A partial last wave of the remaining
+        ``blocks % count`` blocks is *folded* in: ``T`` becomes a
+        virtual boundary, and the one event settles the whole launch at
+        ``T + duration`` under the key ``(T + duration, T, seq)`` its own
+        wave event would have had, ``seq`` reserved now (see
+        :meth:`_unfold`).  Bookkeeping for the not-yet-started waves
+        stays in ``blocks_to_start`` until settlement, so block
+        conservation holds at every observable point.
         """
-        extra = launch.blocks_to_start // count
-        batch = _Batch(launch, count, threads, self.engine.now,
-                       duration, 1 + extra, None)  # type: ignore[arg-type]
-        batch.event = self.engine.schedule(
-            duration * (1 + extra), lambda: self._wave_chain_done(batch))
+        extra, tail = divmod(blocks, count)
+        now = self.engine.now
+        end = now + duration * (1 + extra)
+        batch = _Batch(launch, count, threads, now, duration, 1 + extra,
+                       None)  # type: ignore[arg-type]
+        if tail:
+            seq = self.engine.reserve(2)
+            batch.tail = (end, now, seq, tail)
+            batch.event = self.engine.schedule_as(
+                end + duration, end, seq + 1, lambda: self._fold_done(batch))
+            self._fold = batch
+        else:
+            batch.event = self.engine.schedule_at(
+                end, lambda: self._wave_chain_done(batch))
         launch.batches.append(batch)
         self._chains.append(batch)
 
@@ -813,6 +864,8 @@ class GPUDevice:
         if batch.chunks is not None:
             self._advance(batch)
             self._dissolve(batch)
+            return
+        if batch.tail is not None and self._unfold(batch):
             return
         if batch.iters <= 1:
             return
@@ -1110,6 +1163,95 @@ class GPUDevice:
         self._dissolve(chain)
         self._finish_batch(chain.launch, count,
                            count * chain.launch.descriptor.threads_per_block)
+
+    # ------------------------------------------------------------------
+    # Folded partial waves: the virtual boundary of a solo wave chain
+    # ------------------------------------------------------------------
+    def _crossed(self, batch: _Batch) -> bool:
+        """Whether the per-wave model has already run the virtual
+        boundary of folded chain ``batch`` — its chain event, keyed
+        ``batch.tail[:3]`` — before the event now running."""
+        return self.engine.current[:3] > batch.tail[:3]
+
+    def _cross(self, batch: _Batch) -> int:
+        """Run folded chain ``batch``'s virtual boundary ``T`` as the
+        chain event and the dispatch after it would have: account busy
+        time to ``T`` with the full wave's threads, release the full
+        wave, start the partial wave.  Returns its blocks."""
+        boundary, _born, _seq, tail = batch.tail
+        batch.tail = None
+        self._fold = None
+        self._chains.remove(batch)
+        launch = batch.launch
+        launch.batches.remove(batch)
+        last = self._last_change
+        if boundary != last:
+            busy = self._total_threads - self._threads_free
+            if busy:
+                self._busy_thread_seconds += busy * (boundary - last)
+            self._last_change = boundary
+        count = batch.count
+        launch.blocks_done += batch.iters * count
+        launch.blocks_to_start = 0
+        tpb = launch.descriptor.threads_per_block
+        self._threads_free += count * tpb
+        self._slots_free += count
+        if self.check.enabled:
+            self.check.verify_dispatch(self, launch)
+        self._threads_free -= tail * tpb
+        self._slots_free -= tail
+        launch.blocks_inflight = tail
+        self._client_inflight[launch.client_id] -= count - tail
+        return tail
+
+    def _cross_now(self, batch: _Batch) -> None:
+        """Run ``batch``'s virtual boundary now, late; its partial wave
+        gets the per-wave event its settlement stood for."""
+        batch.event.cancel()
+        boundary, _born, seq, _tail = batch.tail
+        tail = self._cross(batch)
+        self._rearm([(boundary + batch.iter_duration, boundary, seq + 1,
+                      tail)], batch.launch)
+
+    def _catch_up(self) -> None:
+        """Something is about to read the device: if the per-wave model
+        has passed the folded chain's boundary, run it."""
+        if self._crossed(self._fold):
+            self._cross_now(self._fold)
+
+    def _unfold(self, batch: _Batch) -> bool:
+        """The world is about to change under folded chain ``batch``.
+
+        Past its virtual boundary, the boundary runs now (returns
+        True).  Otherwise the settlement turns back into the event the
+        chain had without the fold — under that event's key ``(T, born,
+        seq)`` — so the caller's truncation proceeds exactly as before:
+        a chain event, or for a single full wave its per-wave event
+        (returns True: no chain is left).
+        """
+        if self._crossed(batch):
+            self._cross_now(batch)
+            return True
+        batch.event.cancel()
+        boundary, born, seq, _tail = batch.tail
+        batch.tail = None
+        self._fold = None
+        if batch.iters == 1:
+            self._chains.remove(batch)
+            batch.launch.batches.remove(batch)
+            self._rearm([(boundary, born, seq, batch.count)], batch.launch)
+            return True
+        batch.event = self.engine.schedule_as(
+            boundary, born, seq, lambda: self._wave_chain_done(batch))
+        return False
+
+    def _fold_done(self, batch: _Batch) -> None:
+        """Undisturbed to the end: cross the boundary, then settle the
+        partial wave as its per-wave event."""
+        launch = batch.launch
+        tail = self._cross(batch)
+        self._finish_batch(launch, tail,
+                           tail * launch.descriptor.threads_per_block)
 
     def _wave_chain_done(self, batch: _Batch) -> None:
         launch = batch.launch

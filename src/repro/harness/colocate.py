@@ -420,6 +420,9 @@ def _arm_faults(injector: FaultInjector, drivers: list[tuple[JobSpec, object]],
 # Standalone baselines (cached)
 # ---------------------------------------------------------------------------
 
+# The key holds every input a solo run reads: the job, the whole
+# (frozen) GPUSpec rather than its name, the window, the traffic shape
+# and the serving SLO that LLM goodput is judged against.
 # Each entry pins the explicit traffic object (when one was supplied)
 # alongside the result: the key uses id(traffic), and without a strong
 # reference a garbage-collected traffic list could recycle its id and
@@ -439,8 +442,9 @@ def standalone(job: JobSpec, config: RunConfig | None = None) -> JobResult:
     key = (
         job.model, job.role, round(job.load, 6), job.traffic_seed,
         id(job.traffic) if job.traffic is not None else None,
-        config.spec.name, config.duration, config.warmup,
+        config.spec, config.duration, config.warmup,
         config.traffic_kind, config.burst_ratio, config.trace_seed,
+        config.slo,
     )
     cached = _STANDALONE_CACHE.get(key)
     if cached is not None and cached[1] is job.traffic:

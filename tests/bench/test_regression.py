@@ -92,6 +92,56 @@ class TestHitRateGate:
             compare_reports(report(a=1), report(a=1), hit_rate_drop=0)
 
 
+def work_report(name, wall_s, events, **extra):
+    return BenchReport(benchmarks=[
+        BenchmarkResult(name=name, wall_s=wall_s, events=events, extra=extra)
+    ])
+
+
+class TestWorkUnit:
+    """Throughput is work per wall second, not events per wall second:
+    batching cuts events without cutting work."""
+
+    def test_macro_gated_on_simulated_seconds(self):
+        base = work_report("macro.llm_serve", 1.0, 44_720, simulated_s=3.0)
+        # 31 % fewer events in the same wall time: same work rate
+        batched = work_report("macro.llm_serve", 1.0, 30_782,
+                              simulated_s=3.0)
+        out = compare_reports(base, batched)
+        assert out.ok
+        assert out.comparisons[0].unit == "sim-s/s"
+        assert out.comparisons[0].ratio == pytest.approx(1.0)
+        assert "3.000 -> 3.000 sim-s/s" in out.format()
+        # the same work taking 40 % longer regresses, whatever the events
+        slow = work_report("macro.llm_serve", 1.4, 80_000, simulated_s=3.0)
+        assert not compare_reports(base, slow).ok
+
+    def test_cluster_gated_on_simulated_gpu_seconds(self):
+        base = work_report("macro.cluster_sweep", 2.0, 100_000,
+                           simulated_gpu_s=8.0)
+        cur = work_report("macro.cluster_sweep", 1.0, 10_000,
+                          simulated_gpu_s=8.0)
+        out = compare_reports(base, cur)
+        assert out.comparisons[0].unit == "sim-GPU-s/s"
+        assert out.comparisons[0].ratio == pytest.approx(2.0)
+
+    def test_device_dispatch_gated_on_launches(self):
+        base = work_report("micro.device_dispatch", 1.0, 6_200,
+                           launches=2_100)
+        cur = work_report("micro.device_dispatch", 1.0, 3_000,
+                          launches=2_100)
+        out = compare_reports(base, cur)
+        assert out.ok
+        assert out.comparisons[0].unit == "launches/s"
+
+    def test_events_when_either_side_lacks_the_unit(self):
+        base = work_report("macro.x", 1.0, 1_000, simulated_s=3.0)
+        cur = work_report("macro.x", 1.0, 500)
+        out = compare_reports(base, cur)
+        assert out.comparisons[0].unit == "events/s"
+        assert not out.ok
+
+
 class TestLoadReport:
     def test_loads_newest_trajectory_entry(self, tmp_path):
         path = tmp_path / "traj.json"

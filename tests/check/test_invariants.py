@@ -132,10 +132,13 @@ class TestMutationsCaught:
             engine.run()
 
     def test_broken_block_conservation_is_caught(self, monkeypatch):
-        # Corrupt both ORIGINAL completion paths (plain waves and solo
-        # wave chains) so the phantom block lands whichever one runs.
+        # Corrupt every ORIGINAL completion path (plain waves, solo wave
+        # chains, and the virtual boundary where a solo chain's last
+        # full wave ends and its folded partial wave starts) so the
+        # phantom block lands whichever one runs.
         orig_finish = GPUDevice._finish_batch
         orig_chain = GPUDevice._wave_chain_done
+        orig_cross = GPUDevice._cross
 
         def phantom(device, launch):
             if not launch.done:
@@ -151,8 +154,14 @@ class TestMutationsCaught:
             orig_chain(self, batch)
             phantom(self, launch)
 
+        def cross(self, batch):
+            tail = orig_cross(self, batch)
+            phantom(self, batch.launch)
+            return tail
+
         monkeypatch.setattr(GPUDevice, "_finish_batch", finish)
         monkeypatch.setattr(GPUDevice, "_wave_chain_done", chain_done)
+        monkeypatch.setattr(GPUDevice, "_cross", cross)
         device, engine, _checker = checked_device()
         device.submit(DeviceLaunch(kernel(blocks=3000), client_id="a"))
         with pytest.raises(InvariantViolation):

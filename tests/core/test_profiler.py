@@ -98,6 +98,26 @@ class TestSelection:
         with pytest.raises(SchedulerError):
             profiler.record(k, config, turnaround=-1.0, duration=1.0)
 
+    @pytest.mark.parametrize("turnaround, duration", [
+        (float("nan"), 1e-3), (1e-3, float("nan")),
+    ])
+    def test_nan_measurement_rejected(self, turnaround, duration):
+        # Regression: ``turnaround < 0 or duration < 0`` let NaN through,
+        # and a NaN turnaround left choose() and best_known() taking
+        # min() of an empty pool once nothing met the bound.
+        profiler = make_profiler(turnaround_latency_bound=1e-9)
+        k = desc()
+        first, *rest = profiler.candidates(k)
+        with pytest.raises(SchedulerError):
+            profiler.record(k, first, turnaround, duration)
+        assert profiler.lookup(k, first) is None
+        profiler.record(k, first, turnaround=2e-3, duration=1e-3)
+        for c in rest:
+            profiler.record(k, c, turnaround=1e-3, duration=1e-3)
+        chosen, profiling = profiler.choose(k)
+        assert not profiling
+        assert profiler.best_known(k) == chosen
+
 
 class TestPrewarm:
     def test_prewarm_fills_all_candidates(self):
