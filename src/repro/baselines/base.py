@@ -9,7 +9,10 @@ client's completion callback when it finishes.
 
 Clients model DL processes: they submit their next kernel from the
 completion callback of the previous one (plus any host-side gap), which
-mirrors stream-ordered execution.
+mirrors stream-ordered execution.  A policy may also let a client run
+ahead — settle its next kernels inline, without events, while the
+event loop proves nothing else can run (:meth:`SharingPolicy.run_ahead`);
+only the passthrough policies do.
 """
 
 from __future__ import annotations
@@ -91,6 +94,24 @@ class SharingPolicy(abc.ABC):
 
         self._submit(info, descriptor, counted_done)
 
+    def run_ahead(self, client_id: str) -> tuple[float, bool] | None:
+        """The window (see :meth:`~repro.gpu.engine.EventLoop.quiet_until`)
+        in which ``client_id``'s next kernels may settle inline through
+        :meth:`run_inline`, or None to keep them on the event path.
+
+        Declines by default: a policy that queues, reorders, preempts or
+        transforms kernels makes decisions the inline path would skip.
+        """
+        return None
+
+    def run_inline(self, client_id: str, descriptor: KernelDescriptor,
+                   start: float, window: tuple[float, bool]) -> float | None:
+        """Submit ``descriptor`` for ``client_id`` at ``start`` and settle
+        it inline; return its completion time, or None (nothing
+        happened) if it would not complete inside ``window``.  Only
+        called with a window from :meth:`run_ahead`."""
+        raise SchedulerError(f"{self.name} does not run kernels inline")
+
     def disconnect(self, client_id: str) -> None:
         """Forget a crashed client and cancel its in-flight work.
 
@@ -147,6 +168,22 @@ class PassthroughPolicy(SharingPolicy):
                  priority_aware: bool = False) -> None:
         super().__init__(device, engine)
         self.priority_aware = priority_aware
+
+    def run_ahead(self, client_id: str) -> tuple[float, bool] | None:
+        """Run ahead whenever the device is idle and uninstrumented (see
+        :meth:`~repro.gpu.device.GPUDevice.solo_window`): a kernel alone
+        on the device runs exactly as :meth:`_submit` would run it (a
+        subclass that changes :meth:`_submit` must decline)."""
+        return self.device.solo_window()
+
+    def run_inline(self, client_id: str, descriptor: KernelDescriptor,
+                   start: float, window: tuple[float, bool]) -> float | None:
+        end = self.device.run_solo(descriptor, start, window)
+        if end is not None:
+            info = self.clients[client_id]
+            info.kernels_submitted += 1
+            info.kernels_completed += 1
+        return end
 
     def _submit(self, info: ClientInfo, descriptor: KernelDescriptor,
                 on_done: Callable[[], None]) -> None:

@@ -12,13 +12,17 @@ Two end-to-end shapes:
 
 The headline metric is simulation events per wall-clock second; the
 ``extra`` payload records the simulated-to-wall-time ratio, which is
-the number a simulator user actually feels.
+the number a simulator user actually feels, and ``events_credited``:
+the events solo run-ahead settled inline anywhere in the benchmark
+(standalone baselines included), so a faster event path can be told
+apart from work skipped (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
 
 import time
 
+from ..gpu.engine import credited_total
 from .harness import BenchmarkResult, PhaseTimer
 
 __all__ = ["MACRO_BENCHMARKS", "bench_colocation", "bench_cluster",
@@ -49,6 +53,7 @@ def bench_colocation(scale: str = "smoke") -> BenchmarkResult:
     timer = PhaseTimer()
 
     clear_standalone_cache()
+    credited = credited_total()
     start = time.perf_counter()
     standalone(inference, config)
     standalone(training, config)
@@ -73,6 +78,7 @@ def bench_colocation(scale: str = "smoke") -> BenchmarkResult:
             "sim_per_wall": duration / sim_wall if sim_wall > 0 else 0.0,
             "policy": "Tally",
             "utilization": result.utilization,
+            "events_credited": credited_total() - credited,
         },
     )
 
@@ -97,6 +103,7 @@ def bench_cluster(scale: str = "smoke") -> BenchmarkResult:
     timer = PhaseTimer()
 
     clear_standalone_cache()
+    credited = credited_total()
     start = time.perf_counter()
     result = evaluate_placement(placement, "Tally", config)
     timer.add("sweep", time.perf_counter() - start)
@@ -112,6 +119,7 @@ def bench_cluster(scale: str = "smoke") -> BenchmarkResult:
             "simulated_gpu_s": simulated,
             "sim_per_wall": simulated / wall if wall > 0 else 0.0,
             "sla_violations": result.sla_violations,
+            "events_credited": credited_total() - credited,
         },
     )
 
@@ -138,6 +146,7 @@ def bench_llm_serve(scale: str = "smoke") -> BenchmarkResult:
     timer = PhaseTimer()
 
     clear_standalone_cache()
+    credited = credited_total()
     start = time.perf_counter()
     standalone(llm, config)
     standalone(training, config)
@@ -163,6 +172,7 @@ def bench_llm_serve(scale: str = "smoke") -> BenchmarkResult:
             "policy": "Tally",
             "tokens_per_s": serving.tokens_per_s,
             "utilization": result.utilization,
+            "events_credited": credited_total() - credited,
         },
     )
 
@@ -208,6 +218,7 @@ def bench_cluster_1k(scale: str = "smoke") -> BenchmarkResult:
 
     timer = PhaseTimer()
     clear_standalone_cache()
+    credited = credited_total()
     start = time.perf_counter()
     serial = controller().run()
     serial_wall = time.perf_counter() - start
@@ -240,6 +251,8 @@ def bench_cluster_1k(scale: str = "smoke") -> BenchmarkResult:
             "speedup": (serial_wall / parallel_wall
                         if parallel_wall > 0 else 0.0),
             "identical": True,
+            # in this process only: parallel workers credit their own
+            "events_credited": credited_total() - credited,
             # the ≥4x acceptance gate needs >= 8 real cores to mean
             # anything; hosts below that record the speedup but are
             # not held to it

@@ -32,6 +32,12 @@ Two launch kinds are modelled:
 Slicing is realized above the device as a chain of ORIGINAL launches
 over block sub-ranges (see :mod:`repro.core.scheduler`).
 
+An idle, uninstrumented device can also run a passthrough policy's
+kernels *inline* (:meth:`GPUDevice.run_solo`): when the event loop
+proves that nothing else runs before a kernel ends, its completion
+time and busy time follow from the same wave arithmetic
+(:meth:`GPUDevice._wave_plan`) without any event at all.
+
 A mild ``colocation_slowdown`` factor inflates block durations while
 blocks of more than one client are resident, standing in for memory
 bandwidth and L2 contention that the slot model does not capture.
@@ -488,8 +494,11 @@ class GPUDevice:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _account(self) -> None:
-        now = self.engine.now
+    def _account(self, now: float | None = None) -> None:
+        """Accrue busy thread-seconds up to ``now`` (default: the
+        clock)."""
+        if now is None:
+            now = self.engine.now
         last = self._last_change
         if now != last:
             busy = self._total_threads - self._threads_free
@@ -668,12 +677,77 @@ class GPUDevice:
                                        chained)
             else:
                 event = self.engine.schedule_at(
-                    self.engine.now + duration,
+                    self._wave_plan(self.engine.now, duration, count,
+                                    count)[0],
                     lambda: self._finish_batch(launch, count, threads),
                 )
                 launch.waves[event] = (count, self.engine.now)
                 if solo:
                     self._refill = (launch, count, duration)
+
+    @staticmethod
+    def _wave_plan(start: float, duration: float, count: int,
+                   blocks: int) -> tuple[float, int]:
+        """The timing of ``blocks`` blocks run back to back, ``count``
+        at a time, from ``start`` at ``duration`` per wave: the end ``T
+        = start + duration * W`` of the ``W`` whole waves, and the size
+        of the partial last wave after them (0 if none), which ends at
+        ``T + duration``.  The one timing model of solo ORIGINAL work:
+        a per-wave event (``W = 1``), a wave chain, a folded partial
+        wave and :meth:`run_solo` all take their times from here."""
+        waves, tail = divmod(blocks, count)
+        return start + duration * waves, tail
+
+    def solo_window(self) -> tuple[float, bool] | None:
+        """The window (see :meth:`EventLoop.quiet_until`) in which
+        :meth:`run_solo` may settle kernels inline, or None: the device
+        must be idle — nothing resident, nothing in its submission
+        delay — and run without tracer, checker or fault injector,
+        whose observations the event path alone produces."""
+        if (self._resident or self.tracer is not NULL_TRACER
+                or self.check is not NULL_CHECKER
+                or self.faults is not NULL_INJECTOR
+                or any(self._submitting.values())):
+            return None
+        return self.engine.quiet_until()
+
+    def run_solo(self, descriptor: KernelDescriptor, start: float,
+                 window: tuple[float, bool]) -> float | None:
+        """Run a passthrough ORIGINAL launch of ``descriptor``, submitted
+        at ``start`` to this idle device, inline: return the time its
+        completion would fire, or None (and change nothing) if that
+        lies outside ``window`` (from :meth:`solo_window`).
+
+        The launch arrives after the launch overhead and starts the
+        wave :meth:`_dispatch_single` starts on an idle device; its
+        waves run as the solo wave chain does (:meth:`_wave_plan`), and
+        busy time accrues in the order the event path accrues it — at
+        the arrival (:meth:`_start_batch`), at the end of the whole
+        waves (:meth:`_cross` or :meth:`_release`) and at the end of a
+        partial last wave (:meth:`_release`).  Inside the window
+        nothing can observe the device before the launch would have
+        completed, so settling it now is indistinguishable.
+        """
+        tpb = descriptor.threads_per_block
+        blocks = descriptor.num_blocks
+        count = min(self._threads_free // tpb, self._slots_free, blocks)
+        duration = descriptor.block_duration
+        if self._speed_factor != 1.0:
+            duration *= self._speed_factor
+        arrived = start + self.spec.kernel_launch_overhead
+        end, tail = self._wave_plan(arrived, duration, count, blocks)
+        done = end + duration if tail else end
+        bound, inclusive = window
+        if done > bound or (done == bound and not inclusive):
+            return None
+        self._account(arrived)
+        self._threads_free -= count * tpb
+        self._account(end)
+        self._threads_free += (count - tail) * tpb
+        self._account(done)
+        self._threads_free += tail * tpb
+        self.launches_completed += 1
+        return done
 
     def _solo_chain(self, launch: DeviceLaunch, count: int) -> int:
         """How many of ``launch``'s blocks still to start run in the
@@ -797,11 +871,10 @@ class GPUDevice:
         stays in ``blocks_to_start`` until settlement, so block
         conservation holds at every observable point.
         """
-        extra, tail = divmod(blocks, count)
         now = self.engine.now
-        end = now + duration * (1 + extra)
-        batch = _Batch(launch, count, threads, now, duration, 1 + extra,
-                       None)  # type: ignore[arg-type]
+        end, tail = self._wave_plan(now, duration, count, count + blocks)
+        batch = _Batch(launch, count, threads, now, duration,
+                       1 + blocks // count, None)  # type: ignore[arg-type]
         if tail:
             seq = self.engine.reserve(2)
             batch.tail = (end, now, seq, tail)
@@ -1184,12 +1257,7 @@ class GPUDevice:
         self._chains.remove(batch)
         launch = batch.launch
         launch.batches.remove(batch)
-        last = self._last_change
-        if boundary != last:
-            busy = self._total_threads - self._threads_free
-            if busy:
-                self._busy_thread_seconds += busy * (boundary - last)
-            self._last_change = boundary
+        self._account(boundary)
         count = batch.count
         launch.blocks_done += batch.iters * count
         launch.blocks_to_start = 0

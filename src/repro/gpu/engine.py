@@ -28,7 +28,15 @@ Hot-path design (see ``docs/performance.md``):
   monotone run and drains it by index instead, so fanout-shaped phases
   (many pre-scheduled timers) cost the same per event as a
   self-rescheduling chain.  The first out-of-order push compacts and
-  re-heapifies, falling back to classic heap behaviour.
+  re-heapifies, falling back to classic heap behaviour;
+* **run-ahead support**: :meth:`EventLoop._drain` records its limit on
+  entry, and :meth:`EventLoop.quiet_until` tells a callback how far
+  simulated time may advance before anything else could run — the
+  window in which a passthrough policy settles an idle device's kernel
+  stream inline (see ``docs/performance.md``, "Solo run-ahead").
+  :meth:`EventLoop.credit` counts the events such a stretch stands for,
+  so ``events_processed`` never depends on the drain horizons.  Nothing
+  is added per event.
 """
 
 from __future__ import annotations
@@ -38,10 +46,22 @@ from typing import Callable
 
 from ..errors import GPUSimError
 
-__all__ = ["Event", "EventLoop"]
+__all__ = ["Event", "EventLoop", "credited_total"]
 
 _INF = float("inf")
 _NEG_INF = float("-inf")
+
+#: events credited by every loop in this process (see
+#: :meth:`EventLoop.credit`).  A list cell: counting must not assign to
+#: a class or module attribute, which would invalidate the
+#: interpreter's attribute caches for every loop.
+_CREDITED = [0]
+
+
+def credited_total() -> int:
+    """Events credited by every loop in this process so far;
+    benchmarks read its change across a phase."""
+    return _CREDITED[0]
 
 
 class Event:
@@ -106,7 +126,14 @@ class EventLoop:
         self._cancelled = 0  # cancelled events still sitting in the heap
         self._sorted = True  # every push so far non-decreasing in time
         self._head = 0       # consumed prefix length (sorted mode only)
+        #: ``(limit, inclusive)`` of the drain in progress; None outside
+        #: a drain and in drains without a finite limit or with an
+        #: event budget (see :meth:`quiet_until`)
+        self._horizon: tuple[float, bool] | None = None
         self.events_processed = 0
+        #: the part of ``events_processed`` credited by run-ahead
+        #: stretches (events settled inline, never scheduled)
+        self.events_credited = 0
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -213,6 +240,13 @@ class EventLoop:
                 heapify(heap)
             self._cancelled = 0
 
+    def credit(self, count: int) -> None:
+        """Count ``count`` events that a run-ahead stretch settled
+        inline as processed (once per stretch)."""
+        self.events_processed += count
+        self.events_credited += count
+        _CREDITED[0] += count
+
     @property
     def pending(self) -> int:
         """Number of *live* (non-cancelled) events still queued."""
@@ -221,29 +255,55 @@ class EventLoop:
     # ------------------------------------------------------------------
     # Inspection / draining
     # ------------------------------------------------------------------
-    def peek_time(self) -> float | None:
-        """Time of the next live event, or None if the queue is empty."""
+    def _live_head(self) -> tuple | None:
+        """The next live heap entry, dropping cancelled heads, or None.
+        Never changes the storage mode: a drain may be running."""
         heap = self._heap
         if self._sorted:
             head = self._head
-            while head < len(heap) and heap[head][3].cancelled:
+            n = len(heap)
+            while head < n and heap[head][3].cancelled:
                 head += 1
                 self._cancelled -= 1
             self._head = head
-            if head == len(heap):
-                del heap[:]
-                self._head = 0
-                self._cancelled = 0
-                return None
-            return heap[head][0]
+            return heap[head] if head < n else None
         while heap and heap[0][3].cancelled:
             heappop(heap)
             self._cancelled -= 1
-        if not heap:
-            self._sorted = True
+        return heap[0] if heap else None
+
+    def peek_time(self) -> float | None:
+        """Time of the next live event, or None if the queue is empty."""
+        entry = self._live_head()
+        if entry is None:
+            # an empty queue is a sorted run again
+            del self._heap[:]
+            self._head = 0
             self._cancelled = 0
+            self._sorted = True
             return None
-        return heap[0][0]
+        return entry[0]
+
+    def quiet_until(self) -> tuple[float, bool] | None:
+        """How far the running callback may advance simulated time on
+        its own: ``(bound, inclusive)`` such that no other event runs,
+        and the drain in progress does not return, before any time
+        ``t`` with ``t < bound`` (or ``t == bound`` when
+        ``inclusive``).
+
+        ``bound`` is the next live event's time (exclusive) or the
+        drain's limit, whichever is earlier.  None outside a drain
+        (:meth:`step`, calls between drains) and in drains without a
+        finite limit (:meth:`run`) or with an event budget — there the
+        loop cannot vouch for any stretch of time.
+        """
+        horizon = self._horizon
+        if horizon is None:
+            return None
+        entry = self._live_head()
+        if entry is not None and entry[0] <= horizon[0]:
+            return entry[0], False
+        return horizon
 
     def _pop_next(self) -> tuple | None:
         """Remove and return the next live heap entry, or None."""
@@ -286,9 +346,20 @@ class EventLoop:
 
     def _drain(self, limit: float | None, inclusive: bool,
                max_events: int | None) -> int:
-        """Run events until ``limit`` (or forever when None).
+        """Run events until ``limit`` (or forever when None), with the
+        limit recorded for :meth:`quiet_until` meanwhile."""
+        outer = self._horizon
+        self._horizon = ((limit, inclusive)
+                         if limit is not None and limit < _INF
+                         and max_events is None else None)
+        try:
+            return self._drain_events(limit, inclusive, max_events)
+        finally:
+            self._horizon = outer
 
-        The single inner loop behind :meth:`advance_to`,
+    def _drain_events(self, limit: float | None, inclusive: bool,
+                      max_events: int | None) -> int:
+        """The single inner loop behind :meth:`advance_to`,
         :meth:`run_until`, and :meth:`run`, with both storage modes
         inlined — per-event overhead is what macro benchmarks measure.
         """
@@ -379,7 +450,8 @@ class EventLoop:
         cross-shard operations issued at the barrier always apply before
         same-time local events.  With ``inclusive=True`` events at
         ``time`` run too (:meth:`run_until` semantics).  Returns the
-        number of events executed.
+        number of events executed (events a run-ahead stretch credits
+        are not executed).
         """
         if not time >= self.now:  # also rejects NaN
             raise GPUSimError(

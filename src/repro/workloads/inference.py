@@ -5,7 +5,9 @@ An inference service receives requests per a
 time; each request executes the model's kernel trace through the
 sharing policy.  Request latency (completion minus arrival, i.e.
 including queueing) is the quantity whose 99th percentile the paper
-reports.
+reports.  Under a passthrough policy on an otherwise idle device, the
+rest of a request's kernels and gaps run ahead inline
+(:mod:`repro.workloads.runahead`), up to the request's end.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from ..metrics.latency import LatencySummary
 from ..trace import QueueDepth
 from ..traffic.maf import TrafficTrace
 from .models import Trace
+from .runahead import run_ahead
 
 __all__ = ["RequestRecord", "InferenceJob"]
 
@@ -321,6 +324,8 @@ class InferenceJob:
             self._sample_queue_depth()
             if self._queue:
                 self._start_request()
+            return
+        if run_ahead(self, None) is not None:
             return
         op = self.trace.ops[self._op_index]
         self._op_index += 1

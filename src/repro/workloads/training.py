@@ -4,7 +4,10 @@ A training job loops over its iteration trace forever: kernels are
 submitted one at a time through the sharing policy (stream order), and
 host gaps advance simulated time without touching the device.  The
 driver records per-iteration completion times, from which the harness
-computes throughput over any measurement window.
+computes throughput over any measurement window.  Under a passthrough
+policy on an otherwise idle device, stretches of kernels and gaps —
+across iteration boundaries too — run ahead inline
+(:mod:`repro.workloads.runahead`).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from ..baselines.base import Priority, SharingPolicy
 from ..errors import MigrationError, WorkloadError
 from ..gpu.engine import Event, EventLoop
 from .models import Trace
+from .runahead import run_ahead
 
 __all__ = ["TrainingJob"]
 
@@ -163,6 +167,10 @@ class TrainingJob:
         if self._op_index >= len(self.trace.ops):
             self._op_index = 0
             self.iteration_completions.append(self.engine.now)
+        kernels = run_ahead(self, self.iteration_completions)
+        if kernels is not None:
+            self.kernels_completed += kernels
+            return
         op = self.trace.ops[self._op_index]
         self._op_index += 1
         if op.kind == "gap":

@@ -10,6 +10,8 @@ calls replay in the same order — the cross-shard determinism the
 bit-identity suite depends on.
 """
 
+import math
+
 import pytest
 
 from repro.errors import GPUSimError
@@ -185,3 +187,137 @@ def test_schedule_as_orders_by_birth_then_sequence():
                          lambda: ran.append("future-born"))
         loop.run()
         assert ran == ["early", "rearmed", "late", "future-born"]
+
+
+# ---------------------------------------------------------------------------
+# Run-ahead windows (EventLoop.quiet_until): when a passthrough policy may
+# settle an idle device's kernels inline
+# ---------------------------------------------------------------------------
+
+def _probe(loop, when, seen):
+    loop.schedule_at(when, lambda: seen.append(loop.quiet_until()))
+
+
+def test_no_window_outside_a_bounded_drain():
+    loop = EventLoop()
+    seen = []
+    assert loop.quiet_until() is None  # between drains
+    _probe(loop, 1.0, seen)
+    loop.step()  # a single step is no drain
+    _probe(loop, 2.0, seen)
+    loop.run()  # a drain without a limit
+    _probe(loop, 3.0, seen)
+    loop.run_until(10.0, max_events=5)  # a drain with an event budget
+    _probe(loop, 12.0, seen)
+    loop.advance_to(20.0)
+    _probe(loop, 21.0, seen)
+    loop.schedule_at(25.0, lambda: None)
+    loop.run_until(30.0)
+    assert loop.quiet_until() is None
+    _probe(loop, 31.0, seen)
+    loop.run_until(float("inf"))  # an infinite limit is no limit
+    assert seen == [None, None, None, (20.0, False), (25.0, False), None]
+
+
+def test_window_is_the_earlier_of_next_event_and_limit():
+    loop = EventLoop()
+    seen = []
+    _probe(loop, 1.0, seen)
+    loop.schedule_at(5.0, lambda: None)
+    loop.run_until(5.0)  # the event at the limit bounds it exclusively
+    _probe(loop, 6.0, seen)
+    loop.run_until(8.0)
+    _probe(loop, 9.0, seen)
+    loop.advance_to(10.0)
+    assert seen == [(5.0, False), (8.0, True), (10.0, False)]
+
+
+@pytest.mark.parametrize("heap_mode", [False, True])
+def test_window_skips_cancelled_heads_in_both_modes(heap_mode):
+    loop = EventLoop()
+    seen = []
+    loop.schedule_at(1.0, lambda: seen.append(
+        (loop.quiet_until(), loop._sorted, loop.pending)))
+    count = 2 * loop.SORTED_DRAIN_MIN
+    times = [2.0 + i for i in range(count)]
+    if heap_mode:
+        times.reverse()  # out-of-order pushes force heap mode
+    events = {t: loop.schedule_at(t, lambda: None) for t in times}
+    for t in (2.0, 3.0, 4.0):
+        events[t].cancel()
+    assert loop._sorted is not heap_mode
+    loop.run_until(count + 2.0)
+    # the query skipped the dead heads and kept the storage mode
+    assert seen == [((5.0, False), not heap_mode, count - 3)]
+    assert loop.events_processed == 1 + count - 3
+
+
+def _trainer():
+    """An Ideal trainer whose iteration is one single-wave kernel."""
+    from repro.baselines import Ideal
+    from repro.gpu import A100_SXM4_40GB, GPUDevice, KernelDescriptor
+    from repro.workloads import TrainingJob
+    from repro.workloads.models import Trace, TraceOp
+
+    loop = EventLoop()
+    device = GPUDevice(A100_SXM4_40GB, loop)
+    kernel = KernelDescriptor("k", num_blocks=100, threads_per_block=256,
+                              block_duration=1e-5)
+    trace = Trace("t", (TraceOp("kernel", kernel=kernel),), 1e-5, 0.0)
+    return loop, TrainingJob(trace, Ideal(device, loop), "train")
+
+
+def _kernel_ends(count):
+    """The event path's completion times of the trainer's kernels."""
+    from repro.baselines import PassthroughPolicy, SharingPolicy
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PassthroughPolicy, "run_ahead", SharingPolicy.run_ahead)
+        loop, job = _trainer()
+        job.start()
+        while len(job.iteration_completions) < count:
+            loop.step()
+    return job.iteration_completions
+
+
+def test_driver_start_and_step_never_run_ahead():
+    loop, job = _trainer()
+    job.start()  # outside a drain: the first kernel takes the event path
+    assert loop.pending == 1
+    for _ in range(20):
+        loop.step()
+    assert job.kernels_completed == 10
+    assert loop.events_credited == 0
+    assert loop.events_processed == 20
+
+
+def test_unbounded_run_still_hits_its_event_budget():
+    loop, job = _trainer()
+    job.start()
+    with pytest.raises(GPUSimError):
+        loop.run(max_events=1000)  # a trainer never drains the queue
+    assert loop.events_credited == 0
+
+
+@pytest.mark.parametrize("blocker, inclusive, inline", [
+    ("none", True, True),
+    ("none", False, False),   # an exclusive limit at the end blocks it
+    ("at-end", True, False),  # so does an event due exactly at the end
+    ("after-end", True, True),
+])
+def test_stretch_end_against_events_and_limits(blocker, inclusive, inline):
+    first, second = _kernel_ends(2)
+    loop, job = _trainer()
+    job.start()
+    if blocker == "at-end":
+        loop.schedule_at(second, lambda: None)
+    elif blocker == "after-end":
+        loop.schedule_at(math.nextafter(second, math.inf), lambda: None)
+    # kernel 1 takes the event path and completes at ``first``; kernel 2
+    # runs inline from there only if its completion at ``second`` fits
+    # the window
+    loop.advance_to(second, inclusive=inclusive)
+    assert loop.events_credited == (1 if inline else 0)
+    done = 2 if inline or inclusive else 1
+    assert job.kernels_completed == done
+    assert job.iteration_completions == [first, second][:done]

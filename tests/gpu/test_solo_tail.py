@@ -35,7 +35,7 @@ from repro.harness import (
     run_colocation,
     standalone,
 )
-from repro.baselines import Priority
+from repro.baselines import PassthroughPolicy, Priority, SharingPolicy
 from repro.trace import Tracer
 
 SPEC = A100_SXM4_40GB
@@ -57,6 +57,12 @@ def _unfolded(monkeypatch_context):
         return blocks - blocks % count
 
     monkeypatch_context.setattr(GPUDevice, "_solo_chain", full_waves_only)
+
+
+def _no_run_ahead(monkeypatch_context):
+    """Keep passthrough policies on the event path."""
+    monkeypatch_context.setattr(PassthroughPolicy, "run_ahead",
+                                SharingPolicy.run_ahead)
 
 
 class PlannedSlotFaults(FaultInjector):
@@ -238,8 +244,11 @@ def test_standalone_event_budget():
         clear_standalone_cache()
         return result
 
-    folded = run()
     with pytest.MonkeyPatch.context() as mp:
+        # run-ahead settles solo kernels without events and credits the
+        # same count either way; measure the fold on the event path
+        _no_run_ahead(mp)
+        folded = run()
         _unfolded(mp)
         unfolded = run()
     assert folded.jobs == unfolded.jobs

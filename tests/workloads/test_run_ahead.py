@@ -1,0 +1,292 @@
+"""Solo run-ahead is unobservable: identical runs with it on and off.
+
+A passthrough policy settles an idle device's kernel stream inline
+while the event loop proves nothing else can run before each kernel
+ends (see ``docs/performance.md``, "Solo run-ahead").  These tests run
+the same inputs twice — once as they are, once with
+``PassthroughPolicy.run_ahead`` patched to decline — and demand
+identical results (``==`` on reprs, not ``approx``): driver records,
+iteration completions and kernel counts, the policy's ``ClientInfo``
+counters, the device's completed launches and utilization, and the
+event count.  Observations are taken between drains and from events
+placed exactly on the event path's own timestamps, so a stretch that
+runs one kernel too far, or ends one ulp off, shows.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.baselines import (
+    MPS,
+    Ideal,
+    MPSPriority,
+    PassthroughPolicy,
+    Priority,
+    SharingPolicy,
+)
+from repro.faults import schedule_client_crash
+from repro.gpu import A100_SXM4_40GB, EventLoop, GPUDevice, KernelDescriptor
+from repro.gpu.engine import credited_total
+from repro.harness import JobSpec, RunConfig, run_colocation
+from repro.traffic import TrafficTrace
+from repro.workloads import InferenceJob, TrainingJob
+from repro.workloads.models import Trace, TraceOp
+
+SPEC = A100_SXM4_40GB
+HORIZON = 2e-3
+POLICIES = {"Ideal": Ideal, "MPS": MPS, "MPS-Priority": MPSPriority}
+
+_settings = settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _no_run_ahead(monkeypatch_context):
+    """Keep passthrough policies on the event path."""
+    monkeypatch_context.setattr(PassthroughPolicy, "run_ahead",
+                                SharingPolicy.run_ahead)
+
+
+# ---------------------------------------------------------------------------
+# Scenario generation
+# ---------------------------------------------------------------------------
+
+@st.composite
+def kernels(draw):
+    """A grid of whole waves, with or without a partial last wave."""
+    tpb = draw(st.sampled_from([64, 256, 1024]))
+    wave = min(SPEC.total_threads // tpb, SPEC.total_block_slots)
+    blocks = (draw(st.integers(min_value=0, max_value=3)) * wave
+              + draw(st.sampled_from([0, 1, wave // 3, wave - 1])))
+    duration = draw(st.sampled_from([1e-6, 2.5e-6, 1e-5])
+                    | st.floats(min_value=1e-6, max_value=4e-5))
+    return KernelDescriptor("k", num_blocks=max(1, blocks),
+                            threads_per_block=tpb, block_duration=duration)
+
+
+@st.composite
+def traces(draw):
+    ops = draw(st.lists(
+        kernels().map(lambda k: TraceOp("kernel", kernel=k))
+        | st.floats(min_value=0.0, max_value=3e-5).map(
+            lambda g: TraceOp("gap", gap=g)),
+        min_size=1, max_size=5))
+    if all(op.kind == "gap" for op in ops):
+        ops.append(TraceOp("kernel", kernel=draw(kernels())))
+    gpu = sum(op.kernel.duration(SPEC) for op in ops if op.kind == "kernel")
+    host = sum(op.gap for op in ops if op.kind == "gap")
+    return Trace("t", tuple(ops), gpu_time=gpu, host_time=host)
+
+
+@st.composite
+def clients(draw):
+    role = draw(st.sampled_from(["training", "inference"]))
+    arrivals = None
+    if role == "inference":
+        # dense arrivals overlap requests; sparse ones leave the
+        # service idle between them
+        count = draw(st.integers(min_value=0, max_value=12))
+        span = draw(st.sampled_from([HORIZON / 20, HORIZON]))
+        arrivals = sorted(draw(st.lists(
+            st.floats(min_value=0.0, max_value=span, exclude_max=True),
+            min_size=count, max_size=count)))
+    priority = draw(st.sampled_from([Priority.HIGH, Priority.BEST_EFFORT]))
+    return role, draw(traces()), arrivals, priority
+
+
+def _build(policy_name, specs):
+    engine = EventLoop()
+    device = GPUDevice(SPEC, engine)
+    policy = POLICIES[policy_name](device, engine)
+    drivers = []
+    for i, (role, trace, arrivals, priority) in enumerate(specs):
+        cid = f"c{i}"
+        if role == "training":
+            drivers.append(TrainingJob(trace, policy, cid, priority=priority))
+        else:
+            traffic = TrafficTrace(np.array(arrivals, dtype=float), HORIZON)
+            drivers.append(InferenceJob(trace, traffic, policy, cid,
+                                        priority=priority))
+    return engine, device, policy, drivers
+
+
+def _event_times(policy_name, specs):
+    """Timestamps of the undisturbed event path's first events."""
+    with pytest.MonkeyPatch.context() as mp:
+        _no_run_ahead(mp)
+        engine, _device, _policy, drivers = _build(policy_name, specs)
+        for driver in drivers:
+            driver.start()
+        times = []
+        while len(times) < 400 and engine.step() and engine.now < HORIZON:
+            times.append(engine.now)
+    return sorted(set(times)) or [HORIZON / 2]
+
+
+ACTIONS = ["advance", "advance_inclusive", "run_until", "step", "speed",
+           "speed_event", "observe_event", "crash", "checkpoint"]
+
+
+@st.composite
+def scenarios(draw):
+    policy_name = draw(st.sampled_from(sorted(POLICIES)))
+    count = 1 if policy_name == "Ideal" else draw(st.integers(1, 2))
+    specs = draw(st.lists(clients(), min_size=count, max_size=count))
+    times = _event_times(policy_name, specs)
+    # mostly exact event-path timestamps, else one ulp either side of
+    # one, or anywhere
+    exact = st.sampled_from(times)
+    at = st.one_of(exact, exact, exact, st.builds(
+        lambda t, up: math.nextafter(t, math.inf if up else -math.inf),
+        exact, st.booleans()), st.floats(min_value=0.0, max_value=HORIZON))
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from(ACTIONS), at,
+        st.integers(min_value=0, max_value=len(specs) - 1),
+        st.sampled_from([0.5, 1.0, 1.75])), max_size=8))
+    # at least one drain ends exactly on an event-path timestamp
+    steps.append((draw(st.sampled_from(["advance", "advance_inclusive",
+                                        "run_until"])), draw(exact), 0, 1.0))
+    # observers armed before the run, on exact timestamps: each runs
+    # ahead of a completion due at the same instant
+    observers = draw(st.lists(exact, max_size=3))
+    return (policy_name, specs, sorted(steps, key=lambda s: s[1]),
+            observers)
+
+
+def _simulate(policy_name, specs, steps, observers):
+    """Run one scenario; return everything observable about it."""
+    engine, device, policy, drivers = _build(policy_name, specs)
+    looks = []
+
+    def look():
+        states = []
+        for driver in drivers:
+            if isinstance(driver, TrainingJob):
+                states.append((driver.iteration_completions[-2:],
+                               driver.kernels_completed,
+                               driver.fractional_iterations()))
+            else:
+                states.append((driver.records[-2:], driver.arrivals_total,
+                               driver.shed_requests,
+                               driver.pending_requests))
+        looks.append((engine.now, engine.events_processed,
+                      device.launches_completed, repr(device.utilization()),
+                      repr(policy.clients), states))
+
+    for when in observers:
+        engine.schedule_at(when, look)
+    for driver in drivers:
+        driver.start()
+    paused = set()
+    for action, when, index, factor in steps:
+        driver, cid = drivers[index], f"c{index}"
+        if when < engine.now:
+            when = engine.now
+        if action == "advance":
+            engine.advance_to(when)
+        elif action == "advance_inclusive":
+            engine.advance_to(when, inclusive=True)
+        elif action == "run_until":
+            engine.run_until(when)
+        elif action == "step":
+            engine.step()
+        elif action == "speed":
+            device.set_speed_factor(factor)
+        elif action == "speed_event":
+            engine.schedule_at(when, lambda f=factor:
+                               device.set_speed_factor(f))
+        elif action == "observe_event":
+            engine.schedule_at(when, look)
+        elif action == "crash":
+            schedule_client_crash(engine, when, driver, policy, cid)
+        elif index in paused:
+            driver.restore(policy)
+            paused.discard(index)
+        else:  # checkpoint between drains; restored by a later step
+            driver.checkpoint()
+            policy.disconnect(cid)
+            paused.add(index)
+        look()
+    for index in sorted(paused):
+        drivers[index].restore(policy)
+    engine.run_until(HORIZON + 1e-3)
+    look()
+    final = []
+    for driver in drivers:
+        if isinstance(driver, TrainingJob):
+            final.append((driver.iteration_completions,
+                          driver.kernels_completed, driver.crashed))
+        else:
+            final.append((driver.records, driver.arrivals_total,
+                          driver.shed_requests, driver.pending_requests))
+    return looks, final, repr(device.utilization()), engine.events_processed
+
+
+@_settings
+@given(scenarios())
+def test_run_ahead_is_unobservable(scenario):
+    ahead = _simulate(*scenario)
+    with pytest.MonkeyPatch.context() as mp:
+        _no_run_ahead(mp)
+        events = _simulate(*scenario)
+    assert ahead == events
+
+
+RUN_JOBS = [
+    JobSpec.training("resnet50_train"),
+    JobSpec.training("whisper_train"),
+    JobSpec.inference("bert_infer", load=0.5),
+    JobSpec.inference("yolov6m_infer", load=0.9),
+]
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(POLICIES)),
+       st.lists(st.sampled_from(range(len(RUN_JOBS))), min_size=1,
+                max_size=2, unique=True),
+       st.integers(min_value=0, max_value=50),
+       st.sampled_from([0.3, 0.45]),
+       st.sampled_from(["maf", "poisson"]))
+def test_colocation_results_identical(policy_name, picks, seed, duration,
+                                      traffic):
+    """Whole runs as the harness makes them: the same ``RunResult``
+    repr — every ``JobResult``, utilization and the event count."""
+    if policy_name == "Ideal":
+        picks = picks[:1]
+    jobs = [replace(RUN_JOBS[i], traffic_seed=seed + n)
+            for n, i in enumerate(picks)]
+    config = RunConfig(duration=duration, warmup=0.1, traffic_kind=traffic,
+                       trace_seed=seed % 3)
+    credited = credited_total()
+    ahead = run_colocation(policy_name, jobs, config)
+    assert policy_name != "Ideal" or credited_total() > credited
+    with pytest.MonkeyPatch.context() as mp:
+        _no_run_ahead(mp)
+        events = run_colocation(policy_name, jobs, config)
+    assert repr(ahead) == repr(events)
+
+
+def test_standalone_trainer_collapses_into_few_events():
+    """An undisturbed standalone trainer runs ahead to the drain's
+    limit: the loop executes a handful of events and credits the rest."""
+    engine = EventLoop()
+    device = GPUDevice(SPEC, engine)
+    policy = Ideal(device, engine)
+    trace = Trace("t", (TraceOp("kernel", kernel=KernelDescriptor(
+        "k", num_blocks=5000, threads_per_block=256,
+        block_duration=1e-5)), TraceOp("gap", gap=2e-6)), 0.0, 0.0)
+    job = TrainingJob(trace, policy, "train")
+    job.start()
+    executed = engine.advance_to(0.01)
+    assert job.kernels_completed > 100
+    assert executed <= 5
+    assert engine.events_credited > 2 * job.kernels_completed
+    assert engine.events_processed == executed + engine.events_credited
