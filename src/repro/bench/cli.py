@@ -104,9 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "below baseline (default 0.10)")
     compare.add_argument("--speedup-floor", type=float, default=4.0,
                          help="fail when a speedup-gated benchmark "
-                              "(macro.cluster_1k on a host with enough "
-                              "cores) reports less than this parallel-"
-                              "over-serial speedup (default 4.0)")
+                              "(macro.cluster_1k) reports a parallel-"
+                              "over-serial speedup below this floor "
+                              "times min(cores, workers) / workers "
+                              "(default 4.0)")
     compare.set_defaults(fn=_cmd_compare)
     return parser
 

@@ -28,12 +28,15 @@ absolute hit-rate drop beyond ``hit_rate_drop`` (default 10 points)
 fails the build even when throughput still squeaks past the threshold —
 a broken memo key shows up there first.
 
-Benchmarks that record a parallel-over-serial ``speedup`` with
-``gate: true`` in ``extra`` (``macro.cluster_1k`` — the flag is set by
-the benchmark only on hosts with enough real cores for the worker
-count) get a third gate: the speedup must clear ``speedup_floor``
-(default 4x).  This one reads the *current* report alone — a baseline
-is not needed to know the parallel engine stopped pulling its weight.
+Benchmarks that record a parallel-over-serial ``speedup`` together
+with their ``workers`` and the ``cores`` the run could use
+(``macro.cluster_1k``) get a third gate, on every host: the speedup
+must clear ``speedup_floor * min(cores, workers) / workers``.  With the
+default 4x floor and 8 workers that is 4x on 8 or more cores, 1x on 2
+and 0.5x on 1 — the floor is a per-core efficiency, so a runner with
+few cores is held to proportionally less, never skipped.  This one
+reads the *current* report alone — a baseline is not needed to know
+the parallel engine stopped pulling its weight.
 """
 
 from __future__ import annotations
@@ -123,10 +126,12 @@ class RegressionReport:
     only_in_current: list[str] = field(default_factory=list)
     #: maximum tolerated absolute cache-hit-rate drop
     hit_rate_drop: float = 0.10
-    #: minimum parallel-over-serial speedup for gated benchmarks
+    #: minimum parallel-over-serial speedup with a core per worker
     speedup_floor: float = 4.0
-    #: ``(name, speedup)`` of gated benchmarks under the floor
-    speedup_failures: list[tuple[str, float]] = field(default_factory=list)
+    #: ``(name, speedup, required)`` of gated benchmarks under their
+    #: core-scaled floor
+    speedup_failures: list[tuple[str, float, float]] = field(
+        default_factory=list)
 
     @property
     def regressions(self) -> list[Comparison]:
@@ -164,10 +169,11 @@ class RegressionReport:
             lines.append(f"  {name}: only in baseline (skipped)")
         for name in self.only_in_current:
             lines.append(f"  {name}: new benchmark (no baseline)")
-        for name, speedup in self.speedup_failures:
+        for name, speedup, required in self.speedup_failures:
             lines.append(
                 f"  {name}: parallel speedup {speedup:.2f}x under the "
-                f"{self.speedup_floor:.1f}x floor [SPEEDUP FAILED]")
+                f"{required:.2f}x floor ({self.speedup_floor:.1f}x scaled "
+                f"to the cores available) [SPEEDUP FAILED]")
         failures = (len(self.regressions) + len(self.hit_rate_regressions)
                     + len(self.speedup_failures))
         verdict = "OK" if self.ok else f"FAILED ({failures} regressions)"
@@ -192,6 +198,15 @@ def _per_wall_s(work: float, result: BenchmarkResult) -> float:
     return work / result.wall_s if result.wall_s > 0 else 0.0
 
 
+def _required_speedup(extra: dict, floor: float) -> float | None:
+    """``floor`` scaled to the cores behind the workers, or None for a
+    benchmark that records no parallel speedup."""
+    if not {"speedup", "workers", "cores"} <= extra.keys():
+        return None
+    workers = int(extra["workers"])
+    return floor * min(int(extra["cores"]), workers) / workers
+
+
 def _hit_rate(extra: dict) -> float | None:
     value = extra.get("cache_hit_rate")
     return float(value) if value is not None else None
@@ -210,12 +225,12 @@ def compare_reports(baseline: BenchReport, current: BenchReport, *,
     if speedup_floor <= 0:
         raise ReproError(
             f"speedup_floor must be > 0, got {speedup_floor!r}")
-    speedup_failures = [
-        (b.name, float(b.extra.get("speedup", 0.0)))
-        for b in current.benchmarks
-        if b.extra.get("gate")
-        and float(b.extra.get("speedup", 0.0)) < speedup_floor
-    ]
+    speedup_failures = []
+    for bench in current.benchmarks:
+        required = _required_speedup(bench.extra, speedup_floor)
+        speedup = float(bench.extra.get("speedup", 0.0))
+        if required is not None and speedup < required:
+            speedup_failures.append((bench.name, speedup, required))
     base_by_name = {b.name: b for b in baseline.benchmarks}
     cur_by_name = {b.name: b for b in current.benchmarks}
     comparisons = [

@@ -538,6 +538,14 @@ def _colocate_sweep(args: argparse.Namespace, config: RunConfig,
     ))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -606,11 +614,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "overrides AutoscalerConfig fields, e.g. "
                               '"interval=0.25,queue_high=2" '
                               "(docs/cluster.md)")
-    cluster.add_argument("--parallel-shards", type=int, default=None,
-                         metavar="N",
-                         help="run the online control plane on the "
-                              "time-warp parallel engine with N worker "
-                              "processes (bit-identical to serial; "
+    cluster.add_argument("--parallel-shards", type=_positive_int,
+                         default=None, metavar="N",
+                         help="run the online control plane's device "
+                              "shards in N worker processes, each "
+                              "advancing to every control-event horizon "
+                              "(bit-identical to serial; "
                               "docs/performance.md)")
     cluster.add_argument("--save", metavar="PATH", default=None,
                          help="write the control-plane result as JSON")
@@ -623,8 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     storm.add_argument("--duration", type=float, default=6.0)
     storm.add_argument("--seed", type=int, default=0)
     storm.add_argument("--check", action="store_true", help=check_help)
-    storm.add_argument("--parallel-shards", type=int, default=None,
-                       metavar="N",
+    storm.add_argument("--parallel-shards", type=_positive_int,
+                       default=None, metavar="N",
                        help="split the service into N independent "
                             "shard replicas (capacity divided evenly) "
                             "and run the cells over N worker processes "

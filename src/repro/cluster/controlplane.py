@@ -12,10 +12,10 @@ instance, and a :class:`~repro.core.server.TallyServer` holding the
 shard's functional client state — each on its own event loop in a
 :class:`~repro.cluster.parallel.ClusterShardDomain`.  The controller's
 loop holds only control events; it reaches the shards through the
-shard engine's op protocol (:mod:`repro.engine`).  ``engine="serial"``
-advances every shard exactly to each control event;
-``engine="parallel"`` lets shards speculate past it and roll back, in
-worker processes when asked.  On top of the shards it runs:
+shard engine's op protocol (:mod:`repro.engine`): every shard advances
+exactly to each control event, in-process or, with
+``engine="parallel"`` and ``workers > 1``, in worker processes.  On
+top of the shards it runs:
 
 * **admission control** — arriving jobs are first-fit placed under the
   same compute-budget / memory / one-HP-per-GPU constraints as
@@ -280,10 +280,10 @@ class ClusterController:
     autoscaler ticks).  Each device runs in a
     :class:`~repro.cluster.parallel.ClusterShardDomain` on the shard
     engine (:mod:`repro.engine`) and is reached only through
-    timestamped ops.  ``engine="serial"`` advances every shard exactly
-    to each control event and never speculates; ``engine="parallel"``
-    lets shards speculate ahead and roll back, in ``workers`` processes
-    when ``workers > 1``.  Both commit bit-identical results.
+    timestamped ops.  Every shard advances exactly to each control
+    event; ``engine="parallel"`` with ``workers > 1`` runs the shards
+    in that many worker processes, otherwise they run in-process.
+    Both commit bit-identical results.
     """
 
     def __init__(self, jobs: list[ClusterJob], devices: int, *,
@@ -308,6 +308,8 @@ class ClusterController:
         if engine not in ("serial", "parallel"):
             raise HarnessError(
                 f"engine must be 'serial' or 'parallel', got {engine!r}")
+        if workers < 0:
+            raise HarnessError(f"workers must be >= 0, got {workers}")
         if devices < 1:
             raise HarnessError("need at least one device")
         if not jobs:
@@ -354,7 +356,6 @@ class ClusterController:
                     f"run [0, {duration})")
         self.drain_schedule = tuple(drain)
 
-        self.engine_mode = engine
         self.engine = EventLoop()
         self.shards = [_ShardState(i) for i in range(devices)]
         self.autoscale = autoscale
@@ -393,9 +394,9 @@ class ClusterController:
             self._backend = ProcessBackend(program, devices, workers)
         else:
             self._backend = InlineBackend(program, devices)
-        self._hints: dict[float, list] = {}
         self._seq = 0
-        self.rollbacks = 0
+        #: per-shard events processed, filled in by :meth:`run`
+        self.shard_events: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Shard engine plumbing
@@ -408,61 +409,6 @@ class ClusterController:
             seq=self._seq, shard=shard_index, at=self.engine.now,
             kind=kind, payload=payload, want_result=want_result))
 
-    def _schedule(self, time: float, hint, callback) -> None:
-        """Schedule a control event with its shard-touch hint.
-
-        ``hint`` is an iterable of shard indices the event may operate
-        on, ``None`` for "could touch anything", or a zero-arg callable
-        returning either (evaluated lazily at the barrier).  The
-        parallel engine uses hints to decide which shards may speculate
-        past the event.  Hints are best-effort: a wrong hint costs a
-        rollback, never correctness.
-        """
-        self._hints.setdefault(time, []).append(hint)
-        self.engine.schedule_at(time, callback)
-
-    def _lookahead(self) -> float:
-        """Speculation depth past each grant.
-
-        0 for the serial engine; otherwise the minimum cross-shard
-        latency (migration downtime, autoscaler interval, mean arrival
-        spacing).
-        """
-        if self.engine_mode == "serial":
-            return 0.0
-        candidates = [self.migration_downtime]
-        if self.autoscale is not None:
-            candidates.append(self.autoscale.interval)
-        if self.arrival_rate:
-            candidates.append(1.0 / self.arrival_rate)
-        positive = [c for c in candidates if c > 0]
-        return min(positive) if positive else self.config.duration
-
-    def _speculation_plan(self, grant: float,
-                          limit: float) -> tuple[float, frozenset[int]]:
-        """Clamp the window and hold back shards using control hints."""
-        spec_target = limit
-        holdback: set[int] = set()
-        for time in sorted(self._hints):
-            if time < grant:
-                del self._hints[time]  # already fired
-                continue
-            if time >= spec_target:
-                break
-            clamped = False
-            for hint in self._hints[time]:
-                shards = hint() if callable(hint) else hint
-                if shards is None:
-                    # this event may touch anything: nobody speculates
-                    # at or past it
-                    spec_target = time
-                    clamped = True
-                    break
-                holdback.update(shards)
-            if clamped:
-                break
-        return spec_target, frozenset(holdback)
-
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
@@ -472,7 +418,7 @@ class ClusterController:
         Each round grants the shards the time of the next control event
         (the horizon), commits trace output below it, then runs every
         control event at the horizon; ops they issue land on shards
-        sitting exactly there (or roll speculated shards back).
+        sitting exactly there.
         """
         if self._ran:
             raise HarnessError("controller already ran; build a fresh one")
@@ -483,22 +429,19 @@ class ClusterController:
         try:
             self._schedule_initial_jobs()
             self._schedule_device_faults()
+            engine = self.engine
             for index, when in self.drain_schedule:
-                self._schedule(when, None, lambda i=index: self.drain(i))
+                engine.schedule_at(when, lambda i=index: self.drain(i))
             # slot faults are armed inside each shard domain's build
             if self.autoscale is not None:
-                self._schedule(self.autoscale.interval, self._tick_hint,
-                               self._autoscale_tick)
-            lookahead = self._lookahead()
-            engine = self.engine
+                engine.schedule_at(self.autoscale.interval,
+                                   self._autoscale_tick)
             commit = self._commit
             while True:
                 grant = engine.peek_time()
                 if grant is None or grant > duration:
                     break
-                spec_target, holdback = self._speculation_plan(
-                    grant, min(grant + lookahead, duration))
-                outputs = backend.advance(grant, spec_target, holdback)
+                outputs = backend.advance(grant)
                 for index in sorted(outputs):
                     commit.add_shard_events(index, outputs[index])
                 commit.commit(grant)
@@ -508,8 +451,8 @@ class ClusterController:
             for index in sorted(outputs):
                 commit.add_shard_events(index, outputs[index])
             commit.close()
-            self.rollbacks = sum(r for _, r in stats.values())
-            return self._collect(reports, stats)
+            self.shard_events = stats
+            return self._collect(reports)
         finally:
             backend.stop()
 
@@ -520,22 +463,21 @@ class ClusterController:
             for gpu_index, gpu_jobs in enumerate(self.placement.bins):
                 for job in gpu_jobs:
                     shard = self.shards[gpu_index]
-                    self._schedule(
-                        0.0, (gpu_index,),
-                        lambda j=job, s=shard: self._admit(j, s))
+                    self.engine.schedule_at(
+                        0.0, lambda j=job, s=shard: self._admit(j, s))
             return
         if self.arrival_rate is None:
             for job in self.jobs:
-                self._schedule(0.0, None,
-                               lambda j=job: self._on_job_arrival(j))
+                self.engine.schedule_at(
+                    0.0, lambda j=job: self._on_job_arrival(j))
             return
         times = schedule_arrivals(len(self.jobs), self.arrival_rate,
                                   seed=self.config.trace_seed)
         for job, when in zip(self.jobs, times):
             if when >= self.config.duration:
                 continue  # arrived after the run window; never existed
-            self._schedule(when, None,
-                           lambda j=job: self._on_job_arrival(j))
+            self.engine.schedule_at(
+                when, lambda j=job: self._on_job_arrival(j))
 
     def _schedule_device_faults(self) -> None:
         duration = self.config.duration
@@ -543,19 +485,14 @@ class ClusterController:
             for shard in self.shards:
                 for event in self._fault_source.device_fault_schedule(
                         shard.index, duration):
-                    # a crash migrates tenants to unpredictable targets;
-                    # a plain degrade/recover only touches its own device
-                    hint = (None if event.kind == "crash" or event.flapping
-                            else (shard.index,))
-                    self._schedule(
-                        min(event.time, duration), hint,
+                    self.engine.schedule_at(
+                        min(event.time, duration),
                         lambda s=shard, e=event: self._on_device_fault(s, e))
         for index, when in self.fail_device:
             shard = self.shards[index]
             crash = DeviceFaultEvent(when, "crash")
-            self._schedule(
-                when, None,
-                lambda s=shard, e=crash: self._on_device_fault(s, e))
+            self.engine.schedule_at(
+                when, lambda s=shard, e=crash: self._on_device_fault(s, e))
 
     # ------------------------------------------------------------------
     # Admission control
@@ -621,10 +558,8 @@ class ClusterController:
         self._emit_admission(client_id, "admitted", device=shard.index)
         self._issue(shard.index, "start", client_id)
         if job.depart_at is not None:
-            # a departure frees capacity: the queue drain may admit
-            # anywhere, so no shard hint
-            self._schedule(max(now, job.depart_at), None,
-                           lambda t=tenant: self._depart(t))
+            self.engine.schedule_at(max(now, job.depart_at),
+                                    lambda t=tenant: self._depart(t))
 
     def _emit_admission(self, client_id: str, action: str, *,
                         device: int = -1) -> None:
@@ -757,24 +692,12 @@ class ClusterController:
             worst = max(worst, LatencySummary.of(window).p99 / threshold)
         return worst
 
-    def _tick_hint(self):
-        """Shards the next autoscale tick could touch (lazy hint).
-
-        A tick can only act when a hysteresis counter is one step from
-        its trigger; otherwise it merely samples signals — touching
-        nothing.  (Cooldown is ignored: an over-broad hint is safe.)
-        """
-        cfg = self.autoscale
-        armed = (self._breach_ticks + 1 >= cfg.up_ticks
-                 or self._calm_ticks + 1 >= cfg.down_ticks)
-        return None if armed else ()
-
     def _autoscale_tick(self) -> None:
         cfg = self.autoscale
         now = self.engine.now
         if now + cfg.interval < self.config.duration:
-            self._schedule(now + cfg.interval, self._tick_hint,
-                           self._autoscale_tick)
+            self.engine.schedule_at(now + cfg.interval,
+                                    self._autoscale_tick)
         queue_depth = len(self._admission_queue)
         pressure = self._p99_pressure(now)
         if queue_depth >= cfg.queue_high or pressure >= cfg.p99_high:
@@ -816,12 +739,8 @@ class ClusterController:
             ))
         delay = cfg.warmup_min + self._scaler_rng.uniform(
             0.0, cfg.warmup_max - cfg.warmup_min)
-        # warm-up completion touches no shard directly, but its queue
-        # drain can admit anywhere — hint lazily on queue depth
-        self._schedule(
-            now + delay,
-            lambda: None if self._admission_queue else (),
-            lambda s=spare: self._finish_warmup(s))
+        self.engine.schedule_at(now + delay,
+                                lambda s=spare: self._finish_warmup(s))
 
     def _finish_warmup(self, shard: _ShardState) -> None:
         shard.warming = False
@@ -904,8 +823,8 @@ class ClusterController:
         target.add(tenant)
         tenant.device = target.index
         seq = tenant.move_seq
-        self._schedule(
-            now + self.migration_downtime, (target.index,),
+        self.engine.schedule_at(
+            now + self.migration_downtime,
             lambda: self._complete_restore(tenant, target, seq))
 
     def _make_room(self, tenant: _Tenant,
@@ -976,12 +895,12 @@ class ClusterController:
     # ------------------------------------------------------------------
     # Collection
     # ------------------------------------------------------------------
-    def _collect(self, reports: dict, stats: dict) -> ClusterResult:
+    def _collect(self, reports: dict) -> ClusterResult:
         """Build the result from the shards' final reports.
 
         ``reports`` maps shard index to
         :meth:`~repro.cluster.parallel.ClusterShardDomain.finalize`
-        output; ``stats`` maps it to ``(events, rollbacks)``.
+        output.
         """
         config = self.config
         start, end = config.window
@@ -1046,8 +965,8 @@ class ClusterController:
             self._fault_counts.update(report["injected"])
         shard_checks = sum(report["checks_run"]
                            for report in reports.values())
-        events = self.engine.events_processed + sum(
-            shard_events for shard_events, _rollbacks in stats.values())
+        events = (self.engine.events_processed
+                  + sum(self.shard_events.values()))
         report = RecoveryReport(
             services=tuple(recoveries),
             migrations=len(self._downtimes),
@@ -1183,11 +1102,10 @@ def run_controlplane(jobs: list[ClusterJob] | None = None,
       first-fit as they arrive (all at t=0, or Poisson-spaced when
       ``arrival_rate`` is given).
 
-    ``engine="serial"`` advances every device shard exactly to each
-    control event; ``engine="parallel"`` lets shards speculate on the
-    time-warp engine (:mod:`repro.engine`) with ``workers`` processes
-    (``workers<=1`` uses the in-process backend).  Committed results
-    are bit-identical between the two.
+    Every device shard advances exactly to each control event on the
+    shard engine (:mod:`repro.engine`); ``engine="parallel"`` runs the
+    shards in ``workers`` processes (``workers<=1`` stays in-process).
+    Committed results are bit-identical between the two.
     """
     if placement is not None:
         job_list = placement.jobs()

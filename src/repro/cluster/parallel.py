@@ -11,18 +11,12 @@ autoscaling) and reaches a shard only through timestamped ops
 servers and drivers are built.
 
 The controller's loop holds only control events, so its next event
-time is a *horizon*: every shard may run exclusively up to it.  With
-``engine="serial"`` shards advance exactly to each horizon and never
-speculate.  With ``engine="parallel"`` shards speculate beyond it, into
-a window bounded by the minimum cross-shard latency and clamped by the
-*hints* each scheduled control event declares (``None`` = may touch
-anything); an op landing in a shard's speculated past triggers
-deterministic coast-forward rollback
-(:class:`~repro.engine.shard.ShardCell`), so a wrong hint costs time,
-never correctness.  Committed metrics, trace summaries and invariant
-audits are bit-identical between the two engines and between the
-inline and process backends; see ``docs/performance.md`` for measured
-speedups.
+time is a *horizon*: every shard runs exclusively up to it and no
+further, so each op lands on a shard sitting exactly at its time.
+``engine="parallel"`` with ``workers > 1`` advances the shards to each
+horizon in worker processes.  Committed metrics, trace summaries and
+invariant audits are bit-identical between the inline and process
+backends; see ``docs/performance.md`` for measured speedups.
 """
 
 from __future__ import annotations

@@ -1,43 +1,28 @@
 """Execution backends: one protocol, inline or process workers.
 
 A backend owns the shard side of the engine: the coordinator talks to
-it through five verbs —
+it through four verbs —
 
-``advance(grant, spec_target, holdback)``
-    barrier: every shard advances exclusively to ``grant`` (raising any
-    quarantined speculation error whose time is now committed history),
-    ships its outputs below the grant, and is told how far it may
-    speculate before the next barrier (``grant`` itself for shards in
-    the ``holdback`` hint set — the coordinator knows an op at exactly
-    the grant is coming for them, so speculating past it would only
-    buy a rollback);
+``advance(grant)``
+    barrier: every shard advances exclusively to ``grant`` and ships
+    its outputs below it;
 ``op(op)``
     deliver one cross-shard operation; ``want_result`` ops are
-    synchronous round trips, the rest ride a per-worker outbox that is
-    flushed before any blocking exchange;
-``revoke(seq, shard, at)``
-    anti-message — annihilated in the outbox when the op never left,
-    else a worker-side log strike + rollback;
+    synchronous round trips, the rest the process backend batches in a
+    per-worker outbox that is flushed before any blocking exchange;
 ``query(shard, kind, payload)``
     read-only question answered from at-or-below committed time;
 ``finalize(at)``
     run every shard inclusively to ``at`` and return
     ``(reports, outputs, stats)``.
 
-:class:`InlineBackend` executes everything in-process and, crucially,
-speculates each shard *all the way to its target* after every barrier —
-so every op issued at the next barrier lands in a speculated past and
-the rollback/replay machinery is exercised on every run of the
-bit-identity suite, not just under process-timing luck.
-
+:class:`InlineBackend` executes everything in-process.
 :class:`ProcessBackend` is the same protocol over ``multiprocessing``
 pipes: shards are dealt round-robin across workers (the standby tail a
 cluster autoscaler wakes late lives at the high indices — striding
-spreads it), and each worker speculates between messages: it polls its
-pipe, runs a bounded slice of shard events when nothing is pending,
-and only blocks on the pipe once every shard is out of speculation
-room.  Useful parallel work therefore happens precisely in the window
-where the coordinator is busy deciding what to do next.
+spreads it), and an ``advance`` is posted to every worker before any
+reply is read, so the workers run their shards to the grant in
+parallel.
 """
 
 from __future__ import annotations
@@ -51,9 +36,6 @@ from .shard import ShardProgram, WorkerHost
 
 __all__ = ["EngineBackend", "InlineBackend", "ProcessBackend"]
 
-#: events per speculation slice between pipe polls (worker side)
-SPECULATE_BUDGET = 512
-
 
 class EngineBackend(ABC):
     """Coordinator-facing protocol over a set of shard cells."""
@@ -62,14 +44,10 @@ class EngineBackend(ABC):
     def start(self) -> None: ...
 
     @abstractmethod
-    def advance(self, grant: float, spec_target: float,
-                holdback: frozenset[int]) -> dict[int, list]: ...
+    def advance(self, grant: float) -> dict[int, list]: ...
 
     @abstractmethod
     def op(self, op: Op): ...
-
-    @abstractmethod
-    def revoke(self, seq: int, shard: int, at: float) -> bool: ...
 
     @abstractmethod
     def query(self, shard: int, kind: str, payload): ...
@@ -82,54 +60,27 @@ class EngineBackend(ABC):
 
 
 class InlineBackend(EngineBackend):
-    """All shards in-process, speculated to the hilt between barriers.
-
-    Used for ``workers <= 1`` and by the test suite: deterministic,
-    picklability-free, and — because every shard is always speculated
-    as far as its target allows — maximally adversarial toward the
-    rollback path while remaining bit-reproducible.
-    """
+    """All shards in-process: the serial engine and ``workers <= 1``."""
 
     def __init__(self, program: ShardProgram, shards: int) -> None:
         self.program = program
         self.shards = shards
         self.host: WorkerHost | None = None
-        self._outbox = OpQueue()
 
     def start(self) -> None:
         self.host = WorkerHost(self.program, list(range(self.shards)))
 
-    def _flush(self) -> None:
-        for op in self._outbox.drain():
-            self.host.apply(op)
-
-    def advance(self, grant, spec_target, holdback):
-        self._flush()
-        outputs = self.host.advance(grant, spec_target, holdback)
-        # deterministic full speculation: every cell runs to its target
-        while self.host.speculate_slice(SPECULATE_BUDGET):
-            pass
-        return outputs
+    def advance(self, grant):
+        return self.host.advance(grant)
 
     def op(self, op: Op):
-        if op.want_result:
-            self._flush()
-            return self.host.apply(op)
-        self._outbox.push(op)
-        return None
-
-    def revoke(self, seq, shard, at):
-        if self._outbox.annihilate(seq):
-            return True
-        self._flush()
-        return self.host.revoke(seq, shard, at)
+        result = self.host.apply(op)
+        return result if op.want_result else None
 
     def query(self, shard, kind, payload):
-        self._flush()
         return self.host.query(shard, kind, payload)
 
     def finalize(self, at):
-        self._flush()
         reports = self.host.finalize(at)
         outputs = self.host.drain_outputs(float("inf"))
         return reports, outputs, self.host.stats()
@@ -155,15 +106,13 @@ def _portable(exc: BaseException) -> BaseException:
 def _handle(host: WorkerHost, msg: tuple):
     kind = msg[0]
     if kind == "advance":
-        return host.advance(msg[1], msg[2], msg[3])
+        return host.advance(msg[1])
     if kind == "ops":
         for op in msg[1]:
             host.apply(op)
         return None
     if kind == "op":
         return host.apply(msg[1])
-    if kind == "revoke":
-        return host.revoke(msg[1], msg[2], msg[3])
     if kind == "query":
         return host.query(msg[1], msg[2], msg[3])
     if kind == "finalize":
@@ -175,16 +124,12 @@ def _handle(host: WorkerHost, msg: tuple):
 
 def _worker_main(conn, program: ShardProgram, indices: list[int],
                  snapshot) -> None:
-    """Worker process entry point: serve the pipe, speculate when idle."""
+    """Worker process entry point: serve the pipe until ``stop``."""
     from ..transform.memo import load_snapshot
     load_snapshot(snapshot)
     host = WorkerHost(program, indices)
     try:
         while True:
-            # speculate while the pipe is quiet; block once out of work
-            while not conn.poll():
-                if host.speculate_slice(SPECULATE_BUDGET) == 0:
-                    break
             msg = conn.recv()
             if msg[0] == "stop":
                 conn.send(("ok", None))
@@ -271,11 +216,11 @@ class ProcessBackend(EngineBackend):
         return self._check(conn.recv())
 
     # -- protocol -------------------------------------------------------
-    def advance(self, grant, spec_target, holdback):
+    def advance(self, grant):
         # post to every worker first, then collect — the barrier overlaps
         for w in range(self.workers):
             self._flush(w)
-            self._conns[w].send(("advance", grant, spec_target, holdback))
+            self._conns[w].send(("advance", grant))
         outputs: dict[int, list] = {}
         for w in range(self.workers):
             self._sync(w)
@@ -288,12 +233,6 @@ class ProcessBackend(EngineBackend):
             return self._rpc(w, ("op", op))
         self._outboxes[w].push(op)
         return None
-
-    def revoke(self, seq, shard, at):
-        w = self._worker_of(shard)
-        if self._outboxes[w].annihilate(seq):
-            return True
-        return self._rpc(w, ("revoke", seq, shard, at))
 
     def query(self, shard, kind, payload):
         return self._rpc(self._worker_of(shard), ("query", shard, kind,

@@ -1,22 +1,17 @@
-"""Cross-shard operations and anti-message bookkeeping.
+"""Cross-shard operations and the coordinator's outbox.
 
 An :class:`Op` is the only way coordinator state reaches a shard: a
-timestamped, sequenced, picklable instruction.  Ops without results are
-buffered in an :class:`OpQueue` outbox and flushed lazily (before any
-blocking exchange), which keeps one coordinator decision burst to one
-pipe write — and gives in-flight operations a window in which a
-:meth:`OpQueue.annihilate` can cancel them *for free*, the classic
-anti-message fast path.  Once an op has crossed to a worker, the
-matching anti-message is a :class:`Revoke`: the worker strikes the op
-from the shard's log and rolls the shard back to the op's timestamp,
-replaying history without it.
+timestamped, sequenced, picklable instruction.  The process backend
+buffers ops without results in one :class:`OpQueue` outbox per worker
+and flushes it lazily (before any blocking exchange), which keeps one
+coordinator decision burst to one pipe write.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Op", "OpQueue", "Revoke"]
+__all__ = ["Op", "OpQueue"]
 
 
 @dataclass(frozen=True)
@@ -33,15 +28,6 @@ class Op:
     want_result: bool = False
 
 
-@dataclass(frozen=True)
-class Revoke:
-    """Anti-message for an op that already crossed to a worker."""
-
-    seq: int
-    shard: int
-    at: float
-
-
 @dataclass
 class OpQueue:
     """Coordinator-side outbox of not-yet-sent ops."""
@@ -50,19 +36,6 @@ class OpQueue:
 
     def push(self, op: Op) -> None:
         self._pending.append(op)
-
-    def annihilate(self, seq: int) -> bool:
-        """Cancel a queued op before it is ever sent.
-
-        Returns True when the op was still in the outbox (annihilated
-        in place — the cheap anti-message); False when it already went
-        out and the caller must send a :class:`Revoke` instead.
-        """
-        for i, op in enumerate(self._pending):
-            if op.seq == seq:
-                del self._pending[i]
-                return True
-        return False
 
     def drain(self) -> list[Op]:
         """Take every buffered op, in push order."""

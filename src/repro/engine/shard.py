@@ -1,4 +1,4 @@
-"""Shard execution: private event loops, speculation, rollback.
+"""Shard execution: private event loops advanced to horizon grants.
 
 A *domain* is the simulated content of one shard.  The engine is
 domain-agnostic; anything that provides the small duck-typed surface
@@ -9,23 +9,19 @@ scenario both do):
     the shard's private :class:`~repro.gpu.engine.EventLoop`;
 ``apply(kind, payload, at) -> picklable``
     execute one cross-shard op at ``at`` (the loop clock is already
-    there); must be deterministic — replay depends on it;
+    there); must be deterministic;
 ``query(kind, payload) -> picklable``
-    a read-only question (latency windows, ledgers); answers must
-    depend only on state at-or-below the last granted horizon, so a
-    speculated shard answers exactly;
+    a read-only question (latency windows, ledgers); answers depend
+    only on state at-or-below the last granted horizon;
 ``outputs``
     an append-only list of emitted trace events (drained by the cell);
 ``finalize(at) -> picklable``
     run inclusively to ``at`` and report terminal state.
 
 Everything here runs *inside a worker* (or inline, in-process — the
-code is identical).  Rollback is deterministic replay: the repo-wide
-invariant that a fixed seed replays bit-identically means a shard's
-state is a pure function of (genesis, applied ops, clock), so instead
-of snapshotting entangled event heaps we rebuild the domain from its
-program and coast-forward through the op log.  Replay cancels every
-speculated event past the straggler — the anti-message, wholesale.
+code is identical).  A shard never runs past its grant, so every op
+lands at or after the shard's clock; an op behind it means the
+coordinator broke the horizon protocol, and the cell raises.
 """
 
 from __future__ import annotations
@@ -41,8 +37,7 @@ class ShardProgram(ABC):
     """Picklable factory for shard domains.
 
     Must be cheap to pickle (configs only, never live objects): the
-    process backend ships one copy to every worker, and every rollback
-    calls :meth:`build` again.
+    process backend ships one copy to every worker.
     """
 
     @abstractmethod
@@ -50,150 +45,45 @@ class ShardProgram(ABC):
         """Construct shard ``index``'s domain at simulated time zero."""
 
 
-class SpeculationError:
-    """An exception raised by a *speculated* event, held in quarantine.
-
-    Speculated events may be cancelled by a later straggler op, so an
-    error they raise is not yet real.  It becomes real the moment the
-    horizon passes the failure time (the event is then committed
-    history); a rollback below the failure time discards it.
-    """
-
-    __slots__ = ("time", "error")
-
-    def __init__(self, time: float, error: BaseException) -> None:
-        self.time = time
-        self.error = error
-
-
 class ShardCell:
-    """One shard: domain + op log + speculation/rollback state."""
+    """One shard: its domain, advanced grant by grant."""
 
     def __init__(self, program: ShardProgram, index: int) -> None:
-        self.program = program
         self.index = index
         self.domain = program.build(index)
-        self.op_log: list[Op] = []
-        #: horizon granted by the coordinator: no op below it will ever
-        #: arrive, so outputs below it are final
-        self.granted = 0.0
-        #: speculation bound for the current round (== granted when the
-        #: coordinator issued a holdback hint for this shard)
-        self.spec_target = 0.0
-        #: outputs below this time were already shipped (post-rollback
-        #: regenerated duplicates are suppressed against it)
-        self.shipped_upto = 0.0
-        self.rollbacks = 0
-        self._spec_error: SpeculationError | None = None
 
-    # -- time advancement ----------------------------------------------
-    def advance(self, grant: float, spec_target: float) -> None:
-        """Advance exclusively to ``grant`` (committed history)."""
-        self.granted = grant
-        self.spec_target = max(spec_target, grant)
-        if self._spec_error is not None and self._spec_error.time < grant:
-            raise self._spec_error.error
+    def advance(self, grant: float) -> None:
+        """Advance exclusively to ``grant``: grant-time events wait,
+        so ops issued at the grant apply before them."""
         if self.domain.loop.now < grant:
             self.domain.loop.advance_to(grant)
 
-    def speculate(self, budget: int) -> int:
-        """Run up to ``budget`` events inside ``(granted, spec_target)``.
-
-        Events at exactly ``granted`` stay pending — ops at the horizon
-        must apply first (control-first ordering) — and events at or
-        beyond ``spec_target`` wait for the next grant.  Returns the
-        number of events executed (0 = nothing left to speculate).
-        """
-        if self._spec_error is not None:
-            return 0
-        loop = self.domain.loop
-        granted = self.granted
-        target = self.spec_target
-        done = 0
-        while done < budget:
-            when = loop.peek_time()
-            if when is None or when <= granted or when >= target:
-                break
-            try:
-                loop.step()
-            except Exception as exc:  # quarantined until committed
-                self._spec_error = SpeculationError(loop.now, exc)
-                break
-            done += 1
-        return done
-
-    # -- operations -----------------------------------------------------
     def apply(self, op: Op):
-        """Apply one op at ``op.at``, rolling back a speculated past."""
+        """Apply one op at ``op.at``, coasting forward to it."""
         loop = self.domain.loop
         if loop.now > op.at:
-            self.rollback(op.at)
-            loop = self.domain.loop
-        elif loop.now < op.at:
+            raise RuntimeError(
+                f"op {op.seq} ({op.kind!r}) at {op.at} is behind shard "
+                f"{self.index}'s clock {loop.now}: horizon protocol broken")
+        if loop.now < op.at:
             loop.advance_to(op.at)
-        self.op_log.append(op)
         return self.domain.apply(op.kind, op.payload, op.at)
 
-    def revoke(self, seq: int, at: float) -> bool:
-        """Strike an applied op from history (the late anti-message).
-
-        Rolls back to the op's timestamp and replays without it.
-        Returns False when no such op was ever applied here.
-        """
-        for i, logged in enumerate(self.op_log):
-            if logged.seq == seq:
-                del self.op_log[i]
-                self.rollback(at)
-                return True
-        return False
-
-    def rollback(self, to_time: float) -> None:
-        """Coast-forward replay: rebuild genesis, re-apply the op log.
-
-        The replacement domain is byte-equivalent to committed history
-        at ``to_time`` — determinism is an audited repo invariant —
-        and every speculated event past ``to_time`` simply never
-        happens in it.
-        """
-        self.rollbacks += 1
-        self._spec_error = None
-        domain = self.program.build(self.index)
-        for op in self.op_log:
-            if op.at > to_time:
-                raise RuntimeError(
-                    f"op log corrupt: op at {op.at} beyond rollback "
-                    f"target {to_time}")
-            if domain.loop.now < op.at:
-                domain.loop.advance_to(op.at)
-            domain.apply(op.kind, op.payload, op.at)
-        if domain.loop.now < to_time:
-            domain.loop.advance_to(to_time)
-        self.domain = domain
-
-    # -- outputs / collection ------------------------------------------
     def drain_outputs(self, upto: float) -> list:
-        """Ship outputs with ``shipped_upto <= ts < upto``, in order.
+        """Ship outputs with ``ts < upto``, in emission order.
 
-        The lower bound suppresses duplicates a rollback regenerated;
-        shipping advances the watermark — this is the engine's fossil
-        collection (shipped buffers are freed, and the grant guarantees
-        nothing below the watermark can ever be emitted again).
+        The grant guarantees nothing below ``upto`` is still to come,
+        so shipped entries are freed — the engine's fossil collection.
         """
         buf = self.domain.outputs
         if not buf:
-            self.shipped_upto = max(self.shipped_upto, upto)
             return []
-        floor = self.shipped_upto
-        ship = [e for e in buf if floor <= e.ts < upto]
-        keep = [e for e in buf if e.ts >= upto]
-        buf[:] = keep
-        self.shipped_upto = max(floor, upto)
+        ship = [e for e in buf if e.ts < upto]
+        buf[:] = [e for e in buf if e.ts >= upto]
         return ship
 
     def finalize(self, at: float):
         """Commit the tail of the run: everything through ``at``."""
-        if self._spec_error is not None and self._spec_error.time <= at:
-            raise self._spec_error.error
         return self.domain.finalize(at)
 
     @property
@@ -211,43 +101,18 @@ class WorkerHost:
 
     def __init__(self, program: ShardProgram, indices: list[int]) -> None:
         self.cells = {i: ShardCell(program, i) for i in indices}
-        self._spec_ring = list(indices)
-        self._spec_pos = 0
 
-    def advance(self, grant: float, spec_target: float,
-                holdback: frozenset[int]) -> dict[int, list]:
+    def advance(self, grant: float) -> dict[int, list]:
         """Advance every cell to the grant; return shipped outputs."""
-        outputs: dict[int, list] = {}
-        for index, cell in self.cells.items():
-            cell.advance(grant,
-                         grant if index in holdback else spec_target)
-            shipped = cell.drain_outputs(grant)
-            if shipped:
-                outputs[index] = shipped
-        return outputs
+        for cell in self.cells.values():
+            cell.advance(grant)
+        return self.drain_outputs(grant)
 
     def apply(self, op: Op):
         return self.cells[op.shard].apply(op)
 
-    def revoke(self, seq: int, shard: int, at: float) -> bool:
-        return self.cells[shard].revoke(seq, at)
-
     def query(self, shard: int, kind: str, payload):
         return self.cells[shard].domain.query(kind, payload)
-
-    def speculate_slice(self, budget: int) -> int:
-        """Round-robin one bounded speculation slice; 0 = all idle."""
-        ring = self._spec_ring
-        if not ring:
-            return 0
-        done = 0
-        for _ in range(len(ring)):
-            cell = self.cells[ring[self._spec_pos]]
-            self._spec_pos = (self._spec_pos + 1) % len(ring)
-            done += cell.speculate(budget)
-            if done >= budget:
-                break
-        return done
 
     def finalize(self, at: float) -> dict[int, object]:
         """Finalize every cell; returns per-shard domain reports."""
@@ -261,7 +126,6 @@ class WorkerHost:
                 outputs[index] = shipped
         return outputs
 
-    def stats(self) -> dict[int, tuple[int, int]]:
-        """Per-shard ``(events_processed, rollbacks)``."""
-        return {i: (cell.events_processed, cell.rollbacks)
-                for i, cell in self.cells.items()}
+    def stats(self) -> dict[int, int]:
+        """Per-shard events processed."""
+        return {i: cell.events_processed for i, cell in self.cells.items()}

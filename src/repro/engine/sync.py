@@ -3,18 +3,18 @@
 Shards emit trace events into private buffers; the coordinator emits
 its own control events.  Neither order is globally meaningful until
 GVT — the last horizon every shard acknowledged — passes an event's
-timestamp: below GVT no rollback can cancel it and no earlier event
-can still appear.  :class:`CommitTracer` buffers both streams and
-flushes them to the real tracer in a deterministic merge order:
+timestamp: below GVT no earlier event can still appear.
+:class:`CommitTracer` buffers both streams and flushes them to the
+real tracer in a deterministic merge order:
 
 ``(ts, source, arrival)`` — timestamp first; the coordinator (source
 ``-1``) before shards at equal timestamps (control events schedule the
 work shards then perform); per-source arrival order last.
 Cross-source ties at *identical float timestamps* are measure-zero
 between continuous processes, so this normalized order makes the
-committed trace the same with or without speculation, on any backend,
-up to same-timestamp permutation — summaries (which count, not order)
-are bit-identical, and the bit-identity suite asserts exactly that.
+committed trace the same on either backend, up to same-timestamp
+permutation — summaries (which count, not order) are bit-identical,
+and the bit-identity suite asserts exactly that.
 """
 
 from __future__ import annotations

@@ -161,3 +161,36 @@ class TestLoadReport:
         path.write_text("[]")
         with pytest.raises(ReproError, match="empty"):
             load_report(str(path))
+
+
+class TestSpeedupGate:
+    """The parallel speedup floor scales with the cores behind the
+    workers, so it holds on every host."""
+
+    @staticmethod
+    def gated(speedup, cores, workers=8):
+        return work_report("macro.cluster_1k", 1.0, 1_000,
+                           simulated_gpu_s=64.0, speedup=speedup,
+                           workers=workers, cores=cores)
+
+    @pytest.mark.parametrize("cores, required", [
+        (16, 4.0), (8, 4.0), (4, 2.0), (2, 1.0), (1, 0.5)])
+    def test_floor_scales_with_min_of_cores_and_workers(self, cores,
+                                                        required):
+        base = self.gated(required, cores)
+        assert compare_reports(base, self.gated(required, cores)).ok
+        out = compare_reports(base, self.gated(required * 0.99, cores))
+        assert not out.ok
+        assert out.speedup_failures == [
+            ("macro.cluster_1k", pytest.approx(required * 0.99),
+             pytest.approx(required))]
+        assert "SPEEDUP FAILED" in out.format()
+
+    def test_custom_floor(self):
+        base = self.gated(1.5, 2)  # 2 of 8 workers' cores: floor / 4
+        assert compare_reports(base, base, speedup_floor=6.0).ok
+        assert not compare_reports(base, base, speedup_floor=6.4).ok
+
+    def test_benchmarks_without_a_speedup_are_not_gated(self):
+        base = work_report("macro.x", 1.0, 1_000, workers=8, cores=8)
+        assert compare_reports(base, base).ok

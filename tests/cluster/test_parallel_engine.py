@@ -1,14 +1,12 @@
-"""Bit-identity of the cluster controller's two engines, and an
+"""Bit-identity of the cluster controller's two backends, and an
 independent oracle for its per-shard loops.
 
-Every run drives device shards through the shard op protocol.  The
-conservative engine (``engine="serial"``: each shard advances exactly
-to each control event, no speculation) is the reference for
-speculation and rollback: the speculative engine must commit *exactly*
-the same result — metrics, ledgers, audits, event counts — under both
-backends (inline, which speculates maximally and therefore exercises
-rollback paths hardest, and the process backend, which adds pickling
-and pipe ordering).
+Every run drives device shards through the shard op protocol, each
+shard advancing exactly to each control event.  The in-process engine
+(``engine="serial"``) is the reference for the process backend
+(``engine="parallel", workers=2``): shards in worker processes, with
+pickling, batched op delivery and pipe ordering in between, must commit
+*exactly* the same result — metrics, ledgers, audits, event counts.
 
 :func:`~repro.cluster.evaluate_placement`, which runs each bin through
 ``run_colocation`` on its own event loop, is the reference for the
@@ -67,7 +65,7 @@ def test_chaos_matrix_bit_identity(seed):
     """Crash + degrade + flap + slot faults, Poisson arrivals, audited."""
     kw = dict(faults=_chaos(seed), arrival_rate=4.0)
     serial = _run(**kw)
-    parallel = _run(engine="parallel", **kw)
+    parallel = _run(engine="parallel", workers=2, **kw)
     assert repr(serial) == repr(parallel)
     assert serial.events == parallel.events
     assert serial.invariant_checks == parallel.invariant_checks
@@ -77,7 +75,7 @@ def test_chaos_matrix_bit_identity(seed):
 def test_policy_variants_bit_identity(policy):
     kw = dict(policy=policy, faults=_chaos(7), arrival_rate=4.0)
     serial = _run(**kw)
-    parallel = _run(engine="parallel", **kw)
+    parallel = _run(engine="parallel", workers=2, **kw)
     assert repr(serial) == repr(parallel)
 
 
@@ -87,7 +85,7 @@ def test_autoscaler_and_migration_bit_identity():
     kw = dict(devices=4, fail_device=((0, 0.6),), drain=((1, 0.9),),
               autoscale=AutoscalerConfig(), standby=1, arrival_rate=6.0)
     serial = _run(**kw)
-    parallel = _run(engine="parallel", **kw)
+    parallel = _run(engine="parallel", workers=2, **kw)
     assert repr(serial) == repr(parallel)
     assert serial.recovery is not None
 
@@ -104,14 +102,14 @@ def test_trace_summary_counts_match():
     st = Tracer()
     pt = Tracer()
     _run(tracer=st, **kw)
-    _run(tracer=pt, engine="parallel", **kw)
+    _run(tracer=pt, engine="parallel", workers=2, **kw)
     assert counts(st) == counts(pt)
     assert len(st.events) == len(pt.events)
 
 
 def test_process_backend_bit_identity():
-    """Two worker processes: adds pickling, pipe ordering, and true
-    cross-process rollback to the same oracle comparison."""
+    """Two worker processes on four devices, one of them crashing:
+    cross-process migration under the same oracle comparison."""
     kw = dict(devices=4, faults=_chaos(42), arrival_rate=5.0,
               fail_device=((0, 0.6),))
     serial = _run(**kw)
@@ -126,6 +124,13 @@ def test_engine_parameter_is_validated():
     with pytest.raises(HarnessError, match=message):
         run_controlplane(jobs=_jobs(), devices=3, config=_CONFIG,
                          engine="warp9")
+    message = "workers must be >= 0, got -4"
+    with pytest.raises(HarnessError, match=message):
+        ClusterController(_jobs(), 3, config=_CONFIG, engine="parallel",
+                          workers=-4)
+    with pytest.raises(HarnessError, match=message):
+        run_controlplane(jobs=_jobs(), devices=3, config=_CONFIG,
+                         workers=-4)
 
 
 def _oracle_placement(seed: int) -> Placement:

@@ -1,11 +1,10 @@
-"""Unit tests for the time-warp engine core (`repro.engine`).
+"""Unit tests for the conservative engine core (`repro.engine`).
 
 A toy counting domain stands in for the cluster: one tick per second
 increments a counter and emits an output event, and cross-shard ops
-add to the counter.  Determinism of the domain is what makes rollback
-coast-forward replay exact, so these tests assert both the mechanics
-(op log, annihilation, revoke, watermarks, GVT ordering) and the
-bit-equivalence of rolled-back state against never-speculated state.
+add to the counter.  These tests assert the horizon protocol's
+mechanics: exclusive grants, ops coasting forward (and refusing to land
+behind a shard's clock), exactly-once output shipping and GVT ordering.
 """
 
 from dataclasses import dataclass
@@ -19,7 +18,6 @@ from repro.engine import (
     OpQueue,
     ShardCell,
     ShardProgram,
-    WorkerHost,
 )
 from repro.gpu import EventLoop
 
@@ -54,13 +52,7 @@ class _ToyDomain:
             return None
         if kind == "read":
             return self.value
-        if kind == "bomb":
-            self.loop.schedule_at(payload, self._boom)
-            return None
         raise AssertionError(f"unknown op {kind!r}")
-
-    def _boom(self) -> None:
-        raise RuntimeError("boom")
 
     def query(self, kind: str, payload):
         assert kind == "value"
@@ -85,7 +77,7 @@ def _op(seq, shard, at, kind="add", payload=1, want_result=False):
 
 
 # ---------------------------------------------------------------------------
-# OpQueue: the outbox anti-message fast path
+# OpQueue: the coordinator's outbox
 # ---------------------------------------------------------------------------
 
 def test_opqueue_preserves_push_order():
@@ -96,14 +88,6 @@ def test_opqueue_preserves_push_order():
     assert q.drain() == ops
     assert q.drain() == []
 
-
-def test_opqueue_annihilate_cancels_in_place():
-    q = OpQueue()
-    for i in range(3):
-        q.push(_op(i, 0, 1.0))
-    assert q.annihilate(1) is True
-    assert q.annihilate(1) is False  # already gone
-    assert [op.seq for op in q.drain()] == [0, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -145,25 +129,23 @@ def test_commit_tracer_frees_committed_buffers():
 
 
 # ---------------------------------------------------------------------------
-# ShardCell: speculation window, rollback, revoke, watermarks
+# ShardCell: exclusive grants, coasting ops, exactly-once outputs
 # ---------------------------------------------------------------------------
 
-def test_advance_is_exclusive_and_speculation_is_open():
+def test_advance_never_runs_a_grant_time_event():
     cell = ShardCell(_ToyProgram(), 0)
-    cell.advance(2.0, 5.0)
+    cell.advance(2.0)
     # exclusive: the tick at exactly 2.0 has not run
     assert cell.domain.value == 1
-    # an event at exactly the grant blocks speculation outright:
-    # horizon-time ops must apply before it, so it cannot be skipped
-    assert cell.speculate(16) == 0
-    cell.advance(2.5, 5.0)
-    assert cell.domain.value == 2
-    # open window: ticks strictly inside (2.5, 5.0) run — 3.0 and 4.0
-    # only, because 5.0 awaits its own grant
-    while cell.speculate(16):
-        pass
+    assert cell.domain.loop.now == 2.0
+    assert cell.domain.loop.peek_time() == 2.0
+    # an op issued at the grant applies before the grant-time tick
+    assert cell.apply(_op(0, 0, 2.0, kind="read", want_result=True)) == 1
+    cell.advance(2.0)  # re-granting the same horizon runs nothing
+    assert cell.domain.value == 1
+    cell.advance(4.5)
     assert cell.domain.value == 4
-    assert cell.domain.loop.now == 4.0
+    assert cell.events_processed == 4
 
 
 def test_apply_in_the_future_coasts_forward():
@@ -173,127 +155,54 @@ def test_apply_in_the_future_coasts_forward():
     assert cell.domain.loop.now == 3.5
 
 
-def test_straggler_op_rolls_back_speculated_state():
+def test_op_behind_the_shard_clock_raises():
+    """A shard never runs past its grant, so an op timestamped before
+    its clock means the horizon protocol is broken."""
     cell = ShardCell(_ToyProgram(), 0)
-    cell.advance(2.5, 8.0)
-    while cell.speculate(16):
-        pass
-    assert cell.domain.loop.now == 7.0  # deep in speculation
-    cell.apply(_op(0, 0, 3.5, payload=10))
-    assert cell.rollbacks == 1
-    assert cell.domain.loop.now == 3.5
-    # replayed history: ticks 1..3 plus the op
-    assert cell.domain.value == 13
+    cell.advance(4.5)
+    with pytest.raises(RuntimeError, match="horizon protocol broken"):
+        cell.apply(_op(7, 0, 3.5, payload=10))
+    assert cell.domain.value == 4  # the op never applied
+    # an op exactly at the clock is fine
+    cell.apply(_op(8, 0, 4.5, payload=10))
+    assert cell.domain.value == 14
 
 
-def test_rollback_state_matches_never_speculated_run():
-    spec = ShardCell(_ToyProgram(), 0)
-    spec.advance(1.5, 9.0)
-    while spec.speculate(16):
-        pass
-    spec.apply(_op(0, 0, 2.5, payload=5))   # forces rollback
-    spec.advance(6.0, 6.0)
-    assert spec.rollbacks == 1
-
-    plain = ShardCell(_ToyProgram(), 0)
-    plain.advance(1.5, 1.5)
-    plain.apply(_op(0, 0, 2.5, payload=5))
-    plain.advance(6.0, 6.0)
-    assert plain.rollbacks == 0
-
-    assert spec.finalize(9.0) == plain.finalize(9.0)
-
-
-def test_revoke_strikes_op_from_history():
+def test_drain_outputs_ships_each_output_once():
     cell = ShardCell(_ToyProgram(), 0)
-    cell.apply(_op(0, 0, 2.0, payload=100))
-    cell.advance(4.0, 4.0)
-    assert cell.domain.value == 103
-    assert cell.revoke(0, 2.0) is True
-    assert cell.revoke(0, 2.0) is False  # no longer in the log
-    cell.advance(4.0, 4.0)
-    assert cell.domain.value == 3  # history without the op
-    assert cell.rollbacks == 1
-
-
-def test_drain_outputs_suppresses_rollback_duplicates():
-    cell = ShardCell(_ToyProgram(), 0)
-    cell.advance(4.5, 9.0)
-    shipped = cell.drain_outputs(4.5)
-    assert [e.ts for e in shipped] == [1.0, 2.0, 3.0, 4.0]
-    while cell.speculate(16):
-        pass
-    cell.apply(_op(0, 0, 4.5))  # rollback regenerates ticks 1..4
-    cell.advance(6.5, 6.5)
-    shipped = cell.drain_outputs(6.5)
-    # the watermark keeps already-shipped ticks from re-shipping
-    assert [e.ts for e in shipped] == [5.0, 6.0]
-
-
-def test_speculation_error_is_quarantined_until_committed():
-    cell = ShardCell(_ToyProgram(), 0)
-    cell.apply(_op(0, 0, 1.5, kind="bomb", payload=3.0))
-    cell.advance(2.25, 8.0)
-    cell.speculate(64)
-    assert cell.speculate(64) == 0  # halted on the quarantined error
-    cell.advance(2.5, 8.0)  # error time 3.0 not yet committed: fine
-    with pytest.raises(RuntimeError, match="boom"):
-        cell.advance(3.5, 8.0)
-
-
-def test_rollback_discards_quarantined_error():
-    cell = ShardCell(_ToyProgram(), 0)
-    cell.apply(_op(0, 0, 1.5, kind="bomb", payload=3.0))
-    cell.advance(2.25, 8.0)
-    cell.speculate(64)
-    assert cell.revoke(0, 1.5) is True  # anti-message cancels the bomb
-    cell.advance(5.0, 8.0)  # past the would-be failure: no raise
-    assert cell.domain.value == 4
+    cell.advance(4.5)
+    assert [e.ts for e in cell.drain_outputs(4.5)] == [1.0, 2.0, 3.0, 4.0]
+    assert cell.drain_outputs(4.5) == []
+    cell.advance(6.0)
+    # the grant-time tick at 6.0 has not run; 5.0 ships alone
+    assert [e.ts for e in cell.drain_outputs(6.0)] == [5.0]
+    assert cell.domain.outputs == []  # shipped buffers are freed
 
 
 # ---------------------------------------------------------------------------
-# WorkerHost + InlineBackend: the protocol end to end
+# InlineBackend: the protocol end to end
 # ---------------------------------------------------------------------------
 
-def test_worker_host_holdback_pins_spec_target():
-    host = WorkerHost(_ToyProgram(), [0, 1])
-    host.advance(2.5, 6.0, frozenset([1]))
-    while host.speculate_slice(16):
-        pass
-    assert host.cells[0].domain.loop.now == 5.0  # speculated
-    assert host.cells[1].domain.loop.now == 2.5  # held back
-
-
-def test_inline_backend_exercises_rollback_and_stays_exact():
+def test_inline_backend_ships_outputs_exactly_once():
     backend = InlineBackend(_ToyProgram(), 2)
     backend.start()
-    shipped = []
-    out = backend.advance(2.5, 6.0, frozenset())
-    shipped.extend(out.get(0, []))
-    # inline speculates to the hilt, so this grant-time op is a
-    # straggler for shard 0 and must roll it back
-    backend.op(_op(0, 0, 2.5, payload=10))
-    out = backend.advance(4.0, 6.0, frozenset())
-    shipped.extend(out.get(0, []))
+    shipped = {0: [], 1: []}
+
+    def collect(outputs):
+        for index, events in outputs.items():
+            shipped[index].extend(events)
+
+    collect(backend.advance(2.5))
+    assert backend.op(_op(0, 0, 2.5, payload=10)) is None
+    collect(backend.advance(4.0))
     assert backend.query(0, "value", None) == 13
+    collect(backend.advance(4.0))  # same grant again: nothing new
     reports, outputs, stats = backend.finalize(10.0)
-    shipped.extend(outputs.get(0, []))
-    assert reports[0] == (20, reports[0][1])
-    assert reports[1][0] == 10
-    events0, rollbacks0 = stats[0]
-    assert rollbacks0 >= 1
-    # outputs ship exactly once per tick despite the rollback
-    assert [e.ts for e in shipped] == [float(t) for t in range(1, 11)]
-    backend.stop()
-
-
-def test_inline_backend_revoke_annihilates_or_rolls_back():
-    backend = InlineBackend(_ToyProgram(), 1)
-    backend.start()
-    backend.op(_op(0, 0, 2.0, payload=100))  # parked in the outbox
-    assert backend.revoke(0, 0, 2.0) is True  # annihilated for free
-    backend.op(_op(1, 0, 3.0, payload=7, want_result=True))
-    assert backend.revoke(1, 0, 3.0) is True  # worker-side strike
-    reports, _outputs, stats = backend.finalize(5.0)
-    assert reports[0][0] == 5  # neither op survives in history
+    collect(outputs)
+    assert reports[0] == (20, 10)
+    assert reports[1] == (10, 10)
+    assert stats == {0: 10, 1: 10}
+    for index in (0, 1):
+        assert [e.ts for e in shipped[index]] == [
+            float(t) for t in range(1, 11)]
     backend.stop()

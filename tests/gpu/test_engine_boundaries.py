@@ -1,6 +1,6 @@
 """EventLoop behavior at shard boundaries (parallel-engine contract).
 
-The time-warp engine leans on three loop properties the colocation
+The shard engine leans on three loop properties the colocation
 harness never stressed: exclusive :meth:`EventLoop.advance_to` grants
 that leave boundary-time events pending, cancel-then-reschedule at
 *identical* timestamps (migration freeze/thaw does exactly this), and

@@ -37,6 +37,17 @@ class TestParser:
         assert parser.parse_args(["cluster", "--jobs", "3"]).jobs == 3
         assert parser.parse_args(["cluster"]).jobs == 1
 
+    @pytest.mark.parametrize("command", ["cluster", "storm"])
+    def test_parallel_shards_must_be_positive(self, command, capsys):
+        parser = build_parser()
+        assert parser.parse_args(
+            [command, "--parallel-shards", "2"]).parallel_shards == 2
+        assert parser.parse_args([command]).parallel_shards is None
+        for bad in ("0", "-3"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--parallel-shards", bad])
+            assert "must be >= 1" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_list_runs(self, capsys):
