@@ -4,9 +4,10 @@ Three components dominate every run's profile, so each gets a dedicated
 throughput measurement:
 
 * **event loop** — schedule/fire churn through
-  :class:`~repro.gpu.engine.EventLoop`, in the two shapes real runs
-  produce: a deep timer chain (stream-ordered kernels) and a wide
-  concurrent fan-out (traffic arrivals);
+  :class:`~repro.gpu.engine.EventLoop`: a deep timer chain, the shape
+  stream-ordered kernels produce, and a synthetic deep-heap stress in
+  which every event is pre-scheduled (no simulator workload builds
+  such a queue: arrival drivers schedule one arrival at a time);
 * **device dispatch** — back-to-back ORIGINAL launches through
   :class:`~repro.gpu.device.GPUDevice`, plus a PTB stream, measuring
   the dispatch/complete cycle without any policy above it;
@@ -64,8 +65,9 @@ def bench_event_loop(scale: str = "smoke") -> BenchmarkResult:
     loop.run()
     timer.add("chain", time.perf_counter() - start, chain_n)
 
-    # Phase 2: wide fan-out — all events pre-scheduled (traffic
-    # arrivals), stressing heap push/pop at depth.
+    # Phase 2: wide fan-out — all events pre-scheduled, a synthetic
+    # stress of heap push/pop at depth.  Not a simulator shape: arrival
+    # drivers reschedule themselves one arrival at a time.
     loop2 = EventLoop()
     noop = lambda: None  # noqa: E731 - minimal callback on purpose
     start = time.perf_counter()

@@ -936,6 +936,7 @@ class GPUDevice:
         """
         if batch.chunks is not None:
             self._advance(batch)
+            batch.event.cancel()
             self._dissolve(batch)
             return
         if batch.tail is not None and self._unfold(batch):
@@ -1198,8 +1199,8 @@ class GPUDevice:
 
     def _dissolve(self, chain: _Batch) -> None:
         """Turn ``chain`` (advanced to now) back into one per-wave event
-        per chunk."""
-        chain.event.cancel()
+        per chunk.  The caller has cancelled the chain's event, or is
+        running it."""
         self._chains.remove(chain)
         self._staggered.remove(chain)
         chain.launch.batches.remove(chain)
@@ -1220,12 +1221,14 @@ class GPUDevice:
                     chain.event.cancel()
                     self._plan(chain)
             else:
+                chain.event.cancel()
                 self._dissolve(chain)
 
     def _truncate_staggered(self) -> None:
         """The world is about to change: dissolve every staggered chain."""
         for chain in list(self._staggered):
             self._advance(chain)
+            chain.event.cancel()
             self._dissolve(chain)
 
     def _staggered_done(self, chain: _Batch) -> None:

@@ -20,15 +20,6 @@ Hot-path design (see ``docs/performance.md``):
 * cancellation is O(1) and lazy, with an in-place compaction sweep once
   dead entries dominate, so drivers polling :attr:`EventLoop.pending`
   never spin over a graveyard;
-* a **sorted-run fast path**: while every ``schedule_at`` so far has
-  been non-decreasing in time, the backing array *is* the sorted event
-  order (a monotone ``heappush`` never sifts), which is exactly
-  ``heappop``'s worst case — each pop moves the array's largest entry
-  to the root and sifts it all the way back down.  The loop tracks that
-  monotone run and drains it by index instead, so fanout-shaped phases
-  (many pre-scheduled timers) cost the same per event as a
-  self-rescheduling chain.  The first out-of-order push compacts and
-  re-heapifies, falling back to classic heap behaviour;
 * **run-ahead support**: :meth:`EventLoop._drain` records its limit on
   entry, and :meth:`EventLoop.quiet_until` tells a callback how far
   simulated time may advance before anything else could run — the
@@ -78,7 +69,9 @@ class Event:
         self.loop = loop
 
     def cancel(self) -> None:
-        """Prevent the event from firing (O(1); removed lazily)."""
+        """Prevent the event from firing (O(1); removed lazily).  Once
+        the event has fired, the loop no longer holds it (``loop`` is
+        None), so a late cancel leaves the loop's counts alone."""
         if not self.cancelled:
             self.cancelled = True
             loop = self.loop
@@ -105,10 +98,6 @@ class EventLoop:
     #: (only when at least half the queue is dead), so drivers polling
     #: :attr:`pending` never spin over an ever-growing graveyard
     COMPACT_THRESHOLD = 64
-    #: live sorted-run length below which draining falls back to the
-    #: classic heap loop — index iteration only pays for itself once
-    #: heappop's sift depth (log n) dominates the per-event bookkeeping
-    SORTED_DRAIN_MIN = 64
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -118,14 +107,10 @@ class EventLoop:
         #: ``now``.  Batched device schedules compare their virtual
         #: interval boundaries against it to resolve equal-time ties.
         self.current: tuple = (0.0, _NEG_INF, -1, None)
-        #: heap of ``(time, born, seq, Event)`` — C-speed tuple comparisons.
-        #: While ``_sorted`` is True the array is fully sorted and
-        #: ``_head`` entries at the front have already been consumed.
+        #: heap of ``(time, born, seq, Event)`` — C-speed tuple comparisons
         self._heap: list[tuple[float, float, int, Event]] = []
         self._seq = 0
         self._cancelled = 0  # cancelled events still sitting in the heap
-        self._sorted = True  # every push so far non-decreasing in time
-        self._head = 0       # consumed prefix length (sorted mode only)
         #: ``(limit, inclusive)`` of the drain in progress; None outside
         #: a drain and in drains without a finite limit or with an
         #: event budget (see :meth:`quiet_until`)
@@ -148,21 +133,7 @@ class EventLoop:
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, fn, self)
-        heap = self._heap
-        if self._sorted:
-            # Monotone run: a push at/after the current tail keeps the
-            # array sorted, so it is a plain append (no sift at all).
-            # ``seq`` is the largest yet, so only an equal time needs
-            # ``born`` (a :meth:`schedule_as` tail may be born later).
-            if (not heap or len(heap) == self._head
-                    or time > heap[-1][0]
-                    or (time == heap[-1][0] and now >= heap[-1][1])):
-                heap.append((time, now, seq, event))
-            else:
-                self._exit_sorted_mode()
-                heappush(heap, (time, now, seq, event))
-        else:
-            heappush(heap, (time, now, seq, event))
+        heappush(self._heap, (time, now, seq, event))
         return event
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> Event:
@@ -196,15 +167,7 @@ class EventLoop:
                 f"cannot schedule event at {time!r} born {born!r} "
                 f"(now {self.now!r})")
         event = Event(time, seq, fn, self)
-        entry = (time, born, seq, event)
-        heap = self._heap
-        if self._sorted and heap and len(heap) != self._head \
-                and entry[:3] < heap[-1][:3]:
-            self._exit_sorted_mode()
-        if self._sorted:
-            heap.append(entry)
-        else:
-            heappush(heap, entry)
+        heappush(self._heap, (time, born, seq, event))
         return event
 
     def call_soon(self, fn: Callable[[], None]) -> Event:
@@ -214,30 +177,13 @@ class EventLoop:
     # ------------------------------------------------------------------
     # Internal bookkeeping
     # ------------------------------------------------------------------
-    def _exit_sorted_mode(self) -> None:
-        """An out-of-order push: drop the consumed prefix and re-heapify.
-
-        A sorted array already satisfies the heap invariant, so the
-        surviving suffix needs no sifting — but the consumed ``_head``
-        prefix must go first or dead entries would resurface.
-        """
-        if self._head:
-            del self._heap[:self._head]
-            self._head = 0
-        self._sorted = False
-
     def _compact(self) -> None:
         """Drop cancelled entries once they are half the queue."""
         heap = self._heap
-        if self._cancelled * 2 >= len(heap) - self._head:
+        if self._cancelled * 2 >= len(heap):
             # Rebuild in place: run loops hold a reference to the list.
-            # A filtered sorted array stays sorted, so sorted mode (and
-            # its no-sift pushes) survives the sweep.
-            heap[:] = [entry for entry in heap[self._head:]
-                       if not entry[3].cancelled]
-            self._head = 0
-            if not self._sorted:
-                heapify(heap)
+            heap[:] = [entry for entry in heap if not entry[3].cancelled]
+            heapify(heap)
             self._cancelled = 0
 
     def credit(self, count: int) -> None:
@@ -250,23 +196,14 @@ class EventLoop:
     @property
     def pending(self) -> int:
         """Number of *live* (non-cancelled) events still queued."""
-        return len(self._heap) - self._head - self._cancelled
+        return len(self._heap) - self._cancelled
 
     # ------------------------------------------------------------------
     # Inspection / draining
     # ------------------------------------------------------------------
     def _live_head(self) -> tuple | None:
-        """The next live heap entry, dropping cancelled heads, or None.
-        Never changes the storage mode: a drain may be running."""
+        """The next live heap entry, dropping cancelled heads, or None."""
         heap = self._heap
-        if self._sorted:
-            head = self._head
-            n = len(heap)
-            while head < n and heap[head][3].cancelled:
-                head += 1
-                self._cancelled -= 1
-            self._head = head
-            return heap[head] if head < n else None
         while heap and heap[0][3].cancelled:
             heappop(heap)
             self._cancelled -= 1
@@ -275,14 +212,7 @@ class EventLoop:
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the queue is empty."""
         entry = self._live_head()
-        if entry is None:
-            # an empty queue is a sorted run again
-            del self._heap[:]
-            self._head = 0
-            self._cancelled = 0
-            self._sorted = True
-            return None
-        return entry[0]
+        return None if entry is None else entry[0]
 
     def quiet_until(self) -> tuple[float, bool] | None:
         """How far the running callback may advance simulated time on
@@ -305,43 +235,18 @@ class EventLoop:
             return entry[0], False
         return horizon
 
-    def _pop_next(self) -> tuple | None:
-        """Remove and return the next live heap entry, or None."""
-        heap = self._heap
-        if self._sorted:
-            head = self._head
-            n = len(heap)
-            while head < n:
-                entry = heap[head]
-                head += 1
-                if entry[3].cancelled:
-                    self._cancelled -= 1
-                    continue
-                self._head = head
-                return entry
-            del heap[:]
-            self._head = 0
-            self._cancelled = 0
-            return None
-        while heap:
-            entry = heappop(heap)
-            if entry[3].cancelled:
-                self._cancelled -= 1
-                continue
-            return entry
-        self._sorted = True
-        self._cancelled = 0
-        return None
-
     def step(self) -> bool:
         """Run the next event; return False if none remain."""
-        entry = self._pop_next()
+        entry = self._live_head()
         if entry is None:
             return False
+        heappop(self._heap)
+        event = entry[3]
+        event.loop = None
         self.now = entry[0]
         self.current = entry
         self.events_processed += 1
-        entry[3].fn()
+        event.fn()
         return True
 
     def _drain(self, limit: float | None, inclusive: bool,
@@ -360,85 +265,35 @@ class EventLoop:
     def _drain_events(self, limit: float | None, inclusive: bool,
                       max_events: int | None) -> int:
         """The single inner loop behind :meth:`advance_to`,
-        :meth:`run_until`, and :meth:`run`, with both storage modes
-        inlined — per-event overhead is what macro benchmarks measure.
+        :meth:`run_until`, and :meth:`run` — per-event overhead is what
+        macro benchmarks measure.
         """
         heap = self._heap
         pop = heappop
         processed = 0
-        bound = float("inf") if max_events is None else max_events
-        while True:
-            if self._sorted and len(heap) - self._head < self.SORTED_DRAIN_MIN:
-                # Shallow queues drain faster through the classic heap
-                # loop (heappop on a near-empty heap is pure C); convert
-                # once and stay there until the queue fully drains.
-                self._exit_sorted_mode()
-            if self._sorted:
-                head = self._head
-                n = len(heap)
-                while head < n:
-                    entry = heap[head]
-                    event = entry[3]
-                    if event.cancelled:
-                        head += 1
-                        self._cancelled -= 1
-                        continue
-                    when = entry[0]
-                    if limit is not None and (
-                            when > limit
-                            or (when == limit and not inclusive)):
-                        self._head = head
-                        return processed
-                    head += 1
-                    self._head = head
-                    self.now = when
-                    self.current = entry
-                    self.events_processed += 1
-                    event.fn()
-                    processed += 1
-                    if processed >= bound:
-                        raise GPUSimError(
-                            f"exceeded {max_events} events"
-                            + (f" before reaching t={limit}"
-                               if limit is not None else ""))
-                    if not self._sorted:
-                        break  # out-of-order push re-heapified the array
-                    # callbacks may append events or trigger a
-                    # compaction sweep; re-read both cursors
-                    head = self._head
-                    n = len(heap)
-                else:
-                    # drained the whole sorted run
-                    del heap[:]
-                    self._head = 0
-                    self._cancelled = 0
-                    return processed
-                continue  # fell out via mode flip: enter the heap loop
-            while heap:
-                when = heap[0][0]
-                if limit is not None and (
-                        when > limit or (when == limit and not inclusive)):
-                    return processed
-                entry = pop(heap)
-                event = entry[3]
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                self.now = when
-                self.current = entry
-                self.events_processed += 1
-                event.fn()
-                processed += 1
-                if processed >= bound:
-                    raise GPUSimError(
-                        f"exceeded {max_events} events"
-                        + (f" before reaching t={limit}"
-                           if limit is not None else ""))
-            # fully drained: a fresh queue is a sorted run again
-            self._sorted = True
-            self._head = 0
-            self._cancelled = 0
-            return processed
+        bound = _INF if max_events is None else max_events
+        while heap:
+            when = heap[0][0]
+            if limit is not None and (
+                    when > limit or (when == limit and not inclusive)):
+                break
+            entry = pop(heap)
+            event = entry[3]
+            if event.cancelled:
+                self._cancelled -= 1
+                continue
+            event.loop = None  # fired: a late cancel is a no-op
+            self.now = when
+            self.current = entry
+            self.events_processed += 1
+            event.fn()
+            processed += 1
+            if processed >= bound:
+                raise GPUSimError(
+                    f"exceeded {max_events} events"
+                    + (f" before reaching t={limit}"
+                       if limit is not None else ""))
+        return processed
 
     def advance_to(self, time: float, *, inclusive: bool = False,
                    max_events: int | None = None) -> int:

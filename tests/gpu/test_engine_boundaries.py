@@ -100,7 +100,7 @@ def test_compaction_preserves_pending_boundary_events():
 def test_compaction_in_heap_mode_keeps_order():
     loop = EventLoop()
     ran = []
-    # out-of-order pushes force heap mode
+    # out-of-order pushes: every one sifts to the root
     events = [loop.schedule_at(10.0 - i * 0.01, lambda i=i: ran.append(i))
               for i in range(3 * loop.COMPACT_THRESHOLD)]
     for event in events[::2]:
@@ -112,18 +112,14 @@ def test_compaction_in_heap_mode_keeps_order():
     assert loop.events_processed == len(expected)
 
 
-def test_peek_time_skips_cancelled_heads_in_both_modes():
-    sorted_loop = EventLoop()
-    a = sorted_loop.schedule_at(1.0, lambda: None)
-    sorted_loop.schedule_at(2.0, lambda: None)
-    a.cancel()
-    assert sorted_loop.peek_time() == 2.0
-
-    heap_loop = EventLoop()
-    heap_loop.schedule_at(3.0, lambda: None)
-    b = heap_loop.schedule_at(1.0, lambda: None)  # out of order
-    b.cancel()
-    assert heap_loop.peek_time() == 3.0
+@pytest.mark.parametrize("times", [(1.0, 2.0), (2.0, 1.0)],
+                         ids=["in-order", "out-of-order"])
+def test_peek_time_skips_cancelled_heads(times):
+    loop = EventLoop()
+    events = {t: loop.schedule_at(t, lambda: None) for t in times}
+    events[1.0].cancel()
+    assert loop.peek_time() == 2.0
+    assert loop.pending == 1
 
 
 def test_boundary_grant_then_same_time_schedule():
@@ -172,7 +168,7 @@ def test_infinite_time_stays_legal():
 
 def test_schedule_as_orders_by_birth_then_sequence():
     # an event re-created under an earlier key runs before same-time
-    # events scheduled after that key, in both storage modes
+    # events scheduled after that key, on a fresh and on a used loop
     for warm in (False, True):
         loop = EventLoop()
         ran = []
@@ -232,23 +228,23 @@ def test_window_is_the_earlier_of_next_event_and_limit():
     assert seen == [(5.0, False), (8.0, True), (10.0, False)]
 
 
-@pytest.mark.parametrize("heap_mode", [False, True])
-def test_window_skips_cancelled_heads_in_both_modes(heap_mode):
+@pytest.mark.parametrize("reverse", [False, True],
+                         ids=["in-order", "out-of-order"])
+def test_window_skips_cancelled_heads(reverse):
     loop = EventLoop()
     seen = []
     loop.schedule_at(1.0, lambda: seen.append(
-        (loop.quiet_until(), loop._sorted, loop.pending)))
-    count = 2 * loop.SORTED_DRAIN_MIN
+        (loop.quiet_until(), loop.pending)))
+    count = 128
     times = [2.0 + i for i in range(count)]
-    if heap_mode:
-        times.reverse()  # out-of-order pushes force heap mode
+    if reverse:
+        times.reverse()
     events = {t: loop.schedule_at(t, lambda: None) for t in times}
     for t in (2.0, 3.0, 4.0):
         events[t].cancel()
-    assert loop._sorted is not heap_mode
     loop.run_until(count + 2.0)
-    # the query skipped the dead heads and kept the storage mode
-    assert seen == [((5.0, False), not heap_mode, count - 3)]
+    # the query skipped the dead heads
+    assert seen == [((5.0, False), count - 3)]
     assert loop.events_processed == 1 + count - 3
 
 

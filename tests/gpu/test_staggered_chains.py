@@ -207,3 +207,30 @@ def test_waiting_higher_priority_launch_blocks_chaining():
     with pytest.MonkeyPatch.context() as mp:
         _per_wave(mp)
         assert chained == outcome()
+
+
+def test_pending_counts_live_events_after_a_chain_breaks():
+    """The event that breaks a staggered chain dissolves that chain
+    while it runs; the loop must not count the running event as a
+    cancelled one still queued, or ``pending`` under-reports."""
+    engine = EventLoop()
+    device = GPUDevice(SPEC, engine)
+    seen = []
+    done = device._staggered_done
+
+    def record(chain):
+        done(chain)
+        live = sum(1 for entry in engine._heap if not entry[3].cancelled)
+        seen.append((engine.pending, live))
+
+    device._staggered_done = record
+    clients = [(2000, 256, 2e-5, 0.0), (3000, 512, 3e-5, 0.0),
+               (1500, 128, 1.7e-5, 1e-5)]
+    for i, (blocks, tpb, duration, at) in enumerate(clients):
+        launch = DeviceLaunch(
+            KernelDescriptor(f"k{i}", num_blocks=blocks,
+                             threads_per_block=tpb, block_duration=duration),
+            client_id=f"c{i}")
+        engine.schedule_at(at, lambda l=launch: device.submit(l))
+    engine.run()
+    assert seen and all(pending == live for pending, live in seen)
