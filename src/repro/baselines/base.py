@@ -11,8 +11,10 @@ Clients model DL processes: they submit their next kernel from the
 completion callback of the previous one (plus any host-side gap), which
 mirrors stream-ordered execution.  A policy may also let a client run
 ahead — settle its next kernels inline, without events, while the
-event loop proves nothing else can run (:meth:`SharingPolicy.run_ahead`);
-only the passthrough policies do.
+event loop proves nothing else can run (:meth:`SharingPolicy.run_ahead`).
+The passthrough policies do on an idle device; Tally does for its
+high-priority clients, whose kernels run alone while best-effort work
+is held.
 """
 
 from __future__ import annotations
@@ -94,6 +96,12 @@ class SharingPolicy(abc.ABC):
 
         self._submit(info, descriptor, counted_done)
 
+    #: whether a run-ahead stretch may settle a host gap between two of
+    #: the client's kernels inline; a policy that acts when the client's
+    #: kernel stream pauses (Tally resumes best-effort work) must stop
+    #: the stretch at the gap instead
+    run_ahead_crosses_gaps = True
+
     def run_ahead(self, client_id: str) -> tuple[float, bool] | None:
         """The window (see :meth:`~repro.gpu.engine.EventLoop.quiet_until`)
         in which ``client_id``'s next kernels may settle inline through
@@ -101,6 +109,9 @@ class SharingPolicy(abc.ABC):
 
         Declines by default: a policy that queues, reorders, preempts or
         transforms kernels makes decisions the inline path would skip.
+        A policy grants only where each kernel would run as an ORIGINAL
+        launch alone on the idle device
+        (:meth:`~repro.gpu.device.GPUDevice.solo_window`).
         """
         return None
 
@@ -109,8 +120,24 @@ class SharingPolicy(abc.ABC):
         """Submit ``descriptor`` for ``client_id`` at ``start`` and settle
         it inline; return its completion time, or None (nothing
         happened) if it would not complete inside ``window``.  Only
-        called with a window from :meth:`run_ahead`."""
-        raise SchedulerError(f"{self.name} does not run kernels inline")
+        called with a window from :meth:`run_ahead`: the device runs the
+        kernel as :meth:`~repro.gpu.device.GPUDevice.run_solo` models
+        it, and the client's counters move as :meth:`submit` moves
+        them."""
+        end = self.device.run_solo(descriptor, start, window)
+        if end is not None:
+            info = self.clients[client_id]
+            info.kernels_submitted += 1
+            info.kernels_completed += 1
+        return end
+
+    def run_ahead_resume(self, client_id: str,
+                         resume: Callable[[], None]) -> Callable[[], None]:
+        """The callback of the event that ends ``client_id``'s run-ahead
+        stretch, given the driver's ``resume``: the event path would run
+        the policy's completion handling of the stretch's last kernel
+        around the driver's reaction to it.  The default has none."""
+        return resume
 
     def disconnect(self, client_id: str) -> None:
         """Forget a crashed client and cancel its in-flight work.
@@ -175,15 +202,6 @@ class PassthroughPolicy(SharingPolicy):
         on the device runs exactly as :meth:`_submit` would run it (a
         subclass that changes :meth:`_submit` must decline)."""
         return self.device.solo_window()
-
-    def run_inline(self, client_id: str, descriptor: KernelDescriptor,
-                   start: float, window: tuple[float, bool]) -> float | None:
-        end = self.device.run_solo(descriptor, start, window)
-        if end is not None:
-            info = self.clients[client_id]
-            info.kernels_submitted += 1
-            info.kernels_completed += 1
-        return end
 
     def _submit(self, info: ClientInfo, descriptor: KernelDescriptor,
                 on_done: Callable[[], None]) -> None:

@@ -16,6 +16,14 @@ The scheduling policy is opportunistic and strictly priority-enforced:
 With ``use_transformations=False`` best-effort kernels launch whole and
 unpreemptible, reproducing the paper's "scheduling w/o transformation"
 ablation (Fig. 6b).
+
+A high-priority client runs ahead (:meth:`Tally.run_ahead`) while the
+device is idle: its kernels then run alone and every best-effort
+execution is held, so the driver settles them inline and the scheduler
+only counts them.  The stretch holds best-effort work from its first
+kernel to its resume event, which finishes the last kernel as
+:meth:`Tally._high_priority_done` would (see ``docs/performance.md``,
+"Tally's high-priority stream").
 """
 
 from __future__ import annotations
@@ -96,6 +104,9 @@ class Tally(SharingPolicy):
         self.stats = TallyStats()
         self._hp_outstanding = 0
         self._executions: dict[str, _BEExecution] = {}  # client -> active exec
+        #: high-priority clients in a run-ahead stretch; each holds one
+        #: count in ``_hp_outstanding`` until its resume event
+        self._stretches: set[str] = set()
 
     # ------------------------------------------------------------------
     # Submission entry point
@@ -163,6 +174,50 @@ class Tally(SharingPolicy):
         execution.tasks_remaining = descriptor.num_blocks
         self._executions[info.client_id] = execution
         self._advance(info.client_id, execution)
+
+    # ------------------------------------------------------------------
+    # High-priority run-ahead
+    # ------------------------------------------------------------------
+    #: a stretch stops before a host gap: at the gap's start the event
+    #: path resumes held best-effort work
+    run_ahead_crosses_gaps = False
+
+    def run_ahead(self, client_id: str) -> tuple[float, bool] | None:
+        """Run a high-priority client ahead on an idle device (see
+        :meth:`~repro.gpu.device.GPUDevice.solo_window`).  Idle means no
+        best-effort launch is resident or in its submission delay, so
+        :meth:`_preempt_best_effort` has nothing to stop and each kernel
+        runs alone, as :meth:`_launch_high_priority` would run it."""
+        info = self.clients.get(client_id)
+        if info is None or info.priority is not Priority.HIGH:
+            return None
+        return self.device.solo_window()
+
+    def run_inline(self, client_id: str, descriptor: KernelDescriptor,
+                   start: float, window: tuple[float, bool]) -> float | None:
+        end = super().run_inline(client_id, descriptor, start, window)
+        if end is not None:
+            self.stats.hp_kernels += 1
+            if client_id not in self._stretches:
+                # the event path keeps a count outstanding from the
+                # first kernel's submission to the last one's completion
+                self._stretches.add(client_id)
+                self._hp_outstanding += 1
+        return end
+
+    def run_ahead_resume(self, client_id: str,
+                         resume: Callable[[], None]) -> Callable[[], None]:
+        def finish() -> None:
+            # _high_priority_done's tail; nothing is owed for a stretch
+            # that _on_disconnect already ended
+            owed = client_id in self._stretches
+            if owed:
+                self._stretches.discard(client_id)
+                self._hp_outstanding -= 1
+            resume()
+            if owed and self._hp_outstanding == 0:
+                self._resume_best_effort()
+        return finish
 
     # ------------------------------------------------------------------
     # Priority enforcement
@@ -479,6 +534,12 @@ class Tally(SharingPolicy):
         """
         execution = self._executions.pop(info.client_id, None)
         cancelled = 0
+        stretched = info.client_id in self._stretches
+        if stretched:
+            # the stretch's resume event may never come (a checkpoint
+            # cancels it), so it no longer owes its count
+            self._stretches.discard(info.client_id)
+            self._hp_outstanding -= 1
         launch = execution.launch if execution is not None else None
         if launch is not None and not launch.done:
             # nobody is left to take the completion; sever it before the
@@ -493,7 +554,7 @@ class Tally(SharingPolicy):
             if info.priority is Priority.HIGH and self._hp_outstanding > 0:
                 # its completion chain is severed, so account for it now
                 self._hp_outstanding -= 1
-        if (info.priority is Priority.HIGH and cancelled
+        if (info.priority is Priority.HIGH and (cancelled or stretched)
                 and self._hp_outstanding == 0):
             self._resume_best_effort()
         return cancelled

@@ -32,8 +32,9 @@ Two launch kinds are modelled:
 Slicing is realized above the device as a chain of ORIGINAL launches
 over block sub-ranges (see :mod:`repro.core.scheduler`).
 
-An idle, uninstrumented device can also run a passthrough policy's
-kernels *inline* (:meth:`GPUDevice.run_solo`): when the event loop
+An idle, uninstrumented device can also run kernels that would start
+alone on it (a passthrough policy's, a Tally high-priority client's)
+*inline* (:meth:`GPUDevice.run_solo`): when the event loop
 proves that nothing else runs before a kernel ends, its completion
 time and busy time follow from the same wave arithmetic
 (:meth:`GPUDevice._wave_plan`) without any event at all.
@@ -481,15 +482,20 @@ class GPUDevice:
         return tuple(self._resident)
 
     def utilization(self) -> float:
-        """Mean fraction of thread capacity busy since t=0."""
+        """Mean fraction of thread capacity busy since t=0.
+
+        A pure read: it adds the busy time since the last change without
+        folding it into the running sum, so reading it (the invariant
+        checker does after every event) cannot move a later reading."""
         if self._fold is not None:
             self._catch_up()
-        self._account()
-        if self.engine.now <= 0:
+        now = self.engine.now
+        if now <= 0:
             return 0.0
-        return self._busy_thread_seconds / (
-            self.engine.now * self._total_threads
-        )
+        busy = self._total_threads - self._threads_free
+        return (self._busy_thread_seconds
+                + busy * (now - self._last_change)) / (
+            now * self._total_threads)
 
     # ------------------------------------------------------------------
     # Internals
@@ -713,8 +719,8 @@ class GPUDevice:
 
     def run_solo(self, descriptor: KernelDescriptor, start: float,
                  window: tuple[float, bool]) -> float | None:
-        """Run a passthrough ORIGINAL launch of ``descriptor``, submitted
-        at ``start`` to this idle device, inline: return the time its
+        """Run an ORIGINAL launch of ``descriptor``, submitted at
+        ``start`` to this idle device, inline: return the time its
         completion would fire, or None (and change nothing) if that
         lies outside ``window`` (from :meth:`solo_window`).
 

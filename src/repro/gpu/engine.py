@@ -23,8 +23,8 @@ Hot-path design (see ``docs/performance.md``):
 * **run-ahead support**: :meth:`EventLoop._drain` records its limit on
   entry, and :meth:`EventLoop.quiet_until` tells a callback how far
   simulated time may advance before anything else could run — the
-  window in which a passthrough policy settles an idle device's kernel
-  stream inline (see ``docs/performance.md``, "Solo run-ahead").
+  window in which a policy settles an idle device's kernel stream
+  inline (see ``docs/performance.md``, "Solo run-ahead").
   :meth:`EventLoop.credit` counts the events such a stretch stands for,
   so ``events_processed`` never depends on the drain horizons.  Nothing
   is added per event.

@@ -12,6 +12,7 @@ configuration — they are the normalization baselines for every figure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Literal
 
@@ -138,8 +139,11 @@ class RunConfig:
     memory_capacity_bytes: int | None = None  # None = A100 40 GiB
 
     def __post_init__(self) -> None:
-        if self.duration <= self.warmup:
-            raise HarnessError("duration must exceed warmup")
+        # one chained comparison, False for NaN anywhere in it
+        if not 0.0 <= self.warmup < self.duration < math.inf:
+            raise HarnessError(
+                "need 0 <= warmup < duration < inf, got "
+                f"warmup={self.warmup!r}, duration={self.duration!r}")
 
     @property
     def window(self) -> tuple[float, float]:

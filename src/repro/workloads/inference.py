@@ -7,7 +7,8 @@ sharing policy.  Request latency (completion minus arrival, i.e.
 including queueing) is the quantity whose 99th percentile the paper
 reports.  Under a passthrough policy on an otherwise idle device, the
 rest of a request's kernels and gaps run ahead inline
-(:mod:`repro.workloads.runahead`), up to the request's end.
+(:mod:`repro.workloads.runahead`), up to the request's end; under
+Tally a high-priority service's kernels do, up to its next host gap.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 Both kernel-trace drivers (:class:`~repro.workloads.TrainingJob`,
 :class:`~repro.workloads.InferenceJob`) walk their ops through
 :func:`run_ahead` before they submit the next kernel.  When the policy
-grants a window (only a passthrough policy on an idle, uninstrumented
-device does; see :meth:`~repro.baselines.base.SharingPolicy.run_ahead`),
-each following kernel or host gap that ends inside it runs inline, and
-one resume event at the stretch's end hands control back to the
+grants a window (a passthrough policy, or Tally for a high-priority
+client, on an idle, uninstrumented device; see
+:meth:`~repro.baselines.base.SharingPolicy.run_ahead`), each following
+kernel — and host gap, unless the policy acts at one
+(``run_ahead_crosses_gaps``) — that ends inside it runs inline, and one
+resume event at the stretch's end hands control back to the
 driver.  Inside the window nothing else runs and the drain does not
 return, so nothing can observe the driver, the policy or the device
 between the stretch and its end (see ``docs/performance.md``, "Solo
@@ -28,7 +30,8 @@ def run_ahead(job, completions: list[float] | None) -> int | None:
 
     ``job`` is a trace driver: it has ``policy``, ``client_id``,
     ``engine``, ``trace``, ``_op_index``, and ``_gap_event`` and
-    ``_advance`` for its host-gap timer, which the resume event reuses.
+    ``_advance`` for its host-gap timer, which the resume event reuses
+    (wrapped by the policy's ``run_ahead_resume``).
     ``completions`` receives the end time of every pass over the trace
     the stretch completes (a trainer's iterations); with None the
     stretch stops at the end of the trace (an inference request, which
@@ -45,6 +48,7 @@ def run_ahead(job, completions: list[float] | None) -> int | None:
         return None
     bound, inclusive = window
     run_inline = policy.run_inline
+    crosses_gaps = policy.run_ahead_crosses_gaps
     engine = job.engine
     ops = job.trace.ops
     last = len(ops)
@@ -60,7 +64,8 @@ def run_ahead(job, completions: list[float] | None) -> int | None:
         op = ops[index]
         if op.kind == "gap":
             end = now + op.gap
-            if end > bound or (end == bound and not inclusive):
+            if (not crosses_gaps or end > bound
+                    or (end == bound and not inclusive)):
                 break
             gaps += 1
         else:
@@ -74,5 +79,6 @@ def run_ahead(job, completions: list[float] | None) -> int | None:
         return None
     job._op_index = index
     engine.credit(2 * kernels + gaps - 1)
-    job._gap_event = engine.schedule_at(now, job._advance)
+    job._gap_event = engine.schedule_at(
+        now, policy.run_ahead_resume(client_id, job._advance))
     return kernels

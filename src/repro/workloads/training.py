@@ -7,7 +7,8 @@ driver records per-iteration completion times, from which the harness
 computes throughput over any measurement window.  Under a passthrough
 policy on an otherwise idle device, stretches of kernels and gaps —
 across iteration boundaries too — run ahead inline
-(:mod:`repro.workloads.runahead`).
+(:mod:`repro.workloads.runahead`); under Tally a high-priority
+trainer's kernels do, up to its next host gap.
 """
 
 from __future__ import annotations

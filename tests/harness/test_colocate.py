@@ -33,6 +33,24 @@ class TestMakePolicy:
             make_policy("Orion", device, engine)
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("duration, warmup", [
+        (1.0, -1.0),                  # would widen the rate window
+        (1.0, float("nan")),
+        (float("nan"), 0.5),          # used to fail late, in the engine
+        (float("inf"), 0.5),          # a trainer would never finish
+        (float("-inf"), -float("inf")),
+        (1.0, 1.0),
+        (0.5, 1.0),
+    ])
+    def test_rejects_invalid_windows(self, duration, warmup):
+        with pytest.raises(HarnessError, match="0 <= warmup < duration"):
+            RunConfig(duration=duration, warmup=warmup)
+
+    def test_accepts_a_window_from_zero(self):
+        assert RunConfig(duration=1.0, warmup=0.0).window == (0.0, 1.0)
+
+
 class TestJobSpec:
     def test_role_default_priorities(self):
         assert JobSpec.inference("bert_infer").effective_priority \

@@ -2,15 +2,18 @@
 
 A passthrough policy settles an idle device's kernel stream inline
 while the event loop proves nothing else can run before each kernel
-ends (see ``docs/performance.md``, "Solo run-ahead").  These tests run
-the same inputs twice — once as they are, once with
-``PassthroughPolicy.run_ahead`` patched to decline — and demand
-identical results (``==`` on reprs, not ``approx``): driver records,
-iteration completions and kernel counts, the policy's ``ClientInfo``
-counters, the device's completed launches and utilization, and the
-event count.  Observations are taken between drains and from events
-placed exactly on the event path's own timestamps, so a stretch that
-runs one kernel too far, or ends one ulp off, shows.
+ends, and so does Tally for a high-priority client while best-effort
+work is held (see ``docs/performance.md``, "Solo run-ahead").  These
+tests run the same inputs twice — once as they are, once with
+``PassthroughPolicy.run_ahead`` and ``Tally.run_ahead`` patched to
+decline — and demand identical results (``==`` on reprs, not
+``approx``): driver records, iteration completions and kernel counts,
+the policy's ``ClientInfo`` counters (and Tally's ``TallyStats`` and
+high-priority state), the device's completed launches and
+utilization, and the event count.  Observations are taken between
+drains and from events placed exactly on the event path's own
+timestamps, so a stretch that runs one kernel too far, or ends one ulp
+off, shows.
 """
 
 import math
@@ -29,6 +32,7 @@ from repro.baselines import (
     Priority,
     SharingPolicy,
 )
+from repro.core import Tally, TallyConfig
 from repro.faults import schedule_client_crash
 from repro.gpu import A100_SXM4_40GB, EventLoop, GPUDevice, KernelDescriptor
 from repro.gpu.engine import credited_total
@@ -40,6 +44,21 @@ from repro.workloads.models import Trace, TraceOp
 SPEC = A100_SXM4_40GB
 HORIZON = 2e-3
 POLICIES = {"Ideal": Ideal, "MPS": MPS, "MPS-Priority": MPSPriority}
+#: Tally configurations steering best-effort kernels to each launch
+#: kind: PTB or sliced candidates only (kernels too small to subdivide
+#: still launch whole), whole launches, and the preemption watchdog
+TALLY_CONFIGS = {
+    "Tally": TallyConfig(),
+    "Tally/ptb": TallyConfig(slice_fractions=(), worker_sm_multiples=(1, 2)),
+    "Tally/sliced": TallyConfig(worker_sm_multiples=(),
+                                slice_fractions=(0.1, 0.5)),
+    "Tally/original": TallyConfig(use_transformations=False),
+    "Tally/watchdog": TallyConfig(preempt_deadline=3e-6),
+}
+POLICIES.update({
+    name: (lambda device, engine, config=config:
+           Tally(device, engine, config))
+    for name, config in TALLY_CONFIGS.items()})
 
 _settings = settings(
     max_examples=100,
@@ -49,9 +68,10 @@ _settings = settings(
 
 
 def _no_run_ahead(monkeypatch_context):
-    """Keep passthrough policies on the event path."""
-    monkeypatch_context.setattr(PassthroughPolicy, "run_ahead",
-                                SharingPolicy.run_ahead)
+    """Keep passthrough policies and Tally on the event path."""
+    for cls in (PassthroughPolicy, Tally):
+        monkeypatch_context.setattr(cls, "run_ahead",
+                                    SharingPolicy.run_ahead)
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +155,19 @@ ACTIONS = ["advance", "advance_inclusive", "run_until", "step", "speed",
 
 
 @st.composite
-def scenarios(draw):
-    policy_name = draw(st.sampled_from(sorted(POLICIES)))
-    count = 1 if policy_name == "Ideal" else draw(st.integers(1, 2))
-    specs = draw(st.lists(clients(), min_size=count, max_size=count))
+def scenarios(draw, names=("Ideal", "MPS", "MPS-Priority")):
+    policy_name = draw(st.sampled_from(names))
+    if policy_name == "Ideal":
+        specs = [draw(clients())]
+    elif policy_name.startswith("Tally"):
+        # a high-priority client first, then up to two more of either
+        # class: HP inference or trainers (with host gaps) next to
+        # best-effort work, or two HP clients
+        role, trace, arrivals, _priority = draw(clients())
+        specs = [(role, trace, arrivals, Priority.HIGH)]
+        specs += draw(st.lists(clients(), max_size=2))
+    else:
+        specs = draw(st.lists(clients(), min_size=1, max_size=2))
     times = _event_times(policy_name, specs)
     # mostly exact event-path timestamps, else one ulp either side of
     # one, or anywhere
@@ -178,7 +207,11 @@ def _simulate(policy_name, specs, steps, observers):
                                driver.pending_requests))
         looks.append((engine.now, engine.events_processed,
                       device.launches_completed, repr(device.utilization()),
-                      repr(policy.clients), states))
+                      repr(policy.clients), states,
+                      repr(getattr(policy, "stats", None)),
+                      getattr(policy, "high_priority_active", None),
+                      # no stretch is ever left for anything to see
+                      sorted(getattr(policy, "_stretches", ()))))
 
     for when in observers:
         engine.schedule_at(when, look)
@@ -229,14 +262,24 @@ def _simulate(policy_name, specs, steps, observers):
     return looks, final, repr(device.utilization()), engine.events_processed
 
 
-@_settings
-@given(scenarios())
-def test_run_ahead_is_unobservable(scenario):
+def _differential(scenario):
     ahead = _simulate(*scenario)
     with pytest.MonkeyPatch.context() as mp:
         _no_run_ahead(mp)
         events = _simulate(*scenario)
     assert ahead == events
+
+
+@_settings
+@given(scenarios())
+def test_run_ahead_is_unobservable(scenario):
+    _differential(scenario)
+
+
+@_settings
+@given(scenarios(names=sorted(TALLY_CONFIGS)))
+def test_tally_high_priority_run_ahead_is_unobservable(scenario):
+    _differential(scenario)
 
 
 RUN_JOBS = [
@@ -249,7 +292,7 @@ RUN_JOBS = [
 
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(sorted(POLICIES)),
+@given(st.sampled_from(["Ideal", "MPS", "MPS-Priority", "Tally"]),
        st.lists(st.sampled_from(range(len(RUN_JOBS))), min_size=1,
                 max_size=2, unique=True),
        st.integers(min_value=0, max_value=50),
@@ -290,3 +333,68 @@ def test_standalone_trainer_collapses_into_few_events():
     assert executed <= 5
     assert engine.events_credited > 2 * job.kernels_completed
     assert engine.events_processed == executed + engine.events_credited
+
+
+def _tally_hp_next_to_idle_trainer():
+    """An HP inference request arriving at 1e-4 while a best-effort
+    trainer sits in a long host gap: the device is idle, so the request
+    runs ahead up to the trainer's next kernel."""
+    engine = EventLoop()
+    device = GPUDevice(SPEC, engine)
+    policy = Tally(device, engine)
+    kernel = KernelDescriptor("k", num_blocks=64, threads_per_block=256,
+                              block_duration=2e-6)
+    request = Trace("r", (TraceOp("kernel", kernel=kernel),) * 3, 0.0, 0.0)
+    service = InferenceJob(request, TrafficTrace(np.array([1e-4]), 1e-3),
+                           policy, "hp")
+    step = Trace("s", (TraceOp("kernel", kernel=kernel),
+                       TraceOp("gap", gap=1e-3)), 0.0, 0.0)
+    trainer = TrainingJob(step, policy, "be", priority=Priority.BEST_EFFORT)
+    return engine, policy, service, trainer
+
+
+def test_a_tally_stretch_never_outlives_its_drain():
+    """Why a checkpoint cannot cancel a pending resume event: a stretch
+    ends inside the window, so its resume event is the next event and
+    runs before the drain can return.  Drains ending anywhere in or
+    after the request, exclusive or inclusive, leave no stretch behind,
+    and one long enough lets the whole request run ahead."""
+    ends = [1e-4 + k * 5e-7 for k in range(60)]
+    ends += [math.nextafter(t, math.inf) for t in ends]
+    for end in ends:
+        for inclusive in (False, True):
+            engine, policy, service, trainer = \
+                _tally_hp_next_to_idle_trainer()
+            service.start()
+            trainer.start()
+            engine.advance_to(end, inclusive=inclusive)
+            assert not policy._stretches
+            assert policy.high_priority_active == (
+                not service.records and service.arrivals_total > 0)
+    assert engine.events_credited > 0
+    assert service.records
+
+
+def test_disconnect_releases_a_stretch_whose_resume_event_was_cancelled():
+    """A driver checkpointed in the same event as its stretch (which
+    no caller does: run-ahead is an event's last action) cancels the
+    resume event; the disconnect that follows must release the held
+    best-effort work instead of holding it forever."""
+    engine, policy, service, trainer = _tally_hp_next_to_idle_trainer()
+    arrive = service._on_arrival
+
+    def arrive_then_migrate():
+        arrive()
+        assert policy.high_priority_active  # the stretch holds BE work
+        service.checkpoint()
+        policy.disconnect("hp")
+
+    service._on_arrival = arrive_then_migrate
+    service.start()
+    trainer.start()
+    engine.advance_to(2e-4)
+    assert engine.events_credited > 0  # the stretch did run
+    assert not policy._stretches and not policy.high_priority_active
+    before = trainer.kernels_completed
+    engine.run_until(3e-3)
+    assert trainer.kernels_completed > before
