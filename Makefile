@@ -1,10 +1,14 @@
-.PHONY: install test bench bench-full examples clean
+.PHONY: install test test-fast bench bench-full examples clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
 test:
 	pytest tests/
+
+# edit-loop tier: every test not marked slow (under a minute on 2 vCPUs)
+test-fast:
+	pytest tests/ -m "not slow"
 
 bench:
 	pytest benchmarks/ --benchmark-only

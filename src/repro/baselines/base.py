@@ -14,7 +14,8 @@ ahead — settle its next kernels inline, without events, while the
 event loop proves nothing else can run (:meth:`SharingPolicy.run_ahead`).
 The passthrough policies do on an idle device; Tally does for its
 high-priority clients, whose kernels run alone while best-effort work
-is held.
+is held, and for a best-effort client while no high-priority kernel is
+outstanding and no other best-effort kernel is in flight.
 """
 
 from __future__ import annotations
@@ -96,12 +97,6 @@ class SharingPolicy(abc.ABC):
 
         self._submit(info, descriptor, counted_done)
 
-    #: whether a run-ahead stretch may settle a host gap between two of
-    #: the client's kernels inline; a policy that acts when the client's
-    #: kernel stream pauses (Tally resumes best-effort work) must stop
-    #: the stretch at the gap instead
-    run_ahead_crosses_gaps = True
-
     def run_ahead(self, client_id: str) -> tuple[float, bool] | None:
         """The window (see :meth:`~repro.gpu.engine.EventLoop.quiet_until`)
         in which ``client_id``'s next kernels may settle inline through
@@ -109,11 +104,18 @@ class SharingPolicy(abc.ABC):
 
         Declines by default: a policy that queues, reorders, preempts or
         transforms kernels makes decisions the inline path would skip.
-        A policy grants only where each kernel would run as an ORIGINAL
-        launch alone on the idle device
-        (:meth:`~repro.gpu.device.GPUDevice.solo_window`).
+        A policy grants only where each kernel would run alone on the
+        idle device (:meth:`~repro.gpu.device.GPUDevice.solo_window`).
         """
         return None
+
+    def run_ahead_crosses_gaps(self, client_id: str) -> bool:
+        """Whether a run-ahead stretch of ``client_id`` may settle a
+        host gap between two of its kernels inline.  A policy that acts
+        when the client's kernel stream pauses (Tally resumes
+        best-effort work when a high-priority client's does) must stop
+        the stretch at the gap instead."""
+        return True
 
     def run_inline(self, client_id: str, descriptor: KernelDescriptor,
                    start: float, window: tuple[float, bool]) -> float | None:
@@ -121,15 +123,21 @@ class SharingPolicy(abc.ABC):
         it inline; return its completion time, or None (nothing
         happened) if it would not complete inside ``window``.  Only
         called with a window from :meth:`run_ahead`: the device runs the
-        kernel as :meth:`~repro.gpu.device.GPUDevice.run_solo` models
-        it, and the client's counters move as :meth:`submit` moves
-        them."""
-        end = self.device.run_solo(descriptor, start, window)
+        kernel as :meth:`_run_inline` runs it, and the client's
+        counters move as :meth:`submit` moves them."""
+        end = self._run_inline(client_id, descriptor, start, window)
         if end is not None:
             info = self.clients[client_id]
             info.kernels_submitted += 1
             info.kernels_completed += 1
         return end
+
+    def _run_inline(self, client_id: str, descriptor: KernelDescriptor,
+                    start: float, window: tuple[float, bool]) -> float | None:
+        """The device side of :meth:`run_inline`: by default one
+        ORIGINAL launch alone on the device
+        (:meth:`~repro.gpu.device.GPUDevice.run_solo`)."""
+        return self.device.run_solo(descriptor, start, window)
 
     def run_ahead_resume(self, client_id: str,
                          resume: Callable[[], None]) -> Callable[[], None]:

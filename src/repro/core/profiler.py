@@ -167,13 +167,23 @@ class TransparentProfiler:
 
     # ------------------------------------------------------------------
     def choose(self, descriptor: KernelDescriptor) -> tuple[SchedConfig, bool]:
-        """Pick the launch configuration for one best-effort execution.
+        """Pick the launch configuration for one best-effort execution
+        and count the pick (:meth:`pick`, then :meth:`count`).
 
         Returns ``(config, is_profiling_run)``.  While unmeasured
         candidates remain, each execution profiles the next one; after
         that, the best measured configuration is used (paper Fig. 3,
         ``launch_and_profile``).
         """
+        config, profiling = self.pick(descriptor)
+        self.count(profiling)
+        return config, profiling
+
+    def pick(self, descriptor: KernelDescriptor) -> tuple[SchedConfig, bool]:
+        """What :meth:`choose` returns, without counting it: neither
+        ``profiling_runs`` nor ``decisions`` moves.  It may create or
+        prewarm the descriptor's record, as the first :meth:`choose`
+        for it would."""
         profile = self._profiles.get(descriptor)
         if profile is None:
             profile = self._profile(descriptor)
@@ -181,13 +191,19 @@ class TransparentProfiler:
             if self.config.prewarm_profiles:
                 self._prewarm(descriptor, profile)
             else:
-                self.profiling_runs += 1
                 for candidate, m in zip(profile.candidates,
                                         profile.measured):
                     if m is None:
                         return candidate, True
-        self.decisions += 1
         return self._select(profile), False
+
+    def count(self, profiling: bool) -> None:
+        """Count one pick of :meth:`pick` as a profiling run or a
+        decision."""
+        if profiling:
+            self.profiling_runs += 1
+        else:
+            self.decisions += 1
 
     def best_known(self, descriptor: KernelDescriptor) -> SchedConfig:
         """The configuration :meth:`choose` would settle on (no profiling)."""

@@ -23,7 +23,13 @@ execution is held, so the driver settles them inline and the scheduler
 only counts them.  The stretch holds best-effort work from its first
 kernel to its resume event, which finishes the last kernel as
 :meth:`Tally._high_priority_done` would (see ``docs/performance.md``,
-"Tally's high-priority stream").
+"Tally's high-priority stream").  A best-effort client runs ahead while
+no high-priority kernel is outstanding and no other best-effort kernel
+is in flight: each kernel's whole execution — its chain of slices, its
+PTB launch or its whole launch — then runs alone and undisturbed, so it
+settles inline under the configuration the profiler picks and is
+measured and counted as :meth:`Tally._slice_done`, :meth:`Tally._ptb_done`
+and :meth:`Tally._original_done` do ("Tally's best-effort stream").
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ class _BEExecution:
     """One best-effort kernel making its way through the scheduler."""
 
     descriptor: KernelDescriptor
-    on_done: Callable[[], None]
+    on_done: Callable[[], None] | None  # None: settled inline
     config: SchedConfig | None = None
     profiling: bool = False
     launch: DeviceLaunch | None = None  # in-flight device launch
@@ -176,26 +182,40 @@ class Tally(SharingPolicy):
         self._advance(info.client_id, execution)
 
     # ------------------------------------------------------------------
-    # High-priority run-ahead
+    # Run-ahead
     # ------------------------------------------------------------------
-    #: a stretch stops before a host gap: at the gap's start the event
-    #: path resumes held best-effort work
-    run_ahead_crosses_gaps = False
-
     def run_ahead(self, client_id: str) -> tuple[float, bool] | None:
-        """Run a high-priority client ahead on an idle device (see
-        :meth:`~repro.gpu.device.GPUDevice.solo_window`).  Idle means no
-        best-effort launch is resident or in its submission delay, so
-        :meth:`_preempt_best_effort` has nothing to stop and each kernel
-        runs alone, as :meth:`_launch_high_priority` would run it."""
+        """Run a client ahead on an idle device (see
+        :meth:`~repro.gpu.device.GPUDevice.solo_window`).
+
+        Idle means no best-effort launch is resident or in its
+        submission delay, so a high-priority kernel finds nothing for
+        :meth:`_preempt_best_effort` to stop and runs alone, as
+        :meth:`_launch_high_priority` would run it.  A best-effort
+        client is granted only while no high-priority kernel is
+        outstanding (a stretch holds its count) and no best-effort
+        execution exists: its execution then starts at once in
+        :meth:`_advance`, and the window ensures no arrival preempts or
+        joins it before it ends."""
         info = self.clients.get(client_id)
-        if info is None or info.priority is not Priority.HIGH:
+        if info is None:
+            return None
+        if info.priority is not Priority.HIGH and (self._hp_outstanding
+                                                   or self._executions):
             return None
         return self.device.solo_window()
 
-    def run_inline(self, client_id: str, descriptor: KernelDescriptor,
-                   start: float, window: tuple[float, bool]) -> float | None:
-        end = super().run_inline(client_id, descriptor, start, window)
+    def run_ahead_crosses_gaps(self, client_id: str) -> bool:
+        """A high-priority stretch stops before a host gap: at the gap's
+        start the event path resumes held best-effort work.  Nothing
+        happens when a best-effort client's stream pauses."""
+        return self.clients[client_id].priority is not Priority.HIGH
+
+    def _run_inline(self, client_id: str, descriptor: KernelDescriptor,
+                    start: float, window: tuple[float, bool]) -> float | None:
+        if self.clients[client_id].priority is not Priority.HIGH:
+            return self._run_best_effort_inline(descriptor, start, window)
+        end = self.device.run_solo(descriptor, start, window)
         if end is not None:
             self.stats.hp_kernels += 1
             if client_id not in self._stretches:
@@ -203,6 +223,59 @@ class Tally(SharingPolicy):
                 # first kernel's submission to the last one's completion
                 self._stretches.add(client_id)
                 self._hp_outstanding += 1
+        return end
+
+    def _run_best_effort_inline(self, descriptor: KernelDescriptor,
+                                start: float,
+                                window: tuple[float, bool]) -> float | None:
+        """Run a best-effort kernel's whole execution inline, under the
+        configuration :meth:`_advance` would pick; return its end, or
+        None (nothing changed, not even the profiler's counters) if a
+        launch of it would end outside ``window``.
+
+        Each launch is submitted when the previous one completes and
+        starts on arrival, one launch overhead later, so its
+        ``elapsed`` (what :meth:`_elapsed` reads off a device launch) is
+        its completion minus its arrival."""
+        config, profiling = self._pick(descriptor)
+        device = self.device
+        overhead = device.spec.kernel_launch_overhead
+        execution = _BEExecution(descriptor, None, config, profiling)
+        execution.tasks_remaining = total = descriptor.num_blocks
+        kind = config.kind
+        if kind is SchedKind.PTB:
+            end = device.run_solo_ptb(descriptor, start, window,
+                                      config.workers)
+            if end is None:
+                return None
+            self.stats.ptb_launches += 1
+            self._ptb_ran(execution, end - (start + overhead), total, True)
+        elif kind is SchedKind.ORIGINAL:
+            end = device.run_solo(descriptor, start, window)
+            if end is None:
+                return None
+            self._original_ran(execution, end - (start + overhead), total)
+        else:
+            per = config.blocks_per_slice
+            # the last slice must end inside the window before the first
+            # one runs
+            end = start
+            for first in range(0, total, per):
+                end = device.solo_done(descriptor, end, window,
+                                       min(per, total - first))
+                if end is None:
+                    return None
+            end = start
+            finished = False
+            while not finished:
+                blocks = min(per, total - execution.next_block)
+                submitted = end
+                end = device.run_solo(descriptor, submitted, window, blocks)
+                self.stats.slices_launched += 1
+                finished = self._slice_ran(
+                    execution, end - (submitted + overhead), blocks)
+        self._count_pick(profiling)
+        self.stats.be_kernels += 1
         return end
 
     def run_ahead_resume(self, client_id: str,
@@ -329,16 +402,15 @@ class Tally(SharingPolicy):
             return
 
         if execution.config is None:
-            if self.config.use_transformations:
-                execution.config, execution.profiling = (
-                    self.profiler.choose(execution.descriptor)
-                )
-                reason = ("profiling unmeasured candidate"
-                          if execution.profiling
-                          else "best measured config under turnaround bound")
-            else:
-                execution.config, execution.profiling = ORIGINAL_CONFIG, False
+            execution.config, execution.profiling = self._pick(
+                execution.descriptor)
+            self._count_pick(execution.profiling)
+            if not self.config.use_transformations:
                 reason = "transformations disabled"
+            elif execution.profiling:
+                reason = "profiling unmeasured candidate"
+            else:
+                reason = "best measured config under turnaround bound"
             if self.device.faults.enabled:
                 degraded = self._degrade(client_id, execution)
                 if degraded:
@@ -359,6 +431,17 @@ class Tally(SharingPolicy):
             self._launch_ptb(client_id, execution)
         else:
             self._launch_original(client_id, execution)
+
+    def _pick(self, descriptor: KernelDescriptor) -> tuple[SchedConfig, bool]:
+        """``(config, profiling)`` of a new best-effort execution of
+        ``descriptor``; no counter moves until :meth:`_count_pick`."""
+        if self.config.use_transformations:
+            return self.profiler.pick(descriptor)
+        return ORIGINAL_CONFIG, False
+
+    def _count_pick(self, profiling: bool) -> None:
+        if self.config.use_transformations:
+            self.profiler.count(profiling)
 
     def _degrade(self, client_id: str, execution: _BEExecution) -> bool:
         """Walk the degradation ladder past faulted transformations.
@@ -426,17 +509,28 @@ class Tally(SharingPolicy):
                        launch: DeviceLaunch) -> None:
         execution.launch = None
         execution.preempt_pending = False
-        execution.active_time += self._elapsed(launch)
-        execution.next_block += launch.blocks_done
-        execution.tasks_remaining = (
-            execution.descriptor.num_blocks - execution.next_block
-        )
-        if execution.next_block >= execution.descriptor.num_blocks:
+        if self._original_ran(execution, self._elapsed(launch),
+                              launch.blocks_done):
             self._finish(client_id, execution)
         elif not self.high_priority_active:
             # A slot fault reset the launch mid-grid; re-run the rest.
             self._launch_original(client_id, execution)
         # else: paused; _resume_best_effort continues from next_block.
+
+    def _original_ran(self, execution: _BEExecution, elapsed: float,
+                      blocks: int) -> bool:
+        """Fold a whole launch that ran ``blocks`` blocks in ``elapsed``
+        into ``execution``; True, with the run measured, once the
+        kernel is done."""
+        execution.active_time += elapsed
+        execution.next_block += blocks
+        execution.tasks_remaining = (
+            execution.descriptor.num_blocks - execution.next_block
+        )
+        if execution.next_block < execution.descriptor.num_blocks:
+            return False
+        self._record_original(execution)
+        return True
 
     def _launch_slice(self, client_id: str, execution: _BEExecution) -> None:
         assert execution.config is not None
@@ -466,22 +560,31 @@ class Tally(SharingPolicy):
                     launch: DeviceLaunch) -> None:
         execution.launch = None
         execution.preempt_pending = False
-        elapsed = self._elapsed(launch)
-        execution.active_time += elapsed + self.device.spec.kernel_launch_overhead
-        execution.slice_times.append(elapsed)
         # blocks_done, not total_blocks: a fault-killed slice completes
         # only part of its range, and the next slice must re-cover the
         # destroyed blocks
-        execution.next_block += launch.blocks_done
-        execution.tasks_remaining = (
-            execution.descriptor.num_blocks - execution.next_block
-        )
-        if execution.next_block >= execution.descriptor.num_blocks:
-            self._record_sliced(execution)
+        if self._slice_ran(execution, self._elapsed(launch),
+                           launch.blocks_done):
             self._finish(client_id, execution)
         elif not self.high_priority_active:
             self._launch_slice(client_id, execution)
         # else: paused; _resume_best_effort continues from next_block.
+
+    def _slice_ran(self, execution: _BEExecution, elapsed: float,
+                   blocks: int) -> bool:
+        """Fold a slice that ran ``blocks`` blocks in ``elapsed`` into
+        ``execution``; True, with the slices measured, once the kernel
+        is done."""
+        execution.active_time += elapsed + self.device.spec.kernel_launch_overhead
+        execution.slice_times.append(elapsed)
+        execution.next_block += blocks
+        execution.tasks_remaining = (
+            execution.descriptor.num_blocks - execution.next_block
+        )
+        if execution.next_block < execution.descriptor.num_blocks:
+            return False
+        self._record_sliced(execution)
+        return True
 
     def _launch_ptb(self, client_id: str, execution: _BEExecution) -> None:
         assert execution.config is not None
@@ -512,15 +615,24 @@ class Tally(SharingPolicy):
                   launch: DeviceLaunch) -> None:
         execution.launch = None
         execution.preempt_pending = False
-        execution.active_time += self._elapsed(launch)
-        execution.tasks_remaining -= launch.tasks_done
-        if launch.status is LaunchStatus.COMPLETED:
-            self._record_ptb(execution)
+        if self._ptb_ran(execution, self._elapsed(launch), launch.tasks_done,
+                         launch.status is LaunchStatus.COMPLETED):
             self._finish(client_id, execution)
         elif not self.high_priority_active:
             # Preempted, but the high-priority burst already ended.
             self._launch_ptb(client_id, execution)
         # else: resumed by _resume_best_effort from the task counter.
+
+    def _ptb_ran(self, execution: _BEExecution, elapsed: float, tasks: int,
+                 completed: bool) -> bool:
+        """Fold a PTB launch that ran ``tasks`` logical blocks in
+        ``elapsed`` into ``execution``; True, with the run measured,
+        once it ``completed`` the kernel."""
+        execution.active_time += elapsed
+        execution.tasks_remaining -= tasks
+        if completed:
+            self._record_ptb(execution)
+        return completed
 
     # ------------------------------------------------------------------
     def _on_disconnect(self, info: ClientInfo) -> int:
@@ -573,6 +685,14 @@ class Tally(SharingPolicy):
     # ------------------------------------------------------------------
     # Profiling measurements (paper §4.2)
     # ------------------------------------------------------------------
+    def _record_original(self, execution: _BEExecution) -> None:
+        # a whole launch releases the device only when it ends
+        assert execution.config is not None
+        self.profiler.record(
+            execution.descriptor, execution.config,
+            turnaround=execution.active_time, duration=execution.active_time,
+        )
+
     def _record_sliced(self, execution: _BEExecution) -> None:
         assert execution.config is not None
         if not execution.slice_times:

@@ -32,12 +32,15 @@ Two launch kinds are modelled:
 Slicing is realized above the device as a chain of ORIGINAL launches
 over block sub-ranges (see :mod:`repro.core.scheduler`).
 
-An idle, uninstrumented device can also run kernels that would start
-alone on it (a passthrough policy's, a Tally high-priority client's)
+An idle, uninstrumented device can also run launches that would start
+alone on it (a passthrough policy's kernels, a Tally high-priority
+client's, a Tally best-effort client's slices or whole launch)
 *inline* (:meth:`GPUDevice.run_solo`): when the event loop
-proves that nothing else runs before a kernel ends, its completion
+proves that nothing else runs before a launch ends, its completion
 time and busy time follow from the same wave arithmetic
-(:meth:`GPUDevice._wave_plan`) without any event at all.
+(:meth:`GPUDevice._wave_plan`) without any event at all.  A PTB launch
+whose workers all fit runs inline the same way
+(:meth:`GPUDevice.run_solo_ptb`).
 
 A mild ``colocation_slowdown`` factor inflates block durations while
 blocks of more than one client are resident, standing in for memory
@@ -718,11 +721,13 @@ class GPUDevice:
         return self.engine.quiet_until()
 
     def run_solo(self, descriptor: KernelDescriptor, start: float,
-                 window: tuple[float, bool]) -> float | None:
-        """Run an ORIGINAL launch of ``descriptor``, submitted at
-        ``start`` to this idle device, inline: return the time its
-        completion would fire, or None (and change nothing) if that
-        lies outside ``window`` (from :meth:`solo_window`).
+                 window: tuple[float, bool],
+                 blocks: int | None = None) -> float | None:
+        """Run an ORIGINAL launch of ``descriptor`` — of its first
+        ``blocks`` blocks (default: all), as a slice is launched —
+        submitted at ``start`` to this idle device, inline: return the
+        time its completion would fire, or None (and change nothing)
+        if that lies outside ``window`` (from :meth:`solo_window`).
 
         The launch arrives after the launch overhead and starts the
         wave :meth:`_dispatch_single` starts on an idle device; its
@@ -734,24 +739,84 @@ class GPUDevice:
         nothing can observe the device before the launch would have
         completed, so settling it now is indistinguishable.
         """
-        tpb = descriptor.threads_per_block
-        blocks = descriptor.num_blocks
-        count = min(self._threads_free // tpb, self._slots_free, blocks)
-        duration = descriptor.block_duration
-        if self._speed_factor != 1.0:
-            duration *= self._speed_factor
-        arrived = start + self.spec.kernel_launch_overhead
-        end, tail = self._wave_plan(arrived, duration, count, blocks)
-        done = end + duration if tail else end
-        bound, inclusive = window
-        if done > bound or (done == bound and not inclusive):
+        if blocks is None:
+            blocks = descriptor.num_blocks
+        plan = self._solo_plan(descriptor, start, window, blocks)
+        if plan is None:
             return None
+        count, arrived, end, tail, done = plan
+        tpb = descriptor.threads_per_block
         self._account(arrived)
         self._threads_free -= count * tpb
         self._account(end)
         self._threads_free += (count - tail) * tpb
         self._account(done)
         self._threads_free += tail * tpb
+        self.launches_completed += 1
+        return done
+
+    def solo_done(self, descriptor: KernelDescriptor, start: float,
+                  window: tuple[float, bool], blocks: int) -> float | None:
+        """What :meth:`run_solo` would return, changing nothing: lets a
+        caller check that a chain of launches ends inside ``window``
+        before it runs the first."""
+        plan = self._solo_plan(descriptor, start, window, blocks)
+        return None if plan is None else plan[4]
+
+    def _solo_plan(self, descriptor: KernelDescriptor, start: float,
+                   window: tuple[float, bool], blocks: int) -> tuple | None:
+        """The timing of :meth:`run_solo`'s launch — ``(count, arrived,
+        end, tail, done)``: wave size, arrival, end of the whole waves,
+        partial wave size and completion — or None outside
+        ``window``."""
+        count = min(self._threads_free // descriptor.threads_per_block,
+                    self._slots_free, blocks)
+        duration = descriptor.block_duration
+        if self._speed_factor != 1.0:
+            duration *= self._speed_factor
+        arrived = start + self.spec.kernel_launch_overhead
+        end, tail = self._wave_plan(arrived, duration, count, blocks)
+        done = end + duration if tail else end
+        if not self._in_window(done, window):
+            return None
+        return count, arrived, end, tail, done
+
+    @staticmethod
+    def _in_window(done: float, window: tuple[float, bool]) -> bool:
+        """Whether a completion at ``done`` lies inside ``window``."""
+        bound, inclusive = window
+        return done < bound or (done == bound and inclusive)
+
+    def run_solo_ptb(self, descriptor: KernelDescriptor, start: float,
+                     window: tuple[float, bool],
+                     workers: int) -> float | None:
+        """The PTB form of :meth:`run_solo`: a launch of ``workers``
+        persistent blocks over ``descriptor``'s whole grid.
+
+        It runs inline only if every worker fits on the idle device at
+        once: then :meth:`_start_ptb_batch` settles all iterations in
+        one batch, priced by the same :meth:`_ptb_iteration`; workers
+        placed in groups advance one iteration per event instead.
+        Busy time accrues at the arrival and at the completion, as
+        :meth:`_start_batch` and :meth:`_release` accrue it.
+        """
+        tpb = descriptor.threads_per_block
+        blocks = descriptor.num_blocks
+        count = min(workers, blocks)
+        if count > self._threads_free // tpb or count > self._slots_free:
+            return None
+        base = descriptor.block_duration
+        if self._speed_factor != 1.0:
+            base *= self._speed_factor
+        arrived = start + self.spec.kernel_launch_overhead
+        done = arrived + (self._ptb_iteration(descriptor, base)
+                          * -(-blocks // count))
+        if not self._in_window(done, window):
+            return None
+        self._account(arrived)
+        self._threads_free -= count * tpb
+        self._account(done)
+        self._threads_free += count * tpb
         self.launches_completed += 1
         return done
 
@@ -829,9 +894,15 @@ class GPUDevice:
     # PTB iteration batching
     # ------------------------------------------------------------------
     def _ptb_iteration_duration(self, launch: DeviceLaunch) -> float:
-        desc = launch.descriptor
-        base = self._block_duration(launch)
-        return base * (1.0 + desc.ptb_overhead_fraction) + PTB_ITERATION_OVERHEAD
+        return self._ptb_iteration(launch.descriptor,
+                                   self._block_duration(launch))
+
+    @staticmethod
+    def _ptb_iteration(descriptor: KernelDescriptor, base: float) -> float:
+        """One PTB iteration of ``descriptor`` whose blocks take ``base``
+        (the event path and :meth:`run_solo_ptb` price it here)."""
+        return (base * (1.0 + descriptor.ptb_overhead_fraction)
+                + PTB_ITERATION_OVERHEAD)
 
     def _start_ptb_batch(self, launch: DeviceLaunch, count: int,
                          threads: int) -> None:

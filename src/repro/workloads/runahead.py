@@ -3,20 +3,21 @@
 Both kernel-trace drivers (:class:`~repro.workloads.TrainingJob`,
 :class:`~repro.workloads.InferenceJob`) walk their ops through
 :func:`run_ahead` before they submit the next kernel.  When the policy
-grants a window (a passthrough policy, or Tally for a high-priority
-client, on an idle, uninstrumented device; see
+grants a window (a passthrough policy, or Tally, on an idle,
+uninstrumented device; see
 :meth:`~repro.baselines.base.SharingPolicy.run_ahead`), each following
 kernel — and host gap, unless the policy acts at one
-(``run_ahead_crosses_gaps``) — that ends inside it runs inline, and one
-resume event at the stretch's end hands control back to the
-driver.  Inside the window nothing else runs and the drain does not
-return, so nothing can observe the driver, the policy or the device
-between the stretch and its end (see ``docs/performance.md``, "Solo
-run-ahead").
+(:meth:`~repro.baselines.base.SharingPolicy.run_ahead_crosses_gaps`) —
+that ends inside it runs inline, and one resume event at the stretch's
+end hands control back to the driver.  Inside the window nothing else
+runs and the drain does not return, so nothing can observe the driver,
+the policy or the device between the stretch and its end (see
+``docs/performance.md``, "Solo run-ahead").
 
-The stretch credits the events it stands for — two per kernel (arrival,
-completion), one per host gap, minus the resume event — so
-``events_processed`` is the same whatever horizons the drains use.
+The stretch credits the events it stands for — two per device launch
+(arrival, completion; a sliced kernel makes one launch per slice), one
+per host gap, minus the resume event — so ``events_processed`` is the
+same whatever horizons the drains use.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ def run_ahead(job, completions: list[float] | None) -> int | None:
         return None
     bound, inclusive = window
     run_inline = policy.run_inline
-    crosses_gaps = policy.run_ahead_crosses_gaps
+    crosses_gaps = policy.run_ahead_crosses_gaps(client_id)
+    device = policy.device
+    launches = device.launches_completed
     engine = job.engine
     ops = job.trace.ops
     last = len(ops)
@@ -78,7 +81,7 @@ def run_ahead(job, completions: list[float] | None) -> int | None:
     if not kernels and not gaps:
         return None
     job._op_index = index
-    engine.credit(2 * kernels + gaps - 1)
+    engine.credit(2 * (device.launches_completed - launches) + gaps - 1)
     job._gap_event = engine.schedule_at(
         now, policy.run_ahead_resume(client_id, job._advance))
     return kernels

@@ -25,6 +25,7 @@ class TestSmokeSuite:
             assert bench.wall_s > 0
             assert bench.events > 0 or bench.extra
 
+    @pytest.mark.slow
     def test_macro_suite_runs_at_smoke_scale(self):
         report = run_suite(MACRO_BENCHMARKS, "smoke")
         fig4 = report.result("macro.colocation_fig4")

@@ -38,6 +38,7 @@ def _observable(result):
     return repr(result.jobs), repr(result.utilization), result.events
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("seed", [0, 3, 7])
 @pytest.mark.parametrize("mix", sorted(MIXES))
 @pytest.mark.parametrize("policy", ["Tally", "TGS", "MPS"])
@@ -50,6 +51,7 @@ def test_checked_run_equals_unchecked(policy, mix, seed):
     assert _observable(checked) == _observable(unchecked)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("policy", ["Tally", "TGS", "MPS", "Ideal"])
 def test_checked_utilization_is_unchanged_by_the_audits(policy):
     """``GPUDevice.utilization`` is a pure read: the checker calls it

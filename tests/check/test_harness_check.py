@@ -21,16 +21,19 @@ JOBS = [JobSpec.inference("bert_infer", load=0.4),
 
 
 class TestHarnessChecked:
+    @pytest.mark.slow
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_every_policy_runs_clean_under_checks(self, policy):
         result = run_colocation(policy, JOBS, CONFIG, check=True)
         assert result.invariant_checks > 0
         assert result.jobs  # the run produced metrics, not just checks
 
+    @pytest.mark.slow
     def test_unchecked_run_reports_zero_checks(self):
         result = run_colocation("MPS", JOBS, CONFIG)
         assert result.invariant_checks == 0
 
+    @pytest.mark.slow
     def test_caller_supplied_checker_is_used(self):
         checker = InvariantChecker()
         result = run_colocation("Tally", JOBS, CONFIG, check=checker)
@@ -74,6 +77,7 @@ class TestCliFlag:
         assert parser.parse_args(["colocate"]).check is False
         assert parser.parse_args(["cluster", "--check"]).check is True
 
+    @pytest.mark.slow
     def test_colocate_check_runs(self, capsys):
         assert main(["colocate", "--duration", "2", "--warmup", "0.5",
                      "--check"]) == 0

@@ -65,6 +65,7 @@ class TestConfig:
 
 
 class TestScaleUp:
+    @pytest.mark.slow
     def test_queue_pressure_activates_standby_capacity(self):
         # 4 HP services into 1 active device (HP exclusivity: one per
         # GPU) — without spares 3 wait in queue forever.  The
@@ -94,6 +95,7 @@ class TestScaleUp:
         assert result.recovery.scale_ups == 0
         assert len(result.services) == 1
 
+    @pytest.mark.slow
     def test_decisions_are_traced(self):
         tracer = Tracer(capacity=None)
         run_controlplane(
@@ -138,11 +140,13 @@ class TestDeterminism:
             config=CFG, arrival_rate=50.0, autoscale=FAST, standby=3,
             check=True)
 
+    @pytest.mark.slow
     def test_repeat_runs_bit_identical(self):
         first, second = run_cluster_sweep([self.case(), self.case()])
         assert repr(first.recovery) == repr(second.recovery)
         assert first.events == second.events
 
+    @pytest.mark.slow
     def test_parallel_sweep_matches_serial(self):
         cases = [self.case(), self.case()]
         serial = run_cluster_sweep(cases, jobs=1)

@@ -48,6 +48,7 @@ def run_cell(policy: str, faults: FaultConfig):
                             check=True)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("kind", sorted(DEVICE_FAULTS))
 def test_cluster_fault_matrix_conserves_requests(policy, kind):
@@ -67,6 +68,7 @@ def test_cluster_fault_matrix_conserves_requests(policy, kind):
     assert sum(recovery.device_faults.values()) > 0
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("kind", sorted(DEVICE_FAULTS))
 def test_cluster_chaos_replays_bit_identically(kind):
     first = run_cell("Tally", DEVICE_FAULTS[kind])
@@ -76,6 +78,7 @@ def test_cluster_chaos_replays_bit_identically(kind):
     assert first.events == second.events
 
 
+@pytest.mark.slow
 def test_degraded_device_rides_through_without_migration():
     faults = FaultConfig(seed=11, device_degraded_rate=1.5,
                          degraded_factor=3.0, degraded_duration=0.3)
@@ -88,6 +91,7 @@ def test_degraded_device_rides_through_without_migration():
     assert recovery.jobs_evicted == 0
 
 
+@pytest.mark.slow
 def test_speed_factor_faults_do_not_leak_into_fault_free_runs():
     """Guard: a fault-free control-plane run is bit-identical to the
     pre-fault-machinery baseline (the speed-factor multiply is gated)."""

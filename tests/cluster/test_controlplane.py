@@ -100,6 +100,7 @@ class TestControlPlaneBasics:
             run_controlplane(jobs=fleet(), devices=2, config=CFG,
                              drain=((1, CFG.duration),))
 
+    @pytest.mark.slow
     def test_fault_free_run_matches_static_expectations(self):
         placement = packed_placement(fleet(), compute_budget=1.5)
         result = run_controlplane(placement=placement, config=CFG,
@@ -112,6 +113,7 @@ class TestControlPlaneBasics:
         assert result.recovery.requests_shed == 0
         assert result.invariant_checks > 0
 
+    @pytest.mark.slow
     def test_online_admission_places_every_job_when_room(self):
         result = run_controlplane(jobs=fleet(), devices=4, config=CFG,
                                   arrival_rate=8.0, check=True)
@@ -134,6 +136,7 @@ class TestFailover:
     def placement(self):
         return packed_placement(fleet(), compute_budget=1.5)
 
+    @pytest.mark.slow
     def test_crash_migrates_hp_tenant_to_spare(self):
         placement = self.placement()
         # Crash every packed device once, at t=1; spares absorb them.
@@ -166,6 +169,7 @@ class TestFailover:
         assert recovery.requests_shed >= 0
         assert result.services[0].p99_ratio > 0
 
+    @pytest.mark.slow
     def test_repack_displaces_best_effort_for_hp(self):
         # Device 1 is full of best-effort work; when device 0 dies, the
         # HP tenant must displace it rather than be evicted.
@@ -182,6 +186,7 @@ class TestFailover:
         assert not hp.evicted
         assert hp.migrations == 1
 
+    @pytest.mark.slow
     def test_graceful_departure_frees_capacity(self):
         jobs = [ClusterJob("bert_infer", load=0.3, traffic_seed=0,
                            depart_at=1.0),
@@ -204,6 +209,7 @@ class TestDeterminism:
         kwargs.update(overrides)
         return run_controlplane(**kwargs)
 
+    @pytest.mark.slow
     def test_fixed_seed_failover_is_bit_identical(self):
         first, second = self.case(), self.case()
         # repr-compare: NaN fields (post-recovery attainment of tenants
@@ -227,6 +233,7 @@ class TestDeterminism:
                            slot_fault_rate=3.0)
         assert FaultInjector(cfg2).device_fault_schedule(1, 4.0) == schedule
 
+    @pytest.mark.slow
     def test_parallel_sweep_matches_serial(self):
         faults = FaultConfig(seed=2, device_crash_rate=0.25,
                              device_degraded_rate=0.4)

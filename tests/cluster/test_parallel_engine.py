@@ -60,6 +60,7 @@ def _chaos(seed: int) -> FaultConfig:
                        slot_fault_rate=0.3)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("seed", [3, 11, 42])
 def test_chaos_matrix_bit_identity(seed):
     """Crash + degrade + flap + slot faults, Poisson arrivals, audited."""
@@ -71,6 +72,7 @@ def test_chaos_matrix_bit_identity(seed):
     assert serial.invariant_checks == parallel.invariant_checks
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("policy", ["MPS-Priority", "TGS"])
 def test_policy_variants_bit_identity(policy):
     kw = dict(policy=policy, faults=_chaos(7), arrival_rate=4.0)
@@ -79,6 +81,7 @@ def test_policy_variants_bit_identity(policy):
     assert repr(serial) == repr(parallel)
 
 
+@pytest.mark.slow
 def test_autoscaler_and_migration_bit_identity():
     """Device failure + drain + autoscaler standby: the full migration
     path (checkpoint/export/import/restore) crosses shards."""
@@ -90,6 +93,7 @@ def test_autoscaler_and_migration_bit_identity():
     assert serial.recovery is not None
 
 
+@pytest.mark.slow
 def test_trace_summary_counts_match():
     """Committed trace streams agree up to same-timestamp permutation:
     per-type counts are exactly equal."""
@@ -107,6 +111,7 @@ def test_trace_summary_counts_match():
     assert len(st.events) == len(pt.events)
 
 
+@pytest.mark.slow
 def test_process_backend_bit_identity():
     """Two worker processes on four devices, one of them crashing:
     cross-process migration under the same oracle comparison."""
@@ -144,6 +149,7 @@ def _oracle_placement(seed: int) -> Placement:
         for i, (service, trainer) in enumerate(pairs)])
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("policy", ["Tally", "TGS", "MPS-Priority"])
 def test_fault_free_run_matches_evaluate_placement(policy, seed):

@@ -26,6 +26,7 @@ def small_fleet():
 
 
 class TestEvaluatePlacement:
+    @pytest.mark.slow
     def test_dedicated_meets_sla_trivially(self, small_fleet):
         result = evaluate_placement(dedicated_placement(small_fleet),
                                     "Tally", CFG)
@@ -33,6 +34,7 @@ class TestEvaluatePlacement:
         assert result.sla_violations == 0
         assert len(result.services) == 2
 
+    @pytest.mark.slow
     def test_packed_uses_fewer_gpus(self, small_fleet):
         packed = packed_placement(small_fleet, compute_budget=1.5)
         assert packed.gpus_used < len(small_fleet)
@@ -42,6 +44,7 @@ class TestEvaluatePlacement:
             f"worst p99 {result.worst_p99_ratio:.2f}x"
         )
 
+    @pytest.mark.slow
     def test_throughput_accounts_all_jobs(self, small_fleet):
         result = evaluate_placement(dedicated_placement(small_fleet),
                                     "Tally", CFG)
@@ -72,6 +75,7 @@ class TestEvaluatePlacement:
         with pytest.raises(HarnessError):
             evaluate_placement(Placement(bins=[]), "Tally", CFG)
 
+    @pytest.mark.slow
     def test_mps_packing_violates_sla_where_tally_does_not(self):
         """The cluster-level version of the paper's thesis."""
         jobs = [ClusterJob("bert_infer", load=0.3, sla_factor=1.25,

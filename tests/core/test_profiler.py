@@ -52,6 +52,28 @@ class TestProfilingPhase:
         assert first.workers == SPEC.num_sms
 
 
+class TestPickAndCount:
+    def test_pick_moves_no_counter(self):
+        profiler = make_profiler()
+        k = desc()
+        first = (profiler.candidates(k)[0], True)
+        assert profiler.pick(k) == profiler.pick(k) == first
+        assert (profiler.profiling_runs, profiler.decisions) == (0, 0)
+        assert profiler.choose(k) == first
+        assert (profiler.profiling_runs, profiler.decisions) == (1, 0)
+
+    def test_pick_prewarms_but_moves_no_counter(self):
+        profiler = TransparentProfiler(SPEC, TallyConfig())
+        k = desc()
+        config, profiling = profiler.pick(k)
+        assert not profiling
+        assert all(profiler.lookup(k, c) is not None
+                   for c in profiler.candidates(k))
+        assert (profiler.profiling_runs, profiler.decisions) == (0, 0)
+        assert profiler.choose(k) == (config, False)
+        assert (profiler.profiling_runs, profiler.decisions) == (0, 1)
+
+
 class TestSelection:
     def _measured(self, profiler, k, entries):
         for config, (turnaround, duration) in entries.items():

@@ -9,6 +9,7 @@ off — must give the same ``(config, profiling)`` answers and the same
 ``profiling_runs``/``decisions`` counts from both.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,6 +170,7 @@ operation = st.one_of(
 )
 
 
+@pytest.mark.slow
 @given(prewarm=st.booleans(),
        bound=st.sampled_from([1e-9, 1e-4, 2e-4, 5e-4, 1.0]),
        ops=st.lists(operation, max_size=60))

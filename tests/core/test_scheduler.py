@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import Priority
 from repro.core import Tally, TallyConfig
-from repro.core.candidates import SchedKind
+from repro.core.candidates import ORIGINAL_CONFIG, SchedKind
 from repro.errors import SchedulerError
 from repro.gpu import A100_SXM4_40GB, EventLoop, GPUDevice, KernelDescriptor
 
@@ -153,6 +153,29 @@ class TestProfileGuidedSelection:
         chosen = tally.profiler.best_known(k)
         m = tally.profiler.lookup(k, chosen)
         assert m is not None and m.samples >= 2  # prewarm + runtime
+
+    def test_whole_launch_of_an_unsplittable_kernel_is_measured(self):
+        """A kernel too small to subdivide has the whole launch as its
+        only candidate: its first run measures it, so from a cold cache
+        only that run counts as profiling and later runs are decisions."""
+        tally, device, engine = make_tally(prewarm_profiles=False)
+        tally.register_client("be", Priority.BEST_EFFORT)
+        k = kernel(blocks=1)
+        assert tally.profiler.candidates(k) == [ORIGINAL_CONFIG]
+        pending = [k] * 5
+
+        def submit_next():
+            if pending:
+                tally.submit("be", pending.pop(), submit_next)
+
+        submit_next()
+        engine.run()
+        assert tally.stats.be_kernels == 5
+        assert tally.profiler.profiling_runs == 1
+        assert tally.profiler.decisions == 4
+        m = tally.profiler.lookup(k, ORIGINAL_CONFIG)
+        assert m is not None and m.samples == 5
+        assert m.turnaround == m.duration > 0
 
 
 class TestMultipleBestEffortClients:

@@ -38,6 +38,7 @@ def run_cell(policy: str, faults: FaultConfig):
     return run_colocation(policy, JOBS, CFG, check=True, faults=faults)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
 def test_fault_matrix_survives_with_invariants(policy, kind):
@@ -47,6 +48,7 @@ def test_fault_matrix_survives_with_invariants(policy, kind):
     assert hp.completed > 0  # the HP service kept serving throughout
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
 def test_chaos_replays_bit_identically(kind):
     first = run_cell("Tally", FAULT_KINDS[kind])
@@ -59,6 +61,7 @@ def test_chaos_replays_bit_identically(kind):
     assert hp1.latency.p99 == hp2.latency.p99
 
 
+@pytest.mark.slow
 def test_different_seed_different_schedule():
     a = run_cell("Tally", FaultConfig(seed=1, lost_ack=0.5,
                                       slot_fault_rate=4.0))
@@ -67,6 +70,7 @@ def test_different_seed_different_schedule():
     assert a.fault_counts != b.fault_counts
 
 
+@pytest.mark.slow
 def test_be_crash_leaves_hp_p99_within_ten_percent():
     """The acceptance bar: a dying BE job is invisible to the HP one."""
     cfg = RunConfig(duration=4.0, warmup=0.5,
@@ -81,6 +85,7 @@ def test_be_crash_leaves_hp_p99_within_ten_percent():
     assert chaos.fault_counts.get("client_crash") == 1
 
 
+@pytest.mark.slow
 def test_chaos_cell_identical_with_warm_transform_memo():
     """Smoke: a warm process-wide memo never perturbs a chaos cell."""
     import numpy as np
@@ -102,6 +107,7 @@ def test_chaos_cell_identical_with_warm_transform_memo():
             == {c: j.completed for c, j in warm.jobs.items()})
 
 
+@pytest.mark.slow
 def test_fault_free_run_unchanged_by_faults_machinery():
     """faults=None and a zero-rate config produce identical runs."""
     plain = run_colocation("Tally", JOBS, CFG, check=True)

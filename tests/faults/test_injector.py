@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import pytest
+
 from repro.faults import FaultConfig, FaultInjector, NULL_INJECTOR
 
 
@@ -121,6 +123,7 @@ class TestExtremeFlapping:
         assert FaultInjector(self.EXTREME).device_fault_schedule(
             0, 3.0) == schedule
 
+    @pytest.mark.slow
     def test_quarantine_converges_and_conservation_holds(self):
         """A device flapping every 10ms must be quarantined exactly
         once (not re-quarantined per cycle), and no request may be

@@ -199,6 +199,7 @@ def _simulate(grid, disturbances, boundary, duration, mode):
             engine.events_processed)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("mode", ["check", "faults"])
 @given(solo_grid())
 @_settings

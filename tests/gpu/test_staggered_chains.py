@@ -155,6 +155,7 @@ class TestChainedMatchesPerWave:
         assert chained[1] * 2 < per_wave[1]
 
 
+@pytest.mark.slow
 def test_tgs_colocation_event_budget():
     """Chaining stays on the TGS co-location path: identical jobs, at
     most 60 % of the per-wave run's events."""

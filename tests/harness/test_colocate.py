@@ -111,6 +111,7 @@ class TestRunColocation:
         with pytest.raises(HarnessError):
             RunConfig(duration=1.0, warmup=2.0)
 
+    @pytest.mark.slow
     def test_deterministic_given_seeds(self):
         jobs = [JobSpec.inference("resnet50_infer", load=0.3),
                 JobSpec.training("pointnet_train")]

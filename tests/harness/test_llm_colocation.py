@@ -66,6 +66,7 @@ class TestColocationRun:
         assert ttft_ratio < 1.5
         assert train.rate > 0
 
+    @pytest.mark.slow
     def test_non_isolating_policy_degrades_the_tail(self):
         cfg = _config()
         base = standalone(JobSpec.llm(LLM, load=0.5), cfg)
@@ -75,10 +76,12 @@ class TestColocationRun:
                      / base.serving.inter_token.p99)
         assert mps_ratio > 1.5  # indiscriminate sharing hurts decode
 
+    @pytest.mark.slow
     def test_invariant_checker_clean(self):
         result = run_colocation("Tally", _jobs(), _config(), check=True)
         assert result.invariant_checks > 0
 
+    @pytest.mark.slow
     def test_bit_identical_across_repeats(self):
         cfg = _config()
         a = run_colocation("Tally", _jobs(), cfg)
@@ -101,6 +104,7 @@ class TestColocationRun:
         assert llm.serving.good <= llm.serving.completed
         assert llm.serving.goodput <= llm.serving.requests_per_s
 
+    @pytest.mark.slow
     def test_trainer_crash_leaves_server_standing(self):
         jobs = [JobSpec.llm(LLM, load=0.5),
                 JobSpec.training(TRAIN, crash_at=3.0)]
@@ -125,6 +129,7 @@ class TestColocationRun:
 
 
 class TestSerialization:
+    @pytest.mark.slow
     def test_roundtrip_preserves_serving_metrics(self):
         result = run_colocation("Tally", _jobs(), _config())
         restored = dict_to_result(result_to_dict(result))
@@ -184,6 +189,7 @@ class TestInferenceQueueingRegression:
 
 
 class TestExperiment:
+    @pytest.mark.slow
     def test_llm_colocation_experiment_shape(self):
         result = llm_colocation("quick", policies=("Ideal", "Tally"))
         assert {c.policy for c in result.cells} == {"Ideal", "Tally"}

@@ -54,6 +54,7 @@ def metrics_of(result):
     return out
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("jobs", [FIG4_JOBS, LLM_JOBS],
                          ids=["fig4", "llm_serve"])
 def test_macro_metrics_identical_cache_on_vs_off(jobs):

@@ -33,12 +33,14 @@ class TestRunSweep:
         parallel = run_sweep(cases, jobs=4)
         assert dicts(serial) == dicts(parallel)
 
+    @pytest.mark.slow
     def test_parallel_matches_serial_across_policies(self):
         cases = [SweepCase(policy=policy, jobs=JOBS, config=CONFIG)
                  for policy in ("Ideal", "Time-Slicing", "Tally")]
         assert dicts(run_sweep(cases, jobs=3)) == dicts(
             run_sweep(cases, jobs=1))
 
+    @pytest.mark.slow
     def test_parallel_matches_serial_under_check(self):
         cases = seed_sweep("Tally", JOBS, CONFIG, seeds=range(2),
                            check=True)
@@ -126,6 +128,7 @@ class TestClusterJobs:
                 ClusterJob("resnet50_train", traffic_seed=3)]
         return packed_placement(jobs, compute_budget=1.4)
 
+    @pytest.mark.slow
     def test_evaluate_placement_parallel_is_identical(self):
         placement = self.place()
         serial = evaluate_placement(placement, "Tally", CONFIG, jobs=1)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.baselines import Priority
 from repro.core import Tally, TallyConfig
 from repro.gpu import A100_SXM4_40GB, EventLoop, GPUDevice, KernelDescriptor
@@ -134,6 +136,7 @@ class TestTallyPreemption:
 
 
 class TestColocationTrace:
+    @pytest.mark.slow
     def test_tally_colocation_emits_consistent_trace(self):
         config = RunConfig(duration=2.0, warmup=0.5)
         tracer = Tracer(capacity=None)
@@ -180,6 +183,7 @@ class TestColocationTrace:
         json.dumps(doc, allow_nan=False)
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
 
+    @pytest.mark.slow
     def test_reef_and_time_slicing_emit_decisions(self):
         config = RunConfig(duration=1.0, warmup=0.2)
         jobs = [JobSpec.inference("resnet50_infer", load=0.3),

@@ -76,6 +76,7 @@ class TestUnifiedSyncProperties:
 
 
 class TestPTBProperties:
+    @pytest.mark.slow
     @given(case_and_seed(), st.integers(min_value=1, max_value=12))
     @_settings
     def test_any_worker_count_preserves_semantics(self, case_seed, workers):

@@ -3,17 +3,19 @@
 A passthrough policy settles an idle device's kernel stream inline
 while the event loop proves nothing else can run before each kernel
 ends, and so does Tally for a high-priority client while best-effort
-work is held (see ``docs/performance.md``, "Solo run-ahead").  These
-tests run the same inputs twice — once as they are, once with
+work is held, and for a best-effort client's sliced, PTB or whole
+executions while no high-priority kernel is outstanding (see
+``docs/performance.md``, "Solo run-ahead").  These tests run the same
+inputs twice — once as they are, once with
 ``PassthroughPolicy.run_ahead`` and ``Tally.run_ahead`` patched to
 decline — and demand identical results (``==`` on reprs, not
 ``approx``): driver records, iteration completions and kernel counts,
-the policy's ``ClientInfo`` counters (and Tally's ``TallyStats`` and
-high-priority state), the device's completed launches and
-utilization, and the event count.  Observations are taken between
-drains and from events placed exactly on the event path's own
-timestamps, so a stretch that runs one kernel too far, or ends one ulp
-off, shows.
+the policy's ``ClientInfo`` counters (and Tally's ``TallyStats``,
+high-priority state and profiler: its counters and every
+measurement), the device's completed launches and utilization, and
+the event count.  Observations are taken between drains and from
+events placed exactly on the event path's own timestamps, so a stretch
+that runs one kernel too far, or ends one ulp off, shows.
 """
 
 import math
@@ -33,6 +35,7 @@ from repro.baselines import (
     SharingPolicy,
 )
 from repro.core import Tally, TallyConfig
+from repro.core.candidates import SchedConfig, SchedKind
 from repro.faults import schedule_client_crash
 from repro.gpu import A100_SXM4_40GB, EventLoop, GPUDevice, KernelDescriptor
 from repro.gpu.engine import credited_total
@@ -54,6 +57,7 @@ TALLY_CONFIGS = {
                                 slice_fractions=(0.1, 0.5)),
     "Tally/original": TallyConfig(use_transformations=False),
     "Tally/watchdog": TallyConfig(preempt_deadline=3e-6),
+    "Tally/cold": TallyConfig(prewarm_profiles=False),
 }
 POLICIES.update({
     name: (lambda device, engine, config=config:
@@ -168,6 +172,11 @@ def scenarios(draw, names=("Ideal", "MPS", "MPS-Priority")):
         specs += draw(st.lists(clients(), max_size=2))
     else:
         specs = draw(st.lists(clients(), min_size=1, max_size=2))
+    return (policy_name, specs) + _steps(draw, policy_name, specs)
+
+
+def _steps(draw, policy_name, specs):
+    """The drains and actions of a scenario, and its observers."""
     times = _event_times(policy_name, specs)
     # mostly exact event-path timestamps, else one ulp either side of
     # one, or anywhere
@@ -185,8 +194,33 @@ def scenarios(draw, names=("Ideal", "MPS", "MPS-Priority")):
     # observers armed before the run, on exact timestamps: each runs
     # ahead of a completion due at the same instant
     observers = draw(st.lists(exact, max_size=3))
-    return (policy_name, specs, sorted(steps, key=lambda s: s[1]),
-            observers)
+    return sorted(steps, key=lambda s: s[1]), observers
+
+
+@st.composite
+def best_effort_scenarios(draw, names, trainers=1):
+    """Tally with ``trainers`` best-effort trainers next to a sparse
+    high-priority service, which leaves the device to them between
+    its requests."""
+    policy_name = draw(st.sampled_from(names))
+    count = draw(st.integers(min_value=0, max_value=4))
+    arrivals = sorted(draw(st.lists(
+        st.floats(min_value=0.0, max_value=HORIZON, exclude_max=True),
+        min_size=count, max_size=count)))
+    specs = [("inference", draw(traces()), arrivals, Priority.HIGH)]
+    specs += [("training", draw(traces()), None, Priority.BEST_EFFORT)
+              for _ in range(trainers)]
+    return (policy_name, specs) + _steps(draw, policy_name, specs)
+
+
+def _profiler_look(policy):
+    """A Tally profiler's counters and every measurement it holds."""
+    profiler = getattr(policy, "profiler", None)
+    if profiler is None:
+        return None
+    return (profiler.profiling_runs, profiler.decisions,
+            [(descriptor, repr(profile.measured), repr(profile.by_config))
+             for descriptor, profile in profiler._profiles.items()])
 
 
 def _simulate(policy_name, specs, steps, observers):
@@ -211,7 +245,8 @@ def _simulate(policy_name, specs, steps, observers):
                       repr(getattr(policy, "stats", None)),
                       getattr(policy, "high_priority_active", None),
                       # no stretch is ever left for anything to see
-                      sorted(getattr(policy, "_stretches", ()))))
+                      sorted(getattr(policy, "_stretches", ())),
+                      _profiler_look(policy)))
 
     for when in observers:
         engine.schedule_at(when, look)
@@ -270,15 +305,37 @@ def _differential(scenario):
     assert ahead == events
 
 
+@pytest.mark.slow
 @_settings
 @given(scenarios())
 def test_run_ahead_is_unobservable(scenario):
     _differential(scenario)
 
 
+@pytest.mark.slow
 @_settings
 @given(scenarios(names=sorted(TALLY_CONFIGS)))
 def test_tally_high_priority_run_ahead_is_unobservable(scenario):
+    _differential(scenario)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(TALLY_CONFIGS))
+@settings(_settings, max_examples=40)
+@given(data=st.data())
+def test_tally_best_effort_run_ahead_is_unobservable(name, data):
+    """A best-effort trainer next to sparse HP inference, under every
+    configuration: sliced, PTB and whole executions, profiling runs from
+    a cold cache, and the watchdog."""
+    _differential(data.draw(best_effort_scenarios([name])))
+
+
+@pytest.mark.slow
+@_settings
+@given(best_effort_scenarios(sorted(TALLY_CONFIGS), trainers=2))
+def test_two_best_effort_clients_are_unobservable(scenario):
+    """Two trainers: one runs ahead only while the other has no
+    execution, and never past the other's next event."""
     _differential(scenario)
 
 
@@ -290,6 +347,7 @@ RUN_JOBS = [
 ]
 
 
+@pytest.mark.slow
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(["Ideal", "MPS", "MPS-Priority", "Tally"]),
@@ -398,3 +456,92 @@ def test_disconnect_releases_a_stretch_whose_resume_event_was_cancelled():
     before = trainer.kernels_completed
     engine.run_until(3e-3)
     assert trainer.kernels_completed > before
+
+
+def test_no_best_effort_window_while_a_high_priority_stretch_holds():
+    """Inside an HP stretch the device is idle, but an HP kernel is
+    outstanding: a best-effort client gets no window, or its kernel
+    would run where the event path holds it."""
+    engine, policy, service, trainer = _tally_hp_next_to_idle_trainer()
+    arrive = service._on_arrival
+    seen = []
+
+    def arrive_then_ask():
+        arrive()
+        assert policy._stretches and policy.high_priority_active
+        assert policy.device.solo_window() is not None
+        seen.append(policy.run_ahead("be"))
+
+    service._on_arrival = arrive_then_ask
+    service.start()
+    trainer.start()
+    engine.advance_to(2e-4)
+    assert seen == [None]
+
+
+def test_ptb_workers_beyond_the_device_stay_on_the_event_path():
+    """A PTB launch whose workers do not all fit starts them in groups,
+    one iteration per event: it must not run inline, while a kernel
+    whose workers fit next to it still does."""
+    wide = KernelDescriptor("wide", num_blocks=1000, threads_per_block=1024,
+                            block_duration=2e-6)
+    narrow = replace(wide, name="narrow", threads_per_block=256)
+    assert 300 > SPEC.total_threads // wide.threads_per_block
+    assert 300 <= SPEC.total_threads // narrow.threads_per_block
+    trace = Trace("t", (TraceOp("kernel", kernel=wide),
+                        TraceOp("kernel", kernel=narrow),
+                        TraceOp("gap", gap=5e-6)), 0.0, 0.0)
+    request = Trace("r", (TraceOp("kernel", kernel=narrow),), 0.0, 0.0)
+    specs = [("inference", request, [5e-4, 1.5e-3], Priority.HIGH),
+             ("training", trace, None, Priority.BEST_EFFORT)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.core.profiler.generate_candidates",
+                   lambda *_args: [SchedConfig(SchedKind.PTB, workers=300)])
+        credited = credited_total()
+        _differential(("Tally", specs, [], []))
+        assert credited_total() > credited
+
+
+def test_a_declined_best_effort_attempt_changes_nothing():
+    """``run_inline`` of a best-effort kernel whose last launch would
+    end outside the window leaves the device, the policy's counters and
+    the profiler's counters as they were, whichever launch of the
+    kernel crosses the window's end."""
+    kernel = KernelDescriptor("k", num_blocks=5000, threads_per_block=256,
+                              block_duration=1e-5)
+    for name, config in TALLY_CONFIGS.items():
+        declined = ran = 0
+        for bound in [k * 2e-6 for k in range(1, 500)]:
+            engine = EventLoop()
+            device = GPUDevice(SPEC, engine)
+            policy = Tally(device, engine, config)
+            policy.register_client("be", Priority.BEST_EFFORT)
+
+            def state():
+                profiler = policy.profiler
+                return (device.launches_completed, device._busy_thread_seconds,
+                        device._last_change, device._threads_free,
+                        repr(policy.clients), repr(policy.stats),
+                        profiler.profiling_runs, profiler.decisions)
+
+            before = state()
+            if policy.run_inline("be", kernel, 0.0, (bound, False)) is None:
+                declined += 1
+                assert state() == before, (name, bound)
+            else:
+                ran += 1
+        assert declined and ran, name
+
+
+def test_llm_serving_mix_credits_most_colocation_events():
+    """Deterministic floor for Tally's best-effort run-ahead: next to an
+    LLM service, most co-location events belong to the trainer's
+    kernels running alone between decode steps, so at least 60 % of the
+    run's events are credited (77 % today).  Without best-effort
+    run-ahead the LLM driver, which never runs ahead, leaves 0."""
+    config = RunConfig(duration=3.0, warmup=0.5, trace_seed=0)
+    jobs = [JobSpec.llm("llama7b_serve", load=0.5, traffic_seed=0),
+            JobSpec.training("resnet50_train", traffic_seed=1)]
+    before = credited_total()
+    result = run_colocation("Tally", jobs, config)
+    assert credited_total() - before >= 0.6 * result.events
