@@ -125,7 +125,10 @@ class WorkloadModel:
         kernels: list[KernelDescriptor] = []
         gpu_time = 0.0
         for i, duration in enumerate(durations):
-            kernels.append(self._make_kernel(spec, i, float(duration), rng))
+            # a Python float: NumPy scalars would leak into every time
+            # computed from the trace, and cost more per operation
+            duration = float(duration)
+            kernels.append(self._make_kernel(spec, i, duration, rng))
             gpu_time += duration
 
         host_time = gpu_time * self.host_gap_fraction / (1 - self.host_gap_fraction)

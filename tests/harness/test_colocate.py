@@ -91,6 +91,16 @@ class TestRunColocation:
         assert len(result.training_results()) == 1
         assert result.utilization > 0
 
+    def test_utilization_is_a_python_float(self):
+        # trace times used to be NumPy scalars, and so was every time
+        # derived from a trainer's host gaps
+        result = run_colocation(
+            "TGS",
+            [JobSpec.inference("bert_infer", load=0.5),
+             JobSpec.training("whisper_train")],
+            RunConfig(duration=0.5, warmup=0.1))
+        assert type(result.utilization) is float
+
     def test_duplicate_models_get_distinct_ids(self):
         result = run_colocation(
             "Tally",

@@ -59,6 +59,15 @@ class TestTraceConstruction:
         assert trace.kernel_durations(SPEC).sum() == pytest.approx(
             trace.gpu_time, rel=1e-9)
 
+    @pytest.mark.parametrize("name", sorted(ALL_MODELS))
+    def test_trace_times_are_python_floats(self, name):
+        # NumPy scalars here leak into every event time downstream
+        trace = ALL_MODELS[name].build_trace(SPEC)
+        assert type(trace.gpu_time) is float
+        assert type(trace.host_time) is float
+        gaps = [op.gap for op in trace.ops if op.kind == "gap"]
+        assert all(type(gap) is float for gap in gaps)
+
     @pytest.mark.parametrize("name", sorted(TRAINING_MODELS))
     def test_host_gap_fraction_respected(self, name):
         model = TRAINING_MODELS[name]
