@@ -10,14 +10,15 @@ wait for resident blocks to drain.
 Two launch kinds are modelled:
 
 * ``ORIGINAL`` — every grid block is dispatched once; blocks that start
-  together complete together (one event per wave-batch), which keeps
-  the event count proportional to waves, not blocks.  Waves are
-  batched further: a launch alone on the device runs all its waves,
-  the partial last wave folded in, as one *wave chain*, and a launch
-  sharing the device whose chunks each just restart themselves runs
-  them as one *staggered chain*.  Both settle in one event and are cut
-  short, exactly, whenever anything else changes (see
-  ``docs/performance.md``).
+  together complete together (one boundary per wave-batch), which keeps
+  the work proportional to waves, not blocks.  A launch alone on the
+  device runs all its waves, the partial last wave folded in, as one
+  *wave chain* settled by one event and cut short, exactly, whenever
+  anything else changes.  The waves of launches sharing the device are
+  *records* in a device-private heap behind a single proxy event; the
+  *settle loop* runs their boundaries in the per-wave model's key
+  order without touching the event heap, and a boundary that only
+  restarts its own chunk skips dispatch (see ``docs/performance.md``).
 * ``PTB`` — ``workers`` persistent blocks hold their slots and consume
   one logical block per iteration; a preemption request makes workers
   exit after the iteration in flight, bounding turnaround at one
@@ -53,6 +54,7 @@ import enum
 import itertools
 import math
 from bisect import insort
+from heapq import heappop, heappush
 from typing import Callable
 
 from ..check.invariants import InvariantChecker, NULL_CHECKER
@@ -79,13 +81,6 @@ from .specs import GPUSpec
 
 __all__ = ["LaunchStatus", "DeviceLaunch", "GPUDevice"]
 
-#: a staggered chain whose break lies more full cycles ahead than this
-#: plans a checkpoint instead of summing its way there
-_PLAN_CYCLES = 16
-#: twice the unit roundoff of a double: the checkpoint's safety margin
-#: per summed wave
-_ULP = 2.0 ** -52
-
 
 class LaunchStatus(enum.Enum):
     """Lifecycle of a device launch."""
@@ -99,7 +94,7 @@ class LaunchStatus(enum.Enum):
 class _Batch:
     """A run of identical work intervals settled by one simulation event.
 
-    Three flavours share this record and the truncation machinery:
+    Two flavours share this record and the truncation machinery:
 
     * a **PTB batch** — ``count`` persistent workers executing ``iters``
       iterations of ``iter_duration`` each;
@@ -110,32 +105,22 @@ class _Batch:
       ``tail = (T, born, seq, blocks)``: the key of the event that ends
       its full waves at the *virtual boundary* ``T``, and the partial
       wave's size; its ``event`` settles the whole launch at ``T +
-      iter_duration`` (see :meth:`GPUDevice._start_wave_chain`);
-    * a **staggered chain** — every chained chunk of one ORIGINAL launch
-      that shares the device.  ``chunks`` holds one
-      ``(end, born, seq, blocks)`` record per chunk: the event key the
-      per-wave model would give the chunk's wave in flight, sorted by
-      that key.  Each chunk refills itself with ``blocks`` blocks every
-      ``iter_duration``; ``count`` totals the chained blocks, ``iters``
-      is the sequence number the next wave it starts takes, and
-      ``event`` fires at the first wave boundary where
-      ``blocks_to_start`` can no longer refill the chunk in turn.
+      iter_duration`` (see :meth:`GPUDevice._start_wave_chain`).
 
-    For the first two the settlement event sits at ``started + iters *
-    iter_duration`` (one wave later for a chain with a ``tail``).  A
-    preemption request, a kill, a new arrival, or a co-location change
-    truncates any batch at the next interval boundary (the interval in
-    flight keeps the duration it started with, exactly as per-interval
-    events would have priced it); a staggered chain turns back into one
-    per-wave event per chunk instead.
+    The settlement event sits at ``started + iters * iter_duration``
+    (one wave later for a chain with a ``tail``).  A preemption request,
+    a kill, a new arrival, or a co-location change truncates a batch at
+    the next interval boundary (the interval in flight keeps the
+    duration it started with, exactly as per-interval events would have
+    priced it).
     """
 
     __slots__ = ("launch", "count", "threads", "started", "iter_duration",
-                 "iters", "event", "chunks", "tail")
+                 "iters", "event", "tail")
 
     def __init__(self, launch: "DeviceLaunch", count: int, threads: int,
                  started: float, iter_duration: float, iters: int,
-                 event: Event, chunks: list | None = None) -> None:
+                 event: Event) -> None:
         self.launch = launch
         self.count = count
         self.threads = threads
@@ -143,7 +128,6 @@ class _Batch:
         self.iter_duration = iter_duration
         self.iters = iters
         self.event = event
-        self.chunks = chunks
         self.tail: tuple | None = None
 
 
@@ -155,7 +139,7 @@ class DeviceLaunch:
         "total_blocks", "block_offset", "blocks_to_start", "blocks_inflight",
         "blocks_done", "tasks_done", "preempt_requested", "killed",
         "blocks_killed", "status", "submitted_at", "arrived_at",
-        "started_at", "finished_at", "seq", "batches", "waves", "is_ptb",
+        "started_at", "finished_at", "seq", "batches", "is_ptb",
     )
 
     _seq = itertools.count()
@@ -198,12 +182,9 @@ class DeviceLaunch:
         self.started_at = float("nan")
         self.finished_at = float("nan")
         self.seq = next(DeviceLaunch._seq)
-        #: in-flight :class:`_Batch` records (PTB iteration batches,
-        #: ORIGINAL wave chains or a staggered chain)
+        #: in-flight :class:`_Batch` records (PTB iteration batches or
+        #: an ORIGINAL wave chain)
         self.batches: list[_Batch] = []
-        #: completion event -> ``(blocks, born)`` of each ORIGINAL chunk
-        #: whose wave in flight has its own event (is not chained)
-        self.waves: dict[Event, tuple[int, float]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -270,18 +251,17 @@ class GPUDevice:
         #: batches and ORIGINAL wave chains — truncated on arrivals and
         #: co-location transitions
         self._chains: list[_Batch] = []
-        #: the staggered chains among ``_chains`` (at most one per launch)
-        self._staggered: list[_Batch] = []
         #: the wave chain among ``_chains`` that runs through its
         #: launch's partial last wave, if any (it holds the device alone,
         #: so there is at most one)
         self._fold: _Batch | None = None
-        #: batches started and group dispatches run so far, and the last
-        #: per-wave ORIGINAL batch a single-launch dispatch started —
-        #: together they tell a pure self-refill in O(1)
-        self._starts = 0
-        self._groups = 0
-        self._refill: tuple | None = None
+        #: heap of ``(end, born, seq, launch, blocks)`` records, one per
+        #: ORIGINAL wave in flight outside a wave chain, keyed as the
+        #: per-wave model's completion event would be; the proxy event
+        #: stands for the earliest, unless the settle loop is running
+        #: (see :meth:`_settle_waves`)
+        self._waves: list[tuple] = []
+        self._proxy: Event | None = None
         self._rr = 0  # round-robin cursor for same-priority fairness
         # Utilization accounting (thread-seconds of busy time).
         self._busy_thread_seconds = 0.0
@@ -382,9 +362,6 @@ class GPUDevice:
         launch.preempt_requested = True
         # Batched PTB iterations settle at the next boundary: the flag
         # write lands mid-iteration, workers exit when it completes.
-        # No launch's chunks may keep refilling past this point either.
-        if self._staggered:
-            self._truncate_staggered()
         for batch in launch.batches[:]:  # a folded chain may leave
             self._truncate_batch(batch)
         # If nothing is in flight and the launch has already reached the
@@ -415,9 +392,6 @@ class GPUDevice:
                 kernel=launch.descriptor.name, launch_seq=launch.seq,
                 mechanism="kill",
             ))
-        # Freed slots change every staggered chain's next boundary.
-        if self._staggered:
-            self._truncate_staggered()
         if self._fold is not None and self._fold.launch is launch:
             self._unfold(self._fold)
         launch.preempt_requested = True
@@ -431,10 +405,9 @@ class GPUDevice:
             if batch in self._chains:
                 self._chains.remove(batch)
         launch.batches.clear()
-        launch.waves.clear()
         if launch.blocks_inflight > 0:
-            # The batch completion events still fire, but the resources
-            # are returned now and the events become no-ops.
+            # The waves' boundaries still run, but the resources are
+            # returned now and the boundaries become no-ops.
             self._account()
             tpb = launch.descriptor.threads_per_block
             self._threads_free += launch.blocks_inflight * tpb
@@ -604,7 +577,6 @@ class GPUDevice:
         self._start_batch(launch, fit, solo=True)
 
     def _dispatch_group(self, group: list[DeviceLaunch]) -> None:
-        self._groups += 1  # rotating ``_rr`` rules out a pure self-refill
         self._rr = (self._rr + 1) % len(group)
         group = group[self._rr:] + group[:self._rr]
         progress = True
@@ -650,7 +622,6 @@ class GPUDevice:
                      solo: bool = False) -> None:
         if self.check.enabled:
             self.check.verify_dispatch(self, launch)
-        self._starts += 1
         self._account()
         tpb = launch.descriptor.threads_per_block
         threads = count * tpb
@@ -685,14 +656,11 @@ class GPUDevice:
                 self._start_wave_chain(launch, count, threads, duration,
                                        chained)
             else:
-                event = self.engine.schedule_at(
-                    self._wave_plan(self.engine.now, duration, count,
-                                    count)[0],
-                    lambda: self._finish_batch(launch, count, threads),
-                )
-                launch.waves[event] = (count, self.engine.now)
-                if solo:
-                    self._refill = (launch, count, duration)
+                # the sequence number the wave's own event would take
+                now = self.engine.now
+                self._push_wave((self._wave_plan(now, duration, count,
+                                                 count)[0],
+                                 now, self.engine.reserve(1), launch, count))
 
     @staticmethod
     def _wave_plan(start: float, duration: float, count: int,
@@ -702,7 +670,7 @@ class GPUDevice:
         = start + duration * W`` of the ``W`` whole waves, and the size
         of the partial last wave after them (0 if none), which ends at
         ``T + duration``.  The one timing model of solo ORIGINAL work:
-        a per-wave event (``W = 1``), a wave chain, a folded partial
+        a wave record (``W = 1``), a wave chain, a folded partial
         wave and :meth:`run_solo` all take their times from here."""
         waves, tail = divmod(blocks, count)
         return start + duration * waves, tail
@@ -855,38 +823,17 @@ class GPUDevice:
 
     def _finish_batch(self, launch: DeviceLaunch, count: int,
                       threads: int) -> None:
+        """A wave of ``count`` blocks of ``launch`` completes: release
+        it, then retire the launch or dispatch the freed resources."""
         if launch.killed:
             return  # resources already reclaimed by kill()
-        if launch.waves:
-            launch.waves.pop(self.engine.current[3], None)
-        staggered = self._staggered
-        if staggered:
-            # dispatch reads blocks_to_start: bring chains up to now
-            for chain in staggered:
-                self._advance(chain)
         self._release(launch, count, threads)
         launch.blocks_done += count
-        finished = (launch.blocks_inflight == 0
-                    and (launch.blocks_to_start == 0
-                         or launch.preempt_requested))
-        groups = self._groups
-        starts = self._starts
-        if finished:
+        if launch.blocks_inflight == 0 and (launch.blocks_to_start == 0
+                                            or launch.preempt_requested):
             self._finalize(launch)
-            if staggered:
-                self._recheck_staggered(starts, groups)
         else:
-            self._refill = None
             self._dispatch()
-            refill = self._refill
-            if (self._starts == starts + 1 and self._groups == groups
-                    and refill is not None and refill[0] is launch
-                    and refill[1] == count):
-                # A pure self-refill: the chunk restarted alone, through
-                # the single-launch path, and nothing else changed.
-                self._chain_wave(launch, count, refill[2])
-            elif staggered:
-                self._recheck_staggered(starts, groups)
         if self.check.enabled:
             self.check.verify(self)
 
@@ -1011,11 +958,6 @@ class GPUDevice:
         resources) when it fires, exactly as per-interval events did at
         every boundary.
         """
-        if batch.chunks is not None:
-            self._advance(batch)
-            batch.event.cancel()
-            self._dissolve(batch)
-            return
         if batch.tail is not None and self._unfold(batch):
             return
         if batch.iters <= 1:
@@ -1047,10 +989,7 @@ class GPUDevice:
         boundary re-evaluates the co-location factor."""
         for batch in list(self._chains):
             if batch.launch.client_id != changed_client:
-                if batch.chunks is not None:
-                    self._reprice_staggered(batch)
-                else:
-                    self._truncate_batch(batch)
+                self._truncate_batch(batch)
 
     def _truncate_chains(self) -> None:
         """A new launch reached the device: every batched schedule may
@@ -1060,262 +999,133 @@ class GPUDevice:
             self._truncate_batch(batch)
 
     # ------------------------------------------------------------------
-    # Staggered chains: per-chunk wave batching for shared ORIGINAL grids
+    # The settle loop: co-resident waves in a device-private heap
     # ------------------------------------------------------------------
-    def _chainable(self, launch: DeviceLaunch, count: int) -> bool:
-        """Whether every chunk of ``launch`` keeps refilling itself.
+    def _push_wave(self, record: tuple) -> None:
+        """Add an ``(end, born, seq, launch, blocks)`` wave record; the
+        proxy event moves to it if it is the new earliest (the settle
+        loop re-arms the proxy itself when it returns)."""
+        waves = self._waves
+        heappush(waves, record)
+        if waves[0] is record and self.engine.settling is not waves:
+            if self._proxy is not None:
+                self._proxy.cancel()
+            self._proxy = self.engine.schedule_as(
+                record[0], record[1], record[2], self._settle_waves)
 
-        Called after a pure self-refill of a ``count``-block chunk.  The
-        free pool is back where it was, so every later wave boundary of
-        any chunk replays this one — as long as nothing else changes —
-        when ``launch`` cannot fit one more block (each chunk refills to
-        exactly its own size), no launch above it waits for blocks
-        (whatever a chunk frees would go there), and the launch still
-        has a full refill left.  Launches below it saw the same free
-        pool and did not start.
+    def _settle_waves(self) -> None:
+        """The proxy event: run wave boundaries in key order, the
+        earliest first, while the next record's key lies below
+        :meth:`EventLoop.settle_limit` — no other event, and no end of
+        the drain, would come first in the per-wave model.
+
+        Each boundary runs :meth:`_finish_batch` as its own event would
+        have, at its own ``now`` and ``current``.  A pure self-refill
+        (:meth:`_pure_refill`) only accrues busy time, as
+        :meth:`_account` does at every boundary, moves its blocks to
+        ``blocks_done`` and pushes the refill's record under the next
+        sequence number; it changes nothing the event heap or the limit
+        depend on.  Every boundary after the first is credited
+        (:meth:`EventLoop.credit`).  Checked and traced runs take the
+        full body at every boundary.  Meanwhile ``engine.settling``
+        shows the records left, which :meth:`EventLoop.quiet_until`
+        counts as events, and the proxy is re-armed when the loop stops.
         """
-        if launch.blocks_to_start < count:
+        engine = self.engine
+        waves = self._waves
+        record = heappop(waves)
+        self._proxy = None
+        outer = engine.settling
+        engine.settling = waves
+        walk = not (self.check.enabled or self.tracer.enabled)
+        settled = 0
+        limit = None
+        try:
+            while True:
+                launch = record[3]
+                count = record[4]
+                if walk and self._pure_refill(launch, count):
+                    end = record[0]
+                    self._account(end)
+                    launch.blocks_done += count
+                    launch.blocks_to_start -= count
+                    # (end + duration is _wave_plan's end for one wave)
+                    heappush(waves, (end + self._block_duration(launch), end,
+                                     engine.reserve(1), launch, count))
+                else:
+                    self._finish_batch(
+                        launch, count,
+                        count * launch.descriptor.threads_per_block)
+                    limit = None
+                if not waves:
+                    break
+                if limit is None:
+                    limit = engine.settle_limit()
+                record = waves[0]
+                if not record < limit:
+                    break
+                heappop(waves)
+                engine.now = record[0]
+                engine.current = record
+                settled += 1
+        finally:
+            engine.settling = outer
+            if settled:
+                engine.credit(settled)
+        if waves:
+            record = waves[0]
+            self._proxy = engine.schedule_as(
+                record[0], record[1], record[2], self._settle_waves)
+
+    def _pure_refill(self, launch: DeviceLaunch, count: int) -> bool:
+        """Whether the boundary of ``launch``'s ``count``-block wave
+        would only start the same ``count`` blocks of it again.
+
+        Then :meth:`_finish_batch` would release the wave and
+        :meth:`_dispatch` give the freed slots straight back through
+        :meth:`_dispatch_single` — with nothing waiting above
+        ``launch`` or beside it at its priority, the refill not growing
+        past ``count`` (the launch fits no extra block now), not falling
+        under the coalescing minimum and not turning into a solo wave
+        chain — and leave the free pool, every co-location count and the
+        wave's price as they were.  Launches below saw that pool at the
+        last dispatch and did not start; a level there with two of them
+        waiting would rotate the round-robin cursor, unless no slot is
+        free to reach it.  A client whose last blocks this wave holds
+        would flip its residency and re-price batches in ``_chains``.
+
+        The coalescing minimum needs no test.  While ``blocks_to_start``
+        exceeds ``count``, more than ``count`` blocks were left when the
+        wave started, so the minimum its dispatch applied, and the wave
+        met, was ``capacity // 8``; the minimum now is no larger.
+        """
+        left = launch.blocks_to_start
+        if left < count or launch.preempt_requested or launch.killed:
             return False
-        if (self._slots_free > 0 and self._threads_free
-                >= launch.descriptor.threads_per_block):
+        if left > count:
+            if (self._slots_free and self._threads_free
+                    >= launch.descriptor.threads_per_block):
+                return False
+            if (launch.blocks_inflight == count
+                    and self._alone_on_device(launch)):
+                return False
+        if self._chains and self._client_inflight[launch.client_id] == count:
             return False
+        priority = launch.priority
+        slots = self._slots_free
+        seen = False
+        lower = None
         for other in self._resident:
             if other is launch:
-                return True
-            if other.blocks_to_start > 0 and not other.preempt_requested:
-                return False
-        return False  # pragma: no cover - a dispatched launch is resident
-
-    def _chain_wave(self, launch: DeviceLaunch, count: int,
-                    duration: float) -> None:
-        """After a pure self-refill of a ``count``-block chunk, fold the
-        launch's per-wave chunks — the refill among them — into its
-        staggered chain (forming it on first use) when
-        :meth:`_chainable` allows."""
-        chain = None
-        for batch in launch.batches:
-            if batch.chunks is not None:
-                chain = batch
-                break
-        join = self._chainable(launch, count)
-        if chain is None:
-            if not join:
-                return
-            chain = _Batch(launch, 0, 0, self.engine.now, duration, 0,
-                           None, [])  # type: ignore[arg-type]
-            launch.batches.append(chain)
-            self._chains.append(chain)
-            self._staggered.append(chain)
-        else:
-            # The refill drew on the chain's blocks_to_start either way.
-            chain.event.cancel()
-            if not join or chain.iter_duration != duration:
-                self._plan(chain)
-                return
-        # Chunks join behind the chain's earliest record (a new chain's
-        # is its earliest chunk) while they fit in its cycle.
-        records = chain.chunks
-        if records:
-            front = records[0][:3]
-        else:
-            front = None
-            for event, (_blocks, born) in launch.waves.items():
-                key = (event.time, born, event.seq)
-                if front is None or key < front:
-                    front = key
-        kept = {}
-        for event, wave in launch.waves.items():
-            key = (event.time, wave[1], event.seq)
-            if key >= front and self._in_cycle(key[0], key[1], front[0],
-                                               duration):
-                event.cancel()
-                records.append(key + (wave[0],))
-                chain.count += wave[0]
-            else:
-                kept[event] = wave
-        launch.waves = kept
-        records.sort()
-        self._plan(chain)
-
-    @staticmethod
-    def _in_cycle(end: float, born: float, first: float,
-                  duration: float) -> bool:
-        """Whether a chunk whose wave in flight has key ``(end, born)``
-        comes before the next boundary ``(first + duration, first)`` of
-        the chain's earliest chunk.  When every chunk does, rounded
-        addition being monotone keeps all later boundaries in the same
-        cyclic order (see :meth:`_plan`)."""
-        limit = first + duration
-        return end < limit or (end == limit and born <= first)
-
-    def _plan(self, chain: _Batch) -> None:
-        """Schedule ``chain``'s one event at its first boundary whose
-        chunk ``blocks_to_start`` can no longer refill.
-
-        Boundaries come in the cyclic order of the chunks' records:
-        every later boundary of a chunk comes one ``iter_duration``
-        after its previous one, rounded addition is monotone, and so
-        the order of ``t + d`` never differs from the order of ``t``.
-        Full cycles are counted, not walked.  The break's time is the
-        repeated sum the per-wave events would have computed; when it
-        lies several cycles ahead, the event is a checkpoint at a lower
-        bound of it instead, which plans again from there (most chains
-        are cut by an arrival or a pricing change long before).  The
-        sequence numbers of the waves the chain will start are reserved
-        now, in boundary order, so their keys stay comparable with
-        every other event.
-        """
-        chunks = chain.chunks
-        k = len(chunks)
-        left = chain.launch.blocks_to_start
-        cycles = left // chain.count
-        left -= cycles * chain.count
-        index = 0
-        while left >= chunks[index][3]:
-            left -= chunks[index][3]
-            index += 1
-        base = self.engine.reserve(cycles * k + index)
-        chain.iters = base  # rank of the next wave the chain starts
-        end, born, seq, _count = chunks[index]
-        d = chain.iter_duration
-        if cycles > _PLAN_CYCLES:
-            # the repeated sum strays from end + cycles * d by less than
-            # (cycles + 2) rounding errors of at most _ULP / 2 each
-            approx = end + cycles * d
-            chain.event = self.engine.schedule_at(
-                approx - (cycles + 4) * _ULP * approx,
-                lambda: self._replan(chain))
-            return
-        if cycles:
-            for _ in range(cycles - 1):
-                end += d
-            born = end
-            end += d
-            seq = base + (cycles - 1) * k + index
-        chain.event = self.engine.schedule_as(
-            end, born, seq, lambda: self._staggered_done(chain))
-
-    def _replan(self, chain: _Batch) -> None:
-        """A checkpoint short of the break: catch up and plan again."""
-        self._advance(chain)
-        self._plan(chain)
-
-    def _advance(self, chain: _Batch) -> None:
-        """Run ``chain``'s wave boundaries that the per-wave model would
-        have run before the current event: each one retires a chunk's
-        wave and starts the next in its place.
-
-        Boundaries run in cyclic order (see :meth:`_plan`) — round ``c``
-        of the chunk at position ``p`` is boundary ``c * k + p`` — so
-        each chunk is advanced on its own, and the chunks that ran one
-        more round rotate to the back.
-        """
-        chunks = chain.chunks
-        now, born_now, seq_now, _ = self.engine.current
-        if chunks[0][0] > now:
-            return
-        d = chain.iter_duration
-        k = len(chunks)
-        base = chain.iters
-        moved = []
-        blocks = 0
-        runs = 0
-        for p, (end, born, seq, count) in enumerate(chunks):
-            c = 0
-            while end < now or (end == now and (
-                    born < born_now or (born == born_now
-                                        and seq < seq_now))):
-                born = end
-                end += d
-                seq = base + c * k + p
-                c += 1
-            moved.append((end, born, seq, count))
-            blocks += c * count
-            runs += c
-        if not runs:
-            return
-        q = runs % k
-        chain.chunks = moved[q:] + moved[:q]
-        chain.iters = base + runs
-        launch = chain.launch
-        launch.blocks_done += blocks
-        launch.blocks_to_start -= blocks
-
-    def _reprice_staggered(self, chain: _Batch) -> None:
-        """Another client's residency flipped: the chain's next waves
-        start at the new price.  Waves in flight keep theirs; a chunk
-        whose wave now ends beyond the earliest chunk's next boundary
-        leaves the chain as a per-wave event (it rejoins on refill)."""
-        self._advance(chain)
-        duration = self._block_duration(chain.launch)
-        if duration == chain.iter_duration:
-            return
-        chain.iter_duration = duration
-        chunks = chain.chunks
-        first = chunks[0][0]
-        keep = [r for r in chunks
-                if self._in_cycle(r[0], r[1], first, duration)]
-        if len(keep) < len(chunks):
-            self._rearm([r for r in chunks if r not in keep], chain.launch)
-            chain.chunks = keep
-            chain.count = sum(r[3] for r in keep)
-        chain.event.cancel()
-        self._plan(chain)
-
-    def _rearm(self, records: list, launch: DeviceLaunch) -> None:
-        """Give each ``(end, born, seq, blocks)`` record back its own
-        per-wave event, under the key the per-wave model gave it."""
-        tpb = launch.descriptor.threads_per_block
-        schedule_as = self.engine.schedule_as
-        finish = self._finish_batch
-        waves = launch.waves
-        for end, born, seq, count in records:
-            event = schedule_as(end, born, seq,
-                                lambda c=count: finish(launch, c, c * tpb))
-            waves[event] = (count, born)
-
-    def _dissolve(self, chain: _Batch) -> None:
-        """Turn ``chain`` (advanced to now) back into one per-wave event
-        per chunk.  The caller has cancelled the chain's event, or is
-        running it."""
-        self._chains.remove(chain)
-        self._staggered.remove(chain)
-        chain.launch.batches.remove(chain)
-        self._rearm(chain.chunks, chain.launch)
-
-    def _recheck_staggered(self, starts: int, groups: int) -> None:
-        """A completion changed more than its own chunk: keep each
-        staggered chain whose launch still refills every chunk (see
-        :meth:`_chainable`), dissolve the others.  Launches below a kept
-        chain saw this dispatch's final free pool and did not start, so
-        they will not at its boundaries either; a group dispatch (which
-        rotates the round-robin cursor) dissolves every chain.  A batch
-        started since ``starts`` may have drawn on a kept chain's
-        blocks, so its break is planned again."""
-        for chain in list(self._staggered):
-            if self._groups == groups and self._chainable(chain.launch, 0):
-                if self._starts != starts:
-                    chain.event.cancel()
-                    self._plan(chain)
-            else:
-                chain.event.cancel()
-                self._dissolve(chain)
-
-    def _truncate_staggered(self) -> None:
-        """The world is about to change: dissolve every staggered chain."""
-        for chain in list(self._staggered):
-            self._advance(chain)
-            chain.event.cancel()
-            self._dissolve(chain)
-
-    def _staggered_done(self, chain: _Batch) -> None:
-        """The boundary where ``chain``'s cycle breaks: run it as the
-        per-wave event it stands for, with the other chunks per-wave."""
-        self._advance(chain)
-        _end, _born, _seq, count = chain.chunks.pop(0)
-        self._dissolve(chain)
-        self._finish_batch(chain.launch, count,
-                           count * chain.launch.descriptor.threads_per_block)
+                seen = True
+            elif other.blocks_to_start > 0 and not other.preempt_requested:
+                if not seen or other.priority == priority:
+                    return False
+                if slots:
+                    if other.priority == lower:
+                        return False
+                    lower = other.priority
+        return True
 
     # ------------------------------------------------------------------
     # Folded partial waves: the virtual boundary of a solo wave chain
@@ -1354,12 +1164,12 @@ class GPUDevice:
 
     def _cross_now(self, batch: _Batch) -> None:
         """Run ``batch``'s virtual boundary now, late; its partial wave
-        gets the per-wave event its settlement stood for."""
+        becomes the wave record its settlement stood for."""
         batch.event.cancel()
         boundary, _born, seq, _tail = batch.tail
         tail = self._cross(batch)
-        self._rearm([(boundary + batch.iter_duration, boundary, seq + 1,
-                      tail)], batch.launch)
+        self._push_wave((boundary + batch.iter_duration, boundary, seq + 1,
+                         batch.launch, tail))
 
     def _catch_up(self) -> None:
         """Something is about to read the device: if the per-wave model
@@ -1374,7 +1184,7 @@ class GPUDevice:
         True).  Otherwise the settlement turns back into the event the
         chain had without the fold — under that event's key ``(T, born,
         seq)`` — so the caller's truncation proceeds exactly as before:
-        a chain event, or for a single full wave its per-wave event
+        a chain event, or for a single full wave its wave record
         (returns True: no chain is left).
         """
         if self._crossed(batch):
@@ -1387,15 +1197,15 @@ class GPUDevice:
         if batch.iters == 1:
             self._chains.remove(batch)
             batch.launch.batches.remove(batch)
-            self._rearm([(boundary, born, seq, batch.count)], batch.launch)
+            self._push_wave((boundary, born, seq, batch.launch, batch.count))
             return True
         batch.event = self.engine.schedule_as(
             boundary, born, seq, lambda: self._wave_chain_done(batch))
         return False
 
     def _fold_done(self, batch: _Batch) -> None:
-        """Undisturbed to the end: cross the boundary, then settle the
-        partial wave as its per-wave event."""
+        """Undisturbed to the end: cross the boundary, then run the
+        partial wave's own boundary."""
         launch = batch.launch
         tail = self._cross(batch)
         self._finish_batch(launch, tail,
@@ -1407,8 +1217,6 @@ class GPUDevice:
             self._chains.remove(batch)
         if launch.killed:
             return  # resources already reclaimed by kill()
-        if self._staggered:
-            self._truncate_staggered()
         if batch in launch.batches:
             launch.batches.remove(batch)
         count = batch.count
@@ -1441,8 +1249,6 @@ class GPUDevice:
         stop = (launch.preempt_requested
                 or launch.tasks_done >= launch.total_blocks)
         if stop:
-            if self._staggered:
-                self._truncate_staggered()
             self._release(launch, workers, batch.threads)
             if launch.blocks_inflight == 0:
                 self._finalize(launch)

@@ -27,7 +27,12 @@ Hot-path design (see ``docs/performance.md``):
   inline (see ``docs/performance.md``, "Solo run-ahead").
   :meth:`EventLoop.credit` counts the events such a stretch stands for,
   so ``events_processed`` never depends on the drain horizons.  Nothing
-  is added per event.
+  is added per event;
+* **device settle loop**: the device keeps its co-resident wave
+  boundaries in a private heap behind one proxy event, and settles
+  them in one loop while :meth:`EventLoop.settle_limit` says nothing
+  else would run first; each boundary after the first is credited
+  (see ``docs/performance.md``, "The settle loop").
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ __all__ = ["Event", "EventLoop", "credited_total"]
 
 _INF = float("inf")
 _NEG_INF = float("-inf")
+#: a settle limit no key lies below: outside drains (so in
+#: :meth:`EventLoop.step`) the device settles the proxy's boundary only
+_NOTHING = (_NEG_INF,)
 
 #: events credited by every loop in this process (see
 #: :meth:`EventLoop.credit`).  A list cell: counting must not assign to
@@ -101,11 +109,12 @@ class EventLoop:
 
     def __init__(self) -> None:
         self.now = 0.0
-        #: ordering key ``(time, born, seq, event)`` of the event being
-        #: run; between drains, a key just below (exclusive
-        #: :meth:`advance_to`) or just above (inclusive) every event at
-        #: ``now``.  Batched device schedules compare their virtual
-        #: interval boundaries against it to resolve equal-time ties.
+        #: ordering key ``(time, born, seq, ...)`` of the event (or
+        #: device boundary, see :meth:`settle_limit`) being run; between
+        #: drains, a key just below (exclusive :meth:`advance_to`) or
+        #: just above (inclusive) every event at ``now``.  Batched device
+        #: schedules compare their virtual interval boundaries against it
+        #: to resolve equal-time ties.
         self.current: tuple = (0.0, _NEG_INF, -1, None)
         #: heap of ``(time, born, seq, Event)`` — C-speed tuple comparisons
         self._heap: list[tuple[float, float, int, Event]] = []
@@ -115,9 +124,17 @@ class EventLoop:
         #: a drain and in drains without a finite limit or with an
         #: event budget (see :meth:`quiet_until`)
         self._horizon: tuple[float, bool] | None = None
+        #: the key below which the drain in progress would run an event
+        #: (also under an event budget), see :meth:`settle_limit`
+        self._stop: tuple = _NOTHING
+        #: the record heap of a device settle loop in progress: while the
+        #: loop runs, its proxy event is not queued, and the earliest
+        #: record left stands for it (see :meth:`quiet_until`)
+        self.settling: list | None = None
         self.events_processed = 0
         #: the part of ``events_processed`` credited by run-ahead
-        #: stretches (events settled inline, never scheduled)
+        #: stretches and device settle loops (events settled inline,
+        #: never executed by the heap)
         self.events_credited = 0
 
     # ------------------------------------------------------------------
@@ -187,8 +204,9 @@ class EventLoop:
             self._cancelled = 0
 
     def credit(self, count: int) -> None:
-        """Count ``count`` events that a run-ahead stretch settled
-        inline as processed (once per stretch)."""
+        """Count ``count`` events that a run-ahead stretch or a device
+        settle loop settled inline as processed (once per stretch or
+        loop)."""
         self.events_processed += count
         self.events_credited += count
         _CREDITED[0] += count
@@ -222,18 +240,35 @@ class EventLoop:
         ``inclusive``).
 
         ``bound`` is the next live event's time (exclusive) or the
-        drain's limit, whichever is earlier.  None outside a drain
-        (:meth:`step`, calls between drains) and in drains without a
-        finite limit (:meth:`run`) or with an event budget — there the
-        loop cannot vouch for any stretch of time.
+        drain's limit, whichever is earlier; while a device's settle
+        loop runs, its earliest record counts as a live event.  None
+        outside a drain (:meth:`step`, calls between drains) and in
+        drains without a finite limit (:meth:`run`) or with an event
+        budget — there the loop cannot vouch for any stretch of time.
         """
         horizon = self._horizon
         if horizon is None:
             return None
         entry = self._live_head()
         if entry is not None and entry[0] <= horizon[0]:
-            return entry[0], False
+            horizon = entry[0], False
+        records = self.settling
+        if records and records[0][0] <= horizon[0]:
+            return records[0][0], False
         return horizon
+
+    def settle_limit(self) -> tuple:
+        """The key below which a device boundary would run before
+        anything else: the next live event's ``(time, born, seq, ...)``
+        key, or the drain's limit — ``(limit, inf, inf)`` inclusive,
+        ``(limit, -inf, -1)`` exclusive — whichever is lower.  Unlike
+        :meth:`quiet_until` it holds under an event budget too; between
+        drains, and so in :meth:`step`, nothing lies below it."""
+        entry = self._live_head()
+        stop = self._stop
+        if entry is not None and entry < stop:
+            return entry
+        return stop
 
     def step(self) -> bool:
         """Run the next event; return False if none remain."""
@@ -253,14 +288,19 @@ class EventLoop:
                max_events: int | None) -> int:
         """Run events until ``limit`` (or forever when None), with the
         limit recorded for :meth:`quiet_until` meanwhile."""
-        outer = self._horizon
+        outer = self._horizon, self._stop
         self._horizon = ((limit, inclusive)
                          if limit is not None and limit < _INF
                          and max_events is None else None)
+        if limit is None:
+            self._stop = (_INF, _INF, _INF)
+        else:
+            self._stop = ((limit, _INF, _INF) if inclusive
+                          else (limit, _NEG_INF, -1))
         try:
             return self._drain_events(limit, inclusive, max_events)
         finally:
-            self._horizon = outer
+            self._horizon, self._stop = outer
 
     def _drain_events(self, limit: float | None, inclusive: bool,
                       max_events: int | None) -> int:
@@ -305,8 +345,8 @@ class EventLoop:
         cross-shard operations issued at the barrier always apply before
         same-time local events.  With ``inclusive=True`` events at
         ``time`` run too (:meth:`run_until` semantics).  Returns the
-        number of events executed (events a run-ahead stretch credits
-        are not executed).
+        number of events executed (events a run-ahead stretch or a
+        device settle loop credits are not executed).
         """
         if not time >= self.now:  # also rejects NaN
             raise GPUSimError(

@@ -58,6 +58,23 @@ class KernelDescriptor:
             raise GPUSimError(f"{self.name}: block_duration must be > 0")
         if self.ptb_overhead_fraction < 0:
             raise GPUSimError(f"{self.name}: ptb_overhead_fraction < 0")
+        # Hashed once: descriptors key the profiler's and the device's
+        # lookups, and the generated hash would rehash every field on
+        # each one.  Not a field, so eq, repr and replace() ignore it.
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (self.name, self.num_blocks, self.threads_per_block,
+                self.block_duration, self.shared_mem_per_block,
+                self.ptb_overhead_fraction)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt rather than restored: a string hashes differently in
+        # another process
+        return type(self), self._fields()
 
     # ------------------------------------------------------------------
     # Analytic timing model

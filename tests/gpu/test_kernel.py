@@ -1,5 +1,8 @@
 """Unit tests for kernel descriptors and the analytic timing model."""
 
+import pickle
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.errors import GPUSimError
@@ -28,6 +31,52 @@ class TestDescriptorValidation:
     def test_rejects_negative_overhead(self):
         with pytest.raises(GPUSimError):
             desc(ptb_overhead_fraction=-0.1)
+
+
+class TestDescriptorHash:
+    """The hash is computed once; it must still behave as the
+    generated field hash did."""
+
+    def make(self, **changes):
+        fields = dict(name="k", num_blocks=300, threads_per_block=256,
+                      block_duration=2e-5, shared_mem_per_block=1024,
+                      ptb_overhead_fraction=0.04)
+        fields.update(changes)
+        return KernelDescriptor(**fields)
+
+    def test_equal_descriptors_hash_and_look_up_alike(self):
+        a, b = self.make(), self.make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        table = {a: "profile"}
+        assert table[b] == "profile"
+
+    def test_replaced_descriptor_gets_its_own_entry(self):
+        a = self.make()
+        table = {a: "a"}
+        for changed in (replace(a, num_blocks=301), replace(a, name="k2"),
+                        replace(a, block_duration=3e-5),
+                        replace(a, shared_mem_per_block=0)):
+            assert changed != a and changed not in table
+            table[changed] = "changed"
+        assert table[a] == "a" and len(table) == 5
+        same = replace(a)
+        assert same == a and hash(same) == hash(a) and table[same] == "a"
+
+    def test_repr_and_fields_unchanged(self):
+        a = self.make()
+        assert [f.name for f in fields(a)] == [
+            "name", "num_blocks", "threads_per_block", "block_duration",
+            "shared_mem_per_block", "ptb_overhead_fraction"]
+        assert "_hash" not in repr(a)
+
+    def test_pickle_rebuilds_the_hash(self):
+        # a string hashes differently in another process, so the cached
+        # hash must not travel with the pickle
+        a = self.make()
+        data = pickle.dumps(a)
+        assert b"_hash" not in data
+        b = pickle.loads(data)
+        assert b == a and hash(b) == hash(a) and {a: 1}[b] == 1
 
 
 class TestTimingModel:

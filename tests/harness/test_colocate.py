@@ -92,8 +92,8 @@ class TestRunColocation:
         assert result.utilization > 0
 
     def test_utilization_is_a_python_float(self):
-        # trace times used to be NumPy scalars, and so was every time
-        # derived from a trainer's host gaps
+        # NumPy scalars in a trace would reach every time derived from
+        # a trainer's host gaps, and the reported utilization
         result = run_colocation(
             "TGS",
             [JobSpec.inference("bert_infer", load=0.5),
