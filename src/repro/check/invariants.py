@@ -16,7 +16,9 @@ The invariants (also documented in ``docs/simulator.md``):
   total_blocks``; for every PTB launch the task counter stays within
   ``[0, total_blocks]`` and worker occupancy within the worker count;
 * **accounting** — the device's free pools and per-client in-flight
-  table are exactly the totals implied by resident launches;
+  table are exactly the totals implied by resident launches, and its
+  waiting list holds exactly the resident launches with blocks to
+  start and no preemption request, in dispatch order;
 * **time** — simulated time is non-negative and never moves backwards,
   and utilization stays within ``[0, 1]``;
 * **strict priority** — a block of priority ``p`` only starts while a
@@ -142,6 +144,16 @@ class InvariantChecker:
                 problems.append(
                     f"client {client!r} submission count {count} < 0"
                 )
+
+        # The device's waiting list is exactly its waiting launches.
+        waiting = [launch for launch in device.resident_launches
+                   if launch.blocks_to_start > 0
+                   and not launch.preempt_requested]
+        if device._waiting != waiting:
+            problems.append(
+                f"waiting list {device._waiting!r} != waiting launches "
+                f"{waiting!r}"
+            )
 
         # Utilization is a fraction of capacity.
         utilization = device.utilization()

@@ -53,8 +53,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Callable
 
 from ..check.invariants import InvariantChecker, NULL_CHECKER
@@ -80,6 +81,8 @@ from .kernel import (
 from .specs import GPUSpec
 
 __all__ = ["LaunchStatus", "DeviceLaunch", "GPUDevice"]
+
+_priority = attrgetter("priority")
 
 
 class LaunchStatus(enum.Enum):
@@ -235,6 +238,13 @@ class GPUDevice:
         self._threads_free = spec.total_threads
         self._slots_free = spec.total_block_slots
         self._resident: list[DeviceLaunch] = []  # sorted by (priority, seq)
+        #: the resident launches still *waiting* — blocks left to start
+        #: and no preemption request — in the same order; dispatch and
+        #: the settle loop's tests read it instead of scanning
+        #: ``_resident`` (a launch never waits again once it stops).
+        #: Replaced, never changed in place, so that a dispatch in
+        #: progress sees a launch leave (see :meth:`_unwait`)
+        self._waiting: list[DeviceLaunch] = []
         self._client_inflight: dict[str, int] = {}
         #: number of clients with at least one block in flight — kept
         #: incrementally so the co-location test is O(1), not a scan
@@ -360,6 +370,7 @@ class GPUDevice:
                 ))
             return False
         launch.preempt_requested = True
+        self._update_waiting(launch)
         # Batched PTB iterations settle at the next boundary: the flag
         # write lands mid-iteration, workers exit when it completes.
         for batch in launch.batches[:]:  # a folded chain may leave
@@ -396,6 +407,7 @@ class GPUDevice:
             self._unfold(self._fold)
         launch.preempt_requested = True
         launch.killed = True
+        self._update_waiting(launch)
         # Credit iterations that fully completed inside in-flight PTB
         # batches before discarding them (the iteration in flight is
         # lost, matching per-iteration accounting).
@@ -506,6 +518,10 @@ class GPUDevice:
             # boundary on; batched schedules stop being safe now.
             self._truncate_chains()
         insort(self._resident, launch, key=DeviceLaunch.sort_key)
+        if launch.blocks_to_start > 0 and not launch.preempt_requested:
+            waiting = self._waiting[:]
+            insort(waiting, launch, key=DeviceLaunch.sort_key)
+            self._waiting = waiting
         if launch.preempt_requested and launch.blocks_inflight == 0:
             # Preempted before it ever dispatched.
             self._finalize(launch)
@@ -527,53 +543,58 @@ class GPUDevice:
     def _dispatch(self) -> None:
         """Start pending blocks: strict priority between levels, fair
         round-robin within a level (concurrent grids on real hardware
-        interleave their blocks rather than strictly serializing)."""
-        resident = self._resident
-        if not resident or self._slots_free <= 0:
-            return
+        interleave their blocks rather than strictly serializing).
+
+        Only waiting launches are visited, level by level: with nothing
+        waiting a release dispatches nothing, and freed slots go
+        straight to the one launch of a level.  A level whose one launch
+        fits no block's threads is skipped; a level of several always
+        runs :meth:`_dispatch_group`, which turns the round-robin cursor
+        even when it starts nothing."""
+        waiting = self._waiting
+        n = len(waiting)
         i = 0
-        n = len(resident)
         while i < n and self._slots_free > 0:
-            priority = resident[i].priority
-            j = i
-            first: DeviceLaunch | None = None
-            group: list[DeviceLaunch] | None = None
-            while j < n and resident[j].priority == priority:
-                launch = resident[j]
-                if launch.blocks_to_start > 0 and not launch.preempt_requested:
-                    if first is None:
-                        first = launch
-                    elif group is None:
-                        group = [first, launch]
-                    else:
-                        group.append(launch)
+            launch = waiting[i]
+            priority = launch.priority
+            j = i + 1
+            while j < n and waiting[j].priority == priority:
                 j += 1
-            if group is not None:
-                self._dispatch_group(group)
-            elif first is not None:
-                self._dispatch_single(first)
-            i = j
+            if j > i + 1:
+                self._dispatch_group(waiting[i:j])
+            elif self._threads_free >= launch.descriptor.threads_per_block:
+                self._dispatch_single(launch)
+            if self._waiting is waiting:
+                i = j
+            else:
+                # launches stopped waiting: go on after this level in
+                # the list as it is now, should one below have left too
+                waiting = self._waiting
+                n = len(waiting)
+                i = bisect_right(waiting, priority, key=_priority)
 
     def _dispatch_single(self, launch: DeviceLaunch) -> None:
         """Fast path: one launch wants blocks at this priority level."""
         descriptor = launch.descriptor
         tpb = descriptor.threads_per_block
+        left = launch.blocks_to_start
         fit = self._threads_free // tpb
         if fit > self._slots_free:
             fit = self._slots_free
-        if fit > launch.blocks_to_start:
-            fit = launch.blocks_to_start
-        if fit <= 0:
+        if fit >= left:
+            fit = left  # a remainder that fits goes whole
+        elif fit <= 0:
             return
-        # Coalesce: avoid shredding big grids into slivers (each batch
-        # is one simulation event).  Small remainders and small kernels
-        # always go through.
-        capacity = self._capacity(tpb, descriptor.shared_mem_per_block)
-        min_chunk = capacity // 8
-        if min_chunk > launch.blocks_to_start:
-            min_chunk = launch.blocks_to_start
-        if fit < min_chunk:
-            return
+        else:
+            # Coalesce: avoid shredding big grids into slivers (each
+            # batch is one simulation event): a part of what is left
+            # starts only if it is an eighth of the capacity or more.
+            key = (tpb, descriptor.shared_mem_per_block)
+            capacity = self._capacity_cache.get(key)
+            if capacity is None:
+                capacity = self._capacity(*key)
+            if fit < capacity // 8:
+                return
         self._start_batch(launch, fit, solo=True)
 
     def _dispatch_group(self, group: list[DeviceLaunch]) -> None:
@@ -622,12 +643,22 @@ class GPUDevice:
                      solo: bool = False) -> None:
         if self.check.enabled:
             self.check.verify_dispatch(self, launch)
-        self._account()
+        engine = self.engine
+        now = engine.now
+        last = self._last_change
+        if now != last:  # _account(), inline
+            busy = self._total_threads - self._threads_free
+            if busy:
+                self._busy_thread_seconds += busy * (now - last)
+            self._last_change = now
         tpb = launch.descriptor.threads_per_block
         threads = count * tpb
         self._threads_free -= threads
         self._slots_free -= count
-        launch.blocks_to_start -= count
+        left = launch.blocks_to_start - count
+        launch.blocks_to_start = left
+        if not left:
+            self._unwait(launch)
         launch.blocks_inflight += count
         inflight = self._client_inflight
         prev = inflight.get(launch.client_id, 0)
@@ -638,29 +669,30 @@ class GPUDevice:
                 self._reprice_batches(launch.client_id)
         if launch.status is LaunchStatus.PENDING:
             launch.status = LaunchStatus.RUNNING
-            launch.started_at = self.engine.now
+            launch.started_at = now
             if self.tracer.enabled:
                 self.tracer.emit(KernelStart(
-                    ts=self.engine.now, client_id=launch.client_id,
+                    ts=now, client_id=launch.client_id,
                     kernel=launch.descriptor.name, launch_seq=launch.seq,
                     blocks=launch.total_blocks,
                 ))
 
         if launch.is_ptb:
             self._start_ptb_batch(launch, count, threads)
-        else:
-            duration = self._block_duration(launch)
-            chained = (self._solo_chain(launch, count)
-                       if solo and launch.blocks_to_start else 0)
+            return
+        duration = self._block_duration(launch)
+        if solo and left and launch.blocks_inflight == count:
+            chained = self._solo_chain(launch, count)
             if chained:
                 self._start_wave_chain(launch, count, threads, duration,
                                        chained)
-            else:
-                # the sequence number the wave's own event would take
-                now = self.engine.now
-                self._push_wave((self._wave_plan(now, duration, count,
-                                                 count)[0],
-                                 now, self.engine.reserve(1), launch, count))
+                return
+        # one wave ends at _wave_plan(now, duration, count, count)[0],
+        # under the sequence number its own event would take
+        # (engine.reserve(1), inline)
+        seq = engine._seq
+        engine._seq = seq + 1
+        self._push_wave((now + duration, now, seq, launch, count))
 
     @staticmethod
     def _wave_plan(start: float, duration: float, count: int,
@@ -808,11 +840,23 @@ class GPUDevice:
         if self._slots_free + launch.blocks_inflight \
                 != self.spec.total_block_slots:
             return False
-        for other in self._resident:
-            if (other is not launch and other.blocks_to_start > 0
-                    and not other.preempt_requested):
+        for other in self._waiting:
+            if other is not launch:
                 return False
         return True
+
+    def _unwait(self, launch: DeviceLaunch) -> None:
+        """Take waiting ``launch`` out of ``_waiting``."""
+        waiting = self._waiting[:]
+        waiting.remove(launch)
+        self._waiting = waiting
+
+    def _update_waiting(self, launch: DeviceLaunch) -> None:
+        """Drop ``launch`` from ``_waiting`` once it has no block left
+        to start or a preemption request; call after changing either."""
+        if launch in self._waiting and (launch.blocks_to_start <= 0
+                                        or launch.preempt_requested):
+            self._unwait(launch)
 
     def _release(self, launch: DeviceLaunch, count: int, threads: int) -> None:
         self._account()
@@ -928,6 +972,7 @@ class GPUDevice:
             # contribution to blocks_inflight throughout).
             launch.blocks_done += completed * batch.count
             launch.blocks_to_start -= completed * batch.count
+            self._update_waiting(launch)
         batch.started += completed * batch.iter_duration
         batch.iters -= completed
 
@@ -1020,16 +1065,27 @@ class GPUDevice:
         the drain, would come first in the per-wave model.
 
         Each boundary runs :meth:`_finish_batch` as its own event would
-        have, at its own ``now`` and ``current``.  A pure self-refill
-        (:meth:`_pure_refill`) only accrues busy time, as
-        :meth:`_account` does at every boundary, moves its blocks to
+        have, at its own ``now`` and ``current`` — the *full body*.  A
+        pure self-refill (:meth:`_pure_refill`) only accrues busy time,
+        as :meth:`_account` does at every boundary, moves its blocks to
         ``blocks_done`` and pushes the refill's record under the next
         sequence number; it changes nothing the event heap or the limit
-        depend on.  Every boundary after the first is credited
+        depend on, nor the free pool, so the busy threads are read only
+        after a full body.  Every boundary after the first is credited
         (:meth:`EventLoop.credit`).  Checked and traced runs take the
         full body at every boundary.  Meanwhile ``engine.settling``
         shows the records left, which :meth:`EventLoop.quiet_until`
         counts as events, and the proxy is re-armed when the loop stops.
+
+        A launch's True verdict, with its block duration, holds until
+        the next full body: a pure refill leaves the pool, the prices,
+        ``_chains`` and every flag as they were and only lowers
+        ``blocks_to_start`` of a launch that keeps its wave in flight.
+        That can stop a launch waiting, which only lifts
+        :meth:`_pure_refill`'s refusals, never adds one.  So
+        ``_pure_refill`` runs at most once per launch between full
+        bodies; ``blocks_to_start >= count``, the one clause a refill
+        can break, is tested at every boundary.
         """
         engine = self.engine
         waves = self._waves
@@ -1038,24 +1094,45 @@ class GPUDevice:
         outer = engine.settling
         engine.settling = waves
         walk = not (self.check.enabled or self.tracer.enabled)
+        #: block duration of each launch found a pure refill since the
+        #: last full body
+        pure: dict[DeviceLaunch, float] = {}
+        busy = self._total_threads - self._threads_free
         settled = 0
         limit = None
         try:
             while True:
                 launch = record[3]
                 count = record[4]
-                if walk and self._pure_refill(launch, count):
+                duration = None
+                if walk and launch.blocks_to_start >= count:
+                    if launch in pure:
+                        duration = pure[launch]
+                    elif self._pure_refill(launch, count):
+                        duration = pure[launch] = self._block_duration(launch)
+                if duration is not None:
                     end = record[0]
-                    self._account(end)
+                    last = self._last_change
+                    if end != last:  # _account(end), inline
+                        self._busy_thread_seconds += busy * (end - last)
+                        self._last_change = end
                     launch.blocks_done += count
-                    launch.blocks_to_start -= count
-                    # (end + duration is _wave_plan's end for one wave)
-                    heappush(waves, (end + self._block_duration(launch), end,
-                                     engine.reserve(1), launch, count))
+                    left = launch.blocks_to_start - count
+                    launch.blocks_to_start = left
+                    if not left:
+                        self._unwait(launch)
+                    # engine.reserve(1), inline; end + duration is
+                    # _wave_plan's end for one wave
+                    seq = engine._seq
+                    engine._seq = seq + 1
+                    heappush(waves, (end + duration, end, seq, launch, count))
                 else:
                     self._finish_batch(
                         launch, count,
                         count * launch.descriptor.threads_per_block)
+                    if pure:
+                        pure = {}
+                    busy = self._total_threads - self._threads_free
                     limit = None
                 if not waves:
                     break
@@ -1098,6 +1175,14 @@ class GPUDevice:
         exceeds ``count``, more than ``count`` blocks were left when the
         wave started, so the minimum its dispatch applied, and the wave
         met, was ``capacity // 8``; the minimum now is no larger.
+
+        A True verdict stays true until the next full body (see
+        :meth:`_settle_waves`) for any of the launch's waves that
+        ``blocks_to_start`` still covers: each clause but the first
+        reads only what a pure refill leaves alone, or the waiting
+        launches, which a refill can only thin out; and a launch with
+        two waves in flight has ``blocks_inflight`` and its client's
+        count above either wave's size.
         """
         left = launch.blocks_to_start
         if left < count or launch.preempt_requested or launch.killed:
@@ -1115,16 +1200,15 @@ class GPUDevice:
         slots = self._slots_free
         seen = False
         lower = None
-        for other in self._resident:
+        for other in self._waiting:
             if other is launch:
                 seen = True
-            elif other.blocks_to_start > 0 and not other.preempt_requested:
-                if not seen or other.priority == priority:
+            elif not seen or other.priority == priority:
+                return False
+            elif slots:
+                if other.priority == lower:
                     return False
-                if slots:
-                    if other.priority == lower:
-                        return False
-                    lower = other.priority
+                lower = other.priority
         return True
 
     # ------------------------------------------------------------------
@@ -1151,6 +1235,7 @@ class GPUDevice:
         count = batch.count
         launch.blocks_done += batch.iters * count
         launch.blocks_to_start = 0
+        self._update_waiting(launch)
         tpb = launch.descriptor.threads_per_block
         self._threads_free += count * tpb
         self._slots_free += count
@@ -1222,6 +1307,7 @@ class GPUDevice:
         count = batch.count
         launch.blocks_done += batch.iters * count
         launch.blocks_to_start -= (batch.iters - 1) * count
+        self._update_waiting(launch)
         self._release(launch, count, batch.threads)
         finished = (launch.blocks_inflight == 0
                     and (launch.blocks_to_start == 0
@@ -1289,6 +1375,8 @@ class GPUDevice:
             self._resident.remove(launch)
         except ValueError:
             pass
+        if launch in self._waiting:  # a PTB launch may retire waiting
+            self._unwait(launch)
         self.launches_completed += 1
         self._dispatch()
         if self.check.enabled:

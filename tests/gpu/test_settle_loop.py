@@ -11,6 +11,8 @@ body — and demand identical results (``==``, not ``approx``):
 outcomes, ``events``, ``utilization()`` and checker findings, also when
 arrivals, preemptions and kills land exactly on a wave boundary or one
 ulp either side of it, and whatever horizons the loop is drained to.
+The loop keeps each launch's True verdict until its next full body;
+the last tests pin that cache down on the cases where it runs out.
 """
 
 import math
@@ -469,3 +471,162 @@ def test_a_chunk_left_alone_becomes_a_wave_chain(act):
     with pytest.MonkeyPatch.context() as mp:
         _no_walk(mp)
         assert walk == outcome()
+
+
+# ----------------------------------------------------------------------
+# The verdict cache: _pure_refill runs at most once per launch between
+# two full bodies of the settle loop
+# ----------------------------------------------------------------------
+def _probe(device, log):
+    """Log the settle loop's stretches (``stretch``), full bodies
+    (``full``: launch name, ``blocks_to_start`` and wave size before
+    it), ``_pure_refill`` verdicts (``verdict``: the same and the
+    verdict) and launches leaving the waiting list by a pure refill
+    (``pure-unwait``: inside a stretch, outside a full body)."""
+    settle, refill = device._settle_waves, device._pure_refill
+    finish, unwait = device._finish_batch, device._unwait
+    depth = {"stretch": 0, "full": 0}
+
+    def stretch():
+        log.append(("stretch",))
+        depth["stretch"] += 1
+        try:
+            settle()
+        finally:
+            depth["stretch"] -= 1
+
+    def verdict(launch, count):
+        result = refill(launch, count)
+        log.append(("verdict", launch.descriptor.name,
+                    launch.blocks_to_start, count, result))
+        return result
+
+    def full(launch, count, threads):
+        log.append(("full", launch.descriptor.name, launch.blocks_to_start,
+                    count))
+        depth["full"] += 1
+        try:
+            finish(launch, count, threads)
+        finally:
+            depth["full"] -= 1
+
+    def leave(launch):
+        if depth["stretch"] and not depth["full"]:
+            log.append(("pure-unwait", launch.descriptor.name))
+        unwait(launch)
+
+    device._settle_waves = stretch
+    device._pure_refill = verdict
+    device._finish_batch = full
+    device._unwait = leave
+
+
+def _cache_run(launches, *, walk=True, log=None):
+    """Submit ``(name, blocks, tpb, shared_mem, duration, priority,
+    at)`` launches to a fresh device and run it to the end; return the
+    outcome, ``events`` and ``utilization()``."""
+    engine = EventLoop()
+    device = GPUDevice(SPEC, engine)
+    if log is not None:
+        _probe(device, log)
+    made = []
+    for name, blocks, tpb, smem, duration, priority, at in launches:
+        launch = DeviceLaunch(
+            KernelDescriptor(name, num_blocks=blocks, threads_per_block=tpb,
+                             block_duration=duration,
+                             shared_mem_per_block=smem),
+            client_id=name, priority=priority)
+        made.append(launch)
+        engine.schedule_at(at, lambda l=launch: device.submit(l))
+    if walk:
+        engine.run()
+    else:
+        with pytest.MonkeyPatch.context() as mp:
+            _no_walk(mp)
+            engine.run()
+    return _result(engine, device, made)[:3]
+
+
+@pytest.mark.parametrize("blocks", [264 * 5, 264 * 4 + 100])
+def test_a_cached_verdict_runs_out_within_one_stretch(blocks):
+    """A long-block grid holds most of the device; grid ``a`` fits 264
+    blocks beside it and refills that chunk by itself.  Its one verdict
+    covers every later refill of the stretch, through the one where
+    ``blocks_to_start`` equals the chunk; the next boundary, with fewer
+    blocks left than the chunk, takes the full body."""
+    launches = [("b", 150, 1024, 0, 1e-2, 1, 0.0),
+                ("a", blocks, 256, 0, 1e-5, 0, 1e-6)]
+    log: list = []
+    walk = _cache_run(launches, log=log)
+    assert walk == _cache_run(launches, walk=False)
+    assert sum(1 for e in log if e[0] == "stretch") == 1
+    verdicts = [e for e in log if e[0] == "verdict"]
+    assert verdicts == [("verdict", "a", blocks - 264, 264, True)]
+    last = [e for e in log if e[0] == "full" and e[1] == "a"][0]
+    assert last[2] < last[3]
+    if blocks % 264 == 0:  # the cached refill at == count left 0
+        assert ("pure-unwait", "a") in log
+        assert last[2] == 0
+
+
+def test_another_launchs_last_pure_refill_lands_mid_stretch():
+    """``x`` refills its chunk by itself while ``y`` waits below it, so
+    ``y``'s boundaries take the full body and refill ``y`` (freed ``y``
+    slots are too few for a chunk of ``x``).  ``x``'s last pure refill
+    takes it off the waiting list in the middle of a stretch; ``y``'s
+    next boundary, before any full body, is then a pure refill too."""
+    launches = [("b1", 500, 256, 0, 1e-2, 2, 0.0),
+                ("b2", 60, 256, 0, 5e-5, 3, 0.0),
+                ("x", 760, 1024, 0, 3e-5, 0, 1e-6),
+                ("y", 3000, 256, 48 * 1024, 1.3e-5, 1, 1e-6)]
+    log: list = []
+    walk = _cache_run(launches, log=log)
+    assert walk == _cache_run(launches, walk=False)
+    at = log.index(("pure-unwait", "x"))
+    after = log[at + 1]
+    assert after[:2] == ("verdict", "y") and after[4] is True
+    assert not any(e[0] == "verdict" and e[1] == "y" and e[4]
+                   for e in log[:at])
+
+
+def test_pure_refill_runs_once_per_launch_between_full_bodies(monkeypatch):
+    """On the TGS co-location inputs, ``_pure_refill`` runs at most once
+    per launch between two full bodies of one stretch, and the cached
+    verdicts cover more boundaries than were evaluated."""
+    calls: dict = {}
+    counts = {"repeat": 0, "verdicts": 0, "pure": 0, "inside": 0}
+    refill = GPUDevice._pure_refill
+    finish = GPUDevice._finish_batch
+    settle = GPUDevice._settle_waves
+
+    def verdict(self, launch, count):
+        calls[launch] = calls.get(launch, 0) + 1
+        counts["repeat"] += calls[launch] > 1
+        counts["verdicts"] += 1
+        return refill(self, launch, count)
+
+    def full(self, launch, count, threads):
+        calls.clear()
+        counts["pure"] -= counts["inside"]
+        finish(self, launch, count, threads)
+
+    def stretch(self):
+        calls.clear()
+        # a stretch runs one boundary more than it credits; the ones
+        # that take no full body are pure refills
+        before = self.engine.events_credited
+        counts["inside"] = 1
+        settle(self)
+        counts["inside"] = 0
+        counts["pure"] += self.engine.events_credited - before + 1
+
+    monkeypatch.setattr(GPUDevice, "_pure_refill", verdict)
+    monkeypatch.setattr(GPUDevice, "_finish_batch", full)
+    monkeypatch.setattr(GPUDevice, "_settle_waves", stretch)
+    jobs = [JobSpec.inference("bert_infer", load=0.5),
+            JobSpec.training("whisper_train")]
+    run_colocation("TGS", jobs, RunConfig(duration=1.0, warmup=0.25))
+    assert counts["verdicts"] > 0
+    assert counts["repeat"] == 0
+    # each verdict covers several pure refills
+    assert counts["pure"] > 2 * counts["verdicts"], counts
