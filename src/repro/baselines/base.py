@@ -100,7 +100,7 @@ class SharingPolicy(abc.ABC):
     def run_ahead(self, client_id: str) -> tuple[float, bool] | None:
         """The window (see :meth:`~repro.gpu.engine.EventLoop.quiet_until`)
         in which ``client_id``'s next kernels may settle inline through
-        :meth:`run_inline`, or None to keep them on the event path.
+        :meth:`inline_runner`, or None to keep them on the event path.
 
         Declines by default: a policy that queues, reorders, preempts or
         transforms kernels makes decisions the inline path would skip.
@@ -117,27 +117,26 @@ class SharingPolicy(abc.ABC):
         the stretch at the gap instead."""
         return True
 
-    def run_inline(self, client_id: str, descriptor: KernelDescriptor,
-                   start: float, window: tuple[float, bool]) -> float | None:
-        """Submit ``descriptor`` for ``client_id`` at ``start`` and settle
-        it inline; return its completion time, or None (nothing
-        happened) if it would not complete inside ``window``.  Only
-        called with a window from :meth:`run_ahead`: the device runs the
-        kernel as :meth:`_run_inline` runs it, and the client's
-        counters move as :meth:`submit` moves them."""
-        end = self._run_inline(client_id, descriptor, start, window)
-        if end is not None:
-            info = self.clients[client_id]
-            info.kernels_submitted += 1
-            info.kernels_completed += 1
-        return end
+    def inline_runner(self, client_id: str) -> Callable[
+            [KernelDescriptor, float, tuple[float, bool]], float | None]:
+        """How ``client_id``'s kernels settle inline inside a window
+        from :meth:`run_ahead`: a callable ``(descriptor, start, window)
+        -> end | None`` that submits the kernel at ``start`` and
+        returns its completion time, or None (nothing happened) if it
+        would not complete inside ``window``.  By default one ORIGINAL
+        launch alone on the device
+        (:meth:`~repro.gpu.device.GPUDevice.run_solo`).  A stretch
+        (:func:`~repro.workloads.runahead.run_ahead`) fetches it once
+        and calls :meth:`count_inline` once at its end."""
+        return self.device.run_solo
 
-    def _run_inline(self, client_id: str, descriptor: KernelDescriptor,
-                    start: float, window: tuple[float, bool]) -> float | None:
-        """The device side of :meth:`run_inline`: by default one
-        ORIGINAL launch alone on the device
-        (:meth:`~repro.gpu.device.GPUDevice.run_solo`)."""
-        return self.device.run_solo(descriptor, start, window)
+    def count_inline(self, client_id: str, kernels: int) -> None:
+        """Count ``kernels`` kernels that :meth:`inline_runner`'s
+        callable ran for ``client_id``, as :meth:`submit` and their
+        completions would have counted them."""
+        info = self.clients[client_id]
+        info.kernels_submitted += kernels
+        info.kernels_completed += kernels
 
     def run_ahead_resume(self, client_id: str,
                          resume: Callable[[], None]) -> Callable[[], None]:

@@ -20,13 +20,16 @@ average, so the profile adapts if co-location conditions shift.
 
 ``choose`` runs once per best-effort kernel execution, so the profiler
 keeps one record per descriptor (:class:`_Profile`): the candidate
-list, the measurements in candidate order and the count still
-unmeasured.  A decision hashes the descriptor once and scans a short
-list; it never hashes a ``(descriptor, config)`` pair.
+list, the measurements in candidate order, the count still unmeasured
+and the standing verdict.  A decision hashes the descriptor once and
+returns the verdict; it ranks the candidates again only after a
+:meth:`TransparentProfiler.record` that may have changed the ranking,
+which the winner's own samples rarely do (:meth:`_Profile.revise`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import SchedulerError
@@ -61,20 +64,37 @@ class _Profile:
 
     ``measured`` holds the :class:`Measurement` of each candidate in
     candidate order (None while unmeasured) and ``unmeasured`` counts
-    the Nones, so :meth:`TransparentProfiler.choose` scans a list
+    the Nones, so :meth:`TransparentProfiler.pick` scans a list
     instead of hashing a ``(descriptor, config)`` pair per candidate.
     ``by_config`` maps every recorded configuration to its measurement,
     including configurations outside the candidate list (a degraded
     execution records the rung it actually ran).
+
+    The rest is the standing verdict of
+    :meth:`TransparentProfiler._select` (``winner`` None while there is
+    none).  A candidate's *rank* is ``((duration, turnaround), index)``:
+    its key, ties broken by candidate order.  The verdict is the
+    winner's index, the runner-up's rank (None if none), the ``bound``
+    the candidates qualified under, and for a ``relaxed`` verdict
+    (nothing met the turnaround bound, so ``bound`` is twice the least
+    turnaround) the least turnaround of the other candidates.
+    :meth:`revise` keeps it across a
+    :meth:`TransparentProfiler.record` that cannot change it.
     """
 
-    __slots__ = ("candidates", "measured", "unmeasured", "by_config")
+    __slots__ = ("candidates", "measured", "unmeasured", "by_config",
+                 "winner", "runner", "bound", "relaxed", "others_least")
 
     def __init__(self, candidates: list[SchedConfig]) -> None:
         self.candidates = candidates
         self.measured: list[Measurement | None] = [None] * len(candidates)
         self.unmeasured = len(candidates)
         self.by_config: dict[SchedConfig, Measurement] = {}
+        self.winner: int | None = None
+        self.runner: tuple | None = None
+        self.bound = 0.0
+        self.relaxed = False
+        self.others_least = math.inf
 
     def add(self, config: SchedConfig, measurement: Measurement) -> None:
         """Store the first measurement of ``config``."""
@@ -85,6 +105,48 @@ class _Profile:
             return
         self.measured[index] = measurement
         self.unmeasured -= 1
+        self.winner = None
+
+    def revise(self, updated: Measurement, strict: float) -> None:
+        """Keep the standing verdict after ``updated`` took a new
+        sample if the ranking that made it still holds, else drop it.
+        ``strict`` is the turnaround bound.
+
+        The winner stays ahead when it still qualifies under an unmoved
+        bound (a relaxed verdict's bound moves with the least
+        turnaround) and still outranks the runner-up.  The runner-up
+        stays runner-up when it improves without passing the winner.
+        Any other measurement — a candidate's, or a configuration's
+        outside the list — leaves the two ahead when it does not
+        qualify or its key is behind the runner-up's.  Everything else
+        may change the verdict, so it is dropped and the next pick
+        ranks the candidates again."""
+        winner = self.winner
+        measured = self.measured
+        turnaround = updated.turnaround
+        key = (updated.duration, turnaround)
+        runner = self.runner
+        if updated is measured[winner]:
+            if self.relaxed:
+                bound_holds = turnaround > strict and min(
+                    self.others_least, turnaround) * 2.0 == self.bound
+            else:
+                bound_holds = True
+            if (bound_holds and turnaround <= self.bound
+                    and (runner is None or (key, winner) < runner)):
+                return
+        elif not self.relaxed:
+            if runner is not None and updated is measured[runner[1]]:
+                best = measured[winner]
+                rank = (key, runner[1])
+                if (turnaround <= strict and rank <= runner and rank > (
+                        (best.duration, best.turnaround), winner)):
+                    self.runner = rank
+                    return
+            elif turnaround > strict or (runner is not None
+                                         and key > runner[0]):
+                return
+        self.winner = None
 
 
 class TransparentProfiler:
@@ -164,6 +226,9 @@ class TransparentProfiler:
             profile.add(config, Measurement(turnaround, duration))
         else:
             existing.update(turnaround, duration)
+            if profile.winner is not None:
+                profile.revise(existing,
+                               self.config.turnaround_latency_bound)
 
     # ------------------------------------------------------------------
     def choose(self, descriptor: KernelDescriptor) -> tuple[SchedConfig, bool]:
@@ -221,21 +286,44 @@ class TransparentProfiler:
         marginally sooner than a PTB launch but serializes partial
         waves, multiplying the kernel's duration), so any candidate
         within 2x of the best turnaround qualifies instead.
+
+        The verdict stands on the profile until a :meth:`record` may
+        change it (:meth:`_Profile.revise`); only then does the next
+        call rank the candidates again (:meth:`_fastest`).
         """
-        best = self._fastest(profile, self.config.turnaround_latency_bound)
-        if best is None:
-            least = min([m.turnaround for m in profile.measured
-                         if m is not None])
-            best = self._fastest(profile, 2.0 * least)
-        return best
+        if profile.winner is None:
+            self._fastest(profile, self.config.turnaround_latency_bound)
+        return profile.candidates[profile.winner]
 
     @staticmethod
-    def _fastest(profile: _Profile, bound: float) -> SchedConfig | None:
-        best = None
-        best_key = None
-        for candidate, m in zip(profile.candidates, profile.measured):
-            if m is not None and m.turnaround <= bound:
-                key = (m.duration, m.turnaround)
-                if best_key is None or key < best_key:
-                    best, best_key = candidate, key
-        return best
+    def _fastest(profile: _Profile, strict: float) -> None:
+        """Rank ``profile``'s measured candidates and store the verdict
+        of :meth:`_select` on it: the winner and the runner-up among the
+        candidates within ``strict``, or, if none is, within twice the
+        least turnaround."""
+        measured = profile.measured
+        bound = strict
+        relaxed = False
+        while True:
+            best = runner = None
+            for index, m in enumerate(measured):
+                if m is not None and m.turnaround <= bound:
+                    rank = ((m.duration, m.turnaround), index)
+                    if best is None or rank < best:
+                        best, runner = rank, best
+                    elif runner is None or rank < runner:
+                        runner = rank
+            if best is not None:
+                break
+            bound = 2.0 * min([m.turnaround for m in measured
+                               if m is not None])
+            relaxed = True
+        winner = best[1]
+        if relaxed:
+            profile.others_least = min(
+                [m.turnaround for index, m in enumerate(measured)
+                 if m is not None and index != winner], default=math.inf)
+        profile.winner = winner
+        profile.runner = runner
+        profile.bound = bound
+        profile.relaxed = relaxed

@@ -211,19 +211,24 @@ class Tally(SharingPolicy):
         happens when a best-effort client's stream pauses."""
         return self.clients[client_id].priority is not Priority.HIGH
 
-    def _run_inline(self, client_id: str, descriptor: KernelDescriptor,
-                    start: float, window: tuple[float, bool]) -> float | None:
-        if self.clients[client_id].priority is not Priority.HIGH:
-            return self._run_best_effort_inline(descriptor, start, window)
-        end = self.device.run_solo(descriptor, start, window)
-        if end is not None:
-            self.stats.hp_kernels += 1
+    def inline_runner(self, client_id: str) -> Callable[
+            [KernelDescriptor, float, tuple[float, bool]], float | None]:
+        """A high-priority kernel runs alone, as on a passthrough
+        policy; a best-effort kernel runs its whole execution
+        (:meth:`_run_best_effort_inline`)."""
+        if self.clients[client_id].priority is Priority.HIGH:
+            return self.device.run_solo
+        return self._run_best_effort_inline
+
+    def count_inline(self, client_id: str, kernels: int) -> None:
+        super().count_inline(client_id, kernels)
+        if kernels and self.clients[client_id].priority is Priority.HIGH:
+            self.stats.hp_kernels += kernels
             if client_id not in self._stretches:
                 # the event path keeps a count outstanding from the
                 # first kernel's submission to the last one's completion
                 self._stretches.add(client_id)
                 self._hp_outstanding += 1
-        return end
 
     def _run_best_effort_inline(self, descriptor: KernelDescriptor,
                                 start: float,
@@ -257,23 +262,16 @@ class Tally(SharingPolicy):
             self._original_ran(execution, end - (start + overhead), total)
         else:
             per = config.blocks_per_slice
-            # the last slice must end inside the window before the first
-            # one runs
-            end = start
-            for first in range(0, total, per):
-                end = device.solo_done(descriptor, end, window,
-                                       min(per, total - first))
-                if end is None:
-                    return None
-            end = start
-            finished = False
-            while not finished:
-                blocks = min(per, total - execution.next_block)
+            ends: list[float] = []
+            end = device.run_solo(descriptor, start, window, per, ends)
+            if end is None:
+                return None
+            self.stats.slices_launched += len(ends)
+            submitted = start
+            for end in ends:
+                self._slice_ran(execution, end - (submitted + overhead),
+                                min(per, total - execution.next_block))
                 submitted = end
-                end = device.run_solo(descriptor, submitted, window, blocks)
-                self.stats.slices_launched += 1
-                finished = self._slice_ran(
-                    execution, end - (submitted + overhead), blocks)
         self._count_pick(profiling)
         self.stats.be_kernels += 1
         return end

@@ -84,6 +84,10 @@ __all__ = ["LaunchStatus", "DeviceLaunch", "GPUDevice"]
 
 _priority = attrgetter("priority")
 
+#: bound on each of a device's solo plan caches (see
+#: :meth:`GPUDevice._solo_plan`)
+_SOLO_PLANS_MAX = 4096
+
 
 class LaunchStatus(enum.Enum):
     """Lifecycle of a device launch."""
@@ -257,6 +261,12 @@ class GPUDevice:
         #: threads alone would alias kernels whose shared-memory
         #: pressure lowers their occupancy
         self._capacity_cache: dict[tuple[int, int], int] = {}
+        #: solo plans of :meth:`run_solo` and :meth:`run_solo_ptb`,
+        #: keyed on (descriptor, blocks or workers, threads free, slots
+        #: free); they also depend on the speed factor, so
+        #: :meth:`set_speed_factor` drops them
+        self._solo_plans: dict[tuple, tuple] = {}
+        self._ptb_plans: dict[tuple, tuple | None] = {}
         #: multi-interval batches currently in flight — PTB iteration
         #: batches and ORIGINAL wave chains — truncated on arrivals and
         #: co-location transitions
@@ -303,6 +313,8 @@ class GPUDevice:
         if factor == self._speed_factor:
             return
         self._speed_factor = factor
+        self._solo_plans.clear()
+        self._ptb_plans.clear()
         if self._chains:
             self._truncate_chains()
 
@@ -702,8 +714,10 @@ class GPUDevice:
         = start + duration * W`` of the ``W`` whole waves, and the size
         of the partial last wave after them (0 if none), which ends at
         ``T + duration``.  The one timing model of solo ORIGINAL work:
-        a wave record (``W = 1``), a wave chain, a folded partial
-        wave and :meth:`run_solo` all take their times from here."""
+        a wave record (``W = 1``), a wave chain and a folded partial
+        wave take their times from here, and so do :meth:`run_solo`'s
+        cached plans (:meth:`_solo_plan`, from ``start = 0.0``: adding
+        the span to the arrival later is the same sum)."""
         waves, tail = divmod(blocks, count)
         return start + duration * waves, tail
 
@@ -721,71 +735,109 @@ class GPUDevice:
         return self.engine.quiet_until()
 
     def run_solo(self, descriptor: KernelDescriptor, start: float,
-                 window: tuple[float, bool],
-                 blocks: int | None = None) -> float | None:
-        """Run an ORIGINAL launch of ``descriptor`` — of its first
-        ``blocks`` blocks (default: all), as a slice is launched —
-        submitted at ``start`` to this idle device, inline: return the
-        time its completion would fire, or None (and change nothing)
-        if that lies outside ``window`` (from :meth:`solo_window`).
+                 window: tuple[float, bool], per: int | None = None,
+                 ends: list[float] | None = None) -> float | None:
+        """Run an ORIGINAL launch of ``descriptor`` submitted at
+        ``start`` to this idle device, inline — or, given ``per``, the
+        chain of launches of ``per`` blocks each (the last takes the
+        rest) that a sliced kernel makes, each submitted when the
+        previous one completes: return the time the last completion
+        would fire, or None (and change nothing) if that lies outside
+        ``window`` (from :meth:`solo_window`).  ``ends``, an empty list
+        if given, receives every launch's completion time when the
+        chain runs.
 
-        The launch arrives after the launch overhead and starts the
+        Each launch arrives after the launch overhead and starts the
         wave :meth:`_dispatch_single` starts on an idle device; its
         waves run as the solo wave chain does (:meth:`_wave_plan`), and
         busy time accrues in the order the event path accrues it — at
         the arrival (:meth:`_start_batch`), at the end of the whole
         waves (:meth:`_cross` or :meth:`_release`) and at the end of a
         partial last wave (:meth:`_release`).  Inside the window
-        nothing can observe the device before the launch would have
-        completed, so settling it now is indistinguishable.
+        nothing can observe the device before the last launch would
+        have completed, so settling the chain now is indistinguishable.
+        The chain's timing depends only on the launch sizes, so it is
+        planned once per size (:meth:`_solo_plan`) and only summed here.
         """
-        if blocks is None:
-            blocks = descriptor.num_blocks
-        plan = self._solo_plan(descriptor, start, window, blocks)
-        if plan is None:
+        total = descriptor.num_blocks
+        if per is None:
+            per = total
+        plans = self._solo_plans
+        overhead = self.spec.kernel_launch_overhead
+        seconds = self._busy_thread_seconds
+        last = self._last_change
+        done = start
+        left = total
+        planned = launches = 0
+        while left:
+            blocks = per if left > per else left
+            if blocks != planned:
+                key = (descriptor, blocks, self._threads_free,
+                       self._slots_free)
+                try:
+                    plan = plans[key]
+                except KeyError:
+                    plan = self._solo_plan(key)
+                span, duration, tail, busy, wave_busy, tail_busy = plan
+                planned = blocks
+            arrived = done + overhead
+            end = arrived + span
+            done = end + duration if tail else end
+            # _account(arrived), _account(end) and _account(done),
+            # inline; the threads the launch takes return by ``done``
+            if arrived != last:
+                if busy:
+                    seconds += busy * (arrived - last)
+                last = arrived
+            if end != last:
+                seconds += wave_busy * (end - last)
+                last = end
+            if done != last:
+                if tail_busy:
+                    seconds += tail_busy * (done - last)
+                last = done
+            if ends is not None:
+                ends.append(done)
+            left -= blocks
+            launches += 1
+        bound, inclusive = window
+        if done > bound or (done == bound and not inclusive):
+            if ends:
+                ends.clear()
             return None
-        count, arrived, end, tail, done = plan
-        tpb = descriptor.threads_per_block
-        self._account(arrived)
-        self._threads_free -= count * tpb
-        self._account(end)
-        self._threads_free += (count - tail) * tpb
-        self._account(done)
-        self._threads_free += tail * tpb
-        self.launches_completed += 1
+        self._busy_thread_seconds = seconds
+        self._last_change = last
+        self.launches_completed += launches
         return done
 
-    def solo_done(self, descriptor: KernelDescriptor, start: float,
-                  window: tuple[float, bool], blocks: int) -> float | None:
-        """What :meth:`run_solo` would return, changing nothing: lets a
-        caller check that a chain of launches ends inside ``window``
-        before it runs the first."""
-        plan = self._solo_plan(descriptor, start, window, blocks)
-        return None if plan is None else plan[4]
-
-    def _solo_plan(self, descriptor: KernelDescriptor, start: float,
-                   window: tuple[float, bool], blocks: int) -> tuple | None:
-        """The timing of :meth:`run_solo`'s launch — ``(count, arrived,
-        end, tail, done)``: wave size, arrival, end of the whole waves,
-        partial wave size and completion — or None outside
-        ``window``."""
-        count = min(self._threads_free // descriptor.threads_per_block,
-                    self._slots_free, blocks)
+    def _solo_plan(self, key: tuple) -> tuple:
+        """Plan and cache :meth:`run_solo`'s launch of ``blocks`` blocks
+        for ``key = (descriptor, blocks, threads free, slots free)``:
+        ``(span, duration, tail, busy, wave_busy, tail_busy)`` — the
+        length of the whole waves, a wave's duration, the partial
+        wave's size, and the busy threads before the launch, during its
+        whole waves and during its partial wave.  The plans depend on
+        the speed factor too, so :meth:`set_speed_factor` drops them."""
+        descriptor, blocks, threads_free, slots_free = key
+        tpb = descriptor.threads_per_block
+        count = min(threads_free // tpb, slots_free, blocks)
         duration = descriptor.block_duration
         if self._speed_factor != 1.0:
             duration *= self._speed_factor
-        arrived = start + self.spec.kernel_launch_overhead
-        end, tail = self._wave_plan(arrived, duration, count, blocks)
-        done = end + duration if tail else end
-        if not self._in_window(done, window):
-            return None
-        return count, arrived, end, tail, done
+        span, tail = self._wave_plan(0.0, duration, count, blocks)
+        busy = self._total_threads - threads_free
+        plan = (span, duration, tail, busy, busy + count * tpb,
+                busy + tail * tpb)
+        self._cache_plan(self._solo_plans, key, plan)
+        return plan
 
     @staticmethod
-    def _in_window(done: float, window: tuple[float, bool]) -> bool:
-        """Whether a completion at ``done`` lies inside ``window``."""
-        bound, inclusive = window
-        return done < bound or (done == bound and inclusive)
+    def _cache_plan(plans: dict, key: tuple, plan: tuple | None) -> None:
+        """Store a solo plan, starting over once the cache is full (a
+        bound, far above the distinct launches of any workload)."""
+        if len(plans) >= _SOLO_PLANS_MAX:
+            plans.clear()
+        plans[key] = plan
 
     def run_solo_ptb(self, descriptor: KernelDescriptor, start: float,
                      window: tuple[float, bool],
@@ -800,25 +852,53 @@ class GPUDevice:
         Busy time accrues at the arrival and at the completion, as
         :meth:`_start_batch` and :meth:`_release` accrue it.
         """
+        key = (descriptor, workers, self._threads_free, self._slots_free)
+        try:
+            plan = self._ptb_plans[key]
+        except KeyError:
+            plan = self._ptb_plan(key)
+        if plan is None:
+            return None
+        span, busy, workers_busy = plan
+        arrived = start + self.spec.kernel_launch_overhead
+        done = arrived + span
+        bound, inclusive = window
+        if done > bound or (done == bound and not inclusive):
+            return None
+        # _account(arrived) and _account(done), inline
+        seconds = self._busy_thread_seconds
+        last = self._last_change
+        if arrived != last:
+            if busy:
+                seconds += busy * (arrived - last)
+            last = arrived
+        if done != last:
+            seconds += workers_busy * (done - last)
+            last = done
+        self._busy_thread_seconds = seconds
+        self._last_change = last
+        self.launches_completed += 1
+        return done
+
+    def _ptb_plan(self, key: tuple) -> tuple | None:
+        """Plan and cache :meth:`run_solo_ptb`'s launch for ``key =
+        (descriptor, workers, threads free, slots free)``: ``(span,
+        busy, workers_busy)`` — its length, and the busy threads before
+        and during it — or None if its workers do not all fit."""
+        descriptor, workers, threads_free, slots_free = key
         tpb = descriptor.threads_per_block
         blocks = descriptor.num_blocks
         count = min(workers, blocks)
-        if count > self._threads_free // tpb or count > self._slots_free:
-            return None
-        base = descriptor.block_duration
-        if self._speed_factor != 1.0:
-            base *= self._speed_factor
-        arrived = start + self.spec.kernel_launch_overhead
-        done = arrived + (self._ptb_iteration(descriptor, base)
-                          * -(-blocks // count))
-        if not self._in_window(done, window):
-            return None
-        self._account(arrived)
-        self._threads_free -= count * tpb
-        self._account(done)
-        self._threads_free += count * tpb
-        self.launches_completed += 1
-        return done
+        plan = None
+        if count <= threads_free // tpb and count <= slots_free:
+            base = descriptor.block_duration
+            if self._speed_factor != 1.0:
+                base *= self._speed_factor
+            busy = self._total_threads - threads_free
+            plan = (self._ptb_iteration(descriptor, base)
+                    * -(-blocks // count), busy, busy + count * tpb)
+        self._cache_plan(self._ptb_plans, key, plan)
+        return plan
 
     def _solo_chain(self, launch: DeviceLaunch, count: int) -> int:
         """How many of ``launch``'s blocks still to start run in the

@@ -19,6 +19,10 @@ LRU-bounded (:data:`DEFAULT_CAPACITY`) so unbounded kernel streams
 cannot grow it without limit; evictions are counted alongside hits and
 misses.
 
+The store itself knows nothing of kernels: any frozen artifact under
+a content key fits, and :meth:`repro.workloads.WorkloadModel.build_trace`
+keeps its traces in one too.
+
 The process-wide instance is :func:`transform_memo`;
 ``TransformPipeline(memo=transform_memo())`` (what
 :class:`~repro.core.server.TallyServer` does) opts into it, while a

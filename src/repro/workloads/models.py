@@ -30,6 +30,7 @@ import numpy as np
 from ..errors import WorkloadError
 from ..gpu.kernel import KernelDescriptor
 from ..gpu.specs import GPUSpec
+from ..transform.memo import TransformMemo
 from .distributions import DurationMixture
 
 __all__ = [
@@ -41,6 +42,13 @@ __all__ = [
     "INFERENCE_MODELS",
     "get_model",
 ]
+
+#: bound on memoized traces (a workload builds a dozen distinct ones)
+TRACE_MEMO_CAPACITY = 64
+
+#: the process-wide ``(model, spec, seed) -> Trace`` store of
+#: :meth:`WorkloadModel.build_trace`
+_TRACES = TransformMemo(TRACE_MEMO_CAPACITY)
 
 
 class WorkloadKind(str, enum.Enum):
@@ -115,8 +123,19 @@ class WorkloadModel:
 
         The same (model, seed) pair always yields the same trace, so
         kernel names are stable across iterations — which is what makes
-        Tally's per-kernel profiling cache effective.
+        Tally's per-kernel profiling cache effective.  Traces are frozen,
+        so the same (model, spec, seed) returns the very same object:
+        it is built once and memoized (in ``_TRACES``, keyed on the three
+        by value, LRU-bounded as the transform JIT's store is).
         """
+        key = (self, spec, seed)
+        trace = _TRACES.get(key)
+        if trace is None:
+            trace = self._build_trace(spec, seed)
+            _TRACES.put(key, trace)
+        return trace
+
+    def _build_trace(self, spec: GPUSpec, seed: int) -> Trace:
         rng = np.random.default_rng(
             (zlib.crc32(self.name.encode()) << 8) ^ seed
         )

@@ -48,7 +48,7 @@ def run_ahead(job, completions: list[float] | None) -> int | None:
     if window is None:
         return None
     bound, inclusive = window
-    run_inline = policy.run_inline
+    run_inline = policy.inline_runner(client_id)
     crosses_gaps = policy.run_ahead_crosses_gaps(client_id)
     device = policy.device
     launches = device.launches_completed
@@ -72,7 +72,7 @@ def run_ahead(job, completions: list[float] | None) -> int | None:
                 break
             gaps += 1
         else:
-            end = run_inline(client_id, op.kernel, now, window)
+            end = run_inline(op.kernel, now, window)
             if end is None:
                 break
             kernels += 1
@@ -81,6 +81,7 @@ def run_ahead(job, completions: list[float] | None) -> int | None:
     if not kernels and not gaps:
         return None
     job._op_index = index
+    policy.count_inline(client_id, kernels)
     engine.credit(2 * (device.launches_completed - launches) + gaps - 1)
     job._gap_event = engine.schedule_at(
         now, policy.run_ahead_resume(client_id, job._advance))

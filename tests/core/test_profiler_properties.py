@@ -213,3 +213,234 @@ def test_record_per_descriptor_matches_reference(prewarm, bound, ops):
             if got is not None:
                 assert (got.turnaround, got.duration, got.samples) == (
                     want.turnaround, want.duration, want.samples)
+
+
+# ---------------------------------------------------------------------------
+# The standing verdict: TransparentProfiler keeps _select's last verdict
+# on the descriptor's record and ranks the candidates again only after a
+# record that may have changed the ranking (_Profile.revise).  A
+# cache-free _select over the same measurements must agree after every
+# operation.
+
+def fresh_select(profile, bound):
+    """``_select`` without a verdict: rank the measured candidates."""
+
+    def fastest(limit):
+        best = best_key = None
+        for candidate, m in zip(profile.candidates, profile.measured):
+            if m is not None and m.turnaround <= limit:
+                key = (m.duration, m.turnaround)
+                if best_key is None or key < best_key:
+                    best, best_key = candidate, key
+        return best
+
+    best = fastest(bound)
+    if best is None:
+        best = fastest(2.0 * min(m.turnaround for m in profile.measured
+                                 if m is not None))
+    return best
+
+
+def fresh_pick(profiler, descriptor):
+    """What ``pick`` returns, decided from scratch."""
+    profile = profiler._profiles.get(descriptor)
+    if profile is None or profile.unmeasured:
+        if profiler.config.prewarm_profiles:
+            return None  # pick prewarms first; compared after it
+        candidates = (profile.candidates if profile is not None else
+                      generate_candidates(descriptor, SPEC,
+                                          profiler.config))
+        measured = (profile.measured if profile is not None
+                    else [None] * len(candidates))
+        for candidate, m in zip(candidates, measured):
+            if m is None:
+                return candidate, True
+    return fresh_select(profile, profiler.config.turnaround_latency_bound), \
+        False
+
+
+#: scale factors of a sample relative to a candidate's current values:
+#: 1.0 leaves the EWMA where it is, the others move it a little or a lot
+FACTORS = [0.5, 0.9, 1.0, 1.1, 2.0]
+
+verdict_operation = st.one_of(
+    st.tuples(st.just("pick"), st.integers(0, 2)),
+    st.tuples(st.just("choose"), st.integers(0, 2)),
+    st.tuples(st.just("best_known"), st.integers(0, 2)),
+    st.tuples(st.just("prewarm"), st.integers(0, 2)),
+    # measure every candidate at once: tables with exact key ties
+    st.tuples(st.just("fill"), st.integers(0, 2),
+              st.lists(st.tuples(st.sampled_from(VALUES),
+                                 st.sampled_from(VALUES)),
+                       min_size=10, max_size=10)),
+    # what runs in practice: the winner's own next sample
+    st.tuples(st.just("record-winner"), st.integers(0, 2),
+              st.sampled_from(FACTORS), st.sampled_from(FACTORS)),
+    # any candidate, scaled from its current values or set outright
+    st.tuples(st.just("record-scaled"), st.integers(0, 2),
+              st.integers(0, 12), st.sampled_from(FACTORS),
+              st.sampled_from(FACTORS)),
+    st.tuples(st.just("record"), st.integers(0, 2), st.integers(0, 12),
+              st.sampled_from(VALUES), st.sampled_from(VALUES)),
+    # a degraded execution records a rung outside the candidate list
+    st.tuples(st.just("record-outside"), st.integers(0, 2),
+              st.sampled_from(OUTSIDE), st.sampled_from(VALUES),
+              st.sampled_from(VALUES)),
+)
+
+
+@pytest.mark.slow
+@given(prewarm=st.booleans(),
+       bound=st.sampled_from([1e-9, 1e-4, 2e-4, 5e-4, 1.0]),
+       ops=st.lists(verdict_operation, max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_standing_verdict_matches_a_fresh_select(prewarm, bound, ops):
+    config = TallyConfig(prewarm_profiles=prewarm,
+                         turnaround_latency_bound=bound)
+    profiler = TransparentProfiler(SPEC, config)
+    runs = decisions = 0
+    for op in ops:
+        k = DESCRIPTORS[op[1]]
+        profile = profiler._profiles.get(k)
+        if op[0] in ("pick", "choose"):
+            want = fresh_pick(profiler, k)
+            got = (profiler.pick(k) if op[0] == "pick"
+                   else profiler.choose(k))
+            if want is None:  # prewarmed just now
+                want = fresh_pick(profiler, k)
+            assert got == want
+            if op[0] == "choose":
+                runs += got[1]
+                decisions += not got[1]
+        elif op[0] == "best_known":
+            profiler.best_known(k)
+        elif op[0] == "prewarm":
+            profiler.prewarm(k)
+        elif op[0] == "fill":
+            for config_, (turnaround, duration) in zip(
+                    profiler.candidates(k), op[2]):
+                profiler.record(k, config_, turnaround, duration)
+        elif op[0] in ("record-winner", "record-scaled"):
+            if profile is None or profile.unmeasured:
+                continue
+            if op[0] == "record-winner":
+                config_ = fresh_select(profile, bound)
+                scale_t, scale_d = op[2], op[3]
+            else:
+                config_ = profile.candidates[op[2] % len(profile.candidates)]
+                scale_t, scale_d = op[3], op[4]
+            m = profile.by_config[config_]
+            profiler.record(k, config_, m.turnaround * scale_t,
+                            m.duration * scale_d)
+        elif op[0] == "record":
+            candidates = profiler.candidates(k)
+            profiler.record(k, candidates[op[2] % len(candidates)],
+                            op[3], op[4])
+        else:
+            profiler.record(k, op[2], op[3], op[4])
+        assert (profiler.profiling_runs, profiler.decisions) == (runs,
+                                                                decisions)
+        # the standing verdict of every fully measured record, now
+        for profile in profiler._profiles.values():
+            if not profile.unmeasured:
+                assert profiler._select(profile) == fresh_select(profile,
+                                                                 bound)
+
+
+def _profiler_with(bound, table):
+    """A profiler whose first descriptor's candidates hold ``table``'s
+    ``(turnaround, duration)`` pairs, ranked once."""
+    profiler = TransparentProfiler(
+        SPEC, TallyConfig(prewarm_profiles=False,
+                          turnaround_latency_bound=bound))
+    k = DESCRIPTORS[0]
+    for config_, (turnaround, duration) in zip(profiler.candidates(k),
+                                               table):
+        profiler.record(k, config_, turnaround, duration)
+    return profiler, k, profiler._profiles[k]
+
+
+@pytest.mark.parametrize("bound", [1e-3, 1e-9], ids=["strict", "relaxed"])
+def test_the_winners_own_samples_keep_the_verdict(bound, monkeypatch):
+    """Samples that keep the winner ahead of the runner-up (and, under a
+    relaxed verdict, leave the least turnaround where it is) never rank
+    the candidates again; one that passes it does, once."""
+    # candidate 1 wins on duration; candidate 0 holds the least
+    # turnaround, so a relaxed verdict's bound does not move
+    table = [(1e-4, 9e-3)] + [(2e-4, 1e-3 * (i + 1)) for i in range(9)]
+    profiler, k, profile = _profiler_with(bound, table)
+    ranked = []
+    fastest = TransparentProfiler._fastest
+    monkeypatch.setattr(TransparentProfiler, "_fastest", staticmethod(
+        lambda p, strict: ranked.append(p) or fastest(p, strict)))
+    winner = profiler.pick(k)[0]
+    assert winner == profile.candidates[1]
+    assert profile.relaxed is (bound == 1e-9)
+    for duration in (1.1e-3, 0.9e-3, 1.5e-3, 1e-3):
+        profiler.record(k, winner, 2e-4, duration)
+        assert profiler.pick(k)[0] == winner
+    assert len(ranked) == 1
+    # the runner-up (candidate 2, 2e-3) is passed
+    profiler.record(k, winner, 2e-4, 1e-2)
+    profiler.record(k, winner, 2e-4, 1e-2)
+    assert profiler.pick(k)[0] == fresh_select(profile, bound)
+    assert len(ranked) == 2
+
+
+def _table(size, entries, rest=(0.5, 0.5)):
+    """``size`` ``(turnaround, duration)`` pairs: ``entries`` maps a
+    candidate position to its pair, the rest get ``rest``."""
+    return [entries.get(i, rest) for i in range(size)]
+
+
+@pytest.mark.parametrize("winner,runner", [(3, 1), (1, 3)])
+def test_an_exact_key_tie_goes_to_candidate_order(winner, runner):
+    """The winner's sample lands exactly on the runner-up's key: the
+    earlier candidate wins the tie, as a fresh ranking decides it."""
+    k = DESCRIPTORS[0]
+    size = len(TransparentProfiler(SPEC, TallyConfig()).candidates(k))
+    sample = (3e-4, 7e-4)
+    # an EWMA step from 0.0 lands on exactly 0.3 * sample
+    tied = (0.3 * sample[0], 0.3 * sample[1])
+    profiler, k, profile = _profiler_with(
+        1.0, _table(size, {winner: (0.0, 0.0), runner: tied}))
+    assert profiler.pick(k)[0] == profile.candidates[winner]
+    profiler.record(k, profile.candidates[winner], *sample)
+    m = profile.measured[winner]
+    assert (m.turnaround, m.duration) == tied
+    assert profiler.pick(k)[0] == profile.candidates[min(winner, runner)]
+    assert profiler.pick(k)[0] == fresh_select(profile, 1.0)
+
+
+def test_a_relaxed_bound_that_moves_drops_the_verdict():
+    """Nothing meets the turnaround bound and the winner holds the least
+    turnaround: its slower sample still qualifies, but it raises the
+    bound (twice the least), and a candidate that bound kept out now
+    qualifies and wins."""
+    k = DESCRIPTORS[0]
+    size = len(TransparentProfiler(SPEC, TallyConfig()).candidates(k))
+    profiler, k, profile = _profiler_with(
+        1e-9, _table(size, {1: (1e-4, 1e-3)}, rest=(2.5e-4, 5e-4)))
+    assert profiler.pick(k)[0] == profile.candidates[1]
+    profiler.record(k, profile.candidates[1], 2.6e-4, 1e-3)
+    assert profile.measured[1].turnaround <= 2e-4
+    assert profiler.pick(k)[0] == profile.candidates[0]
+    assert profiler.pick(k)[0] == fresh_select(profile, 1e-9)
+
+
+def test_a_runner_up_that_falls_back_drops_the_verdict():
+    """The runner-up's slower sample lets a third candidate pass it; the
+    winner's next sample then lands between the two and loses to the
+    third, as a fresh ranking decides."""
+    k = DESCRIPTORS[0]
+    size = len(TransparentProfiler(SPEC, TallyConfig()).candidates(k))
+    profiler, k, profile = _profiler_with(1.0, _table(size, {
+        0: (1e-4, 1e-3), 1: (1e-4, 2e-3), 2: (1e-4, 3e-3)},
+        rest=(1e-4, 1.0)))
+    assert profiler.pick(k)[0] == profile.candidates[0]
+    profiler.record(k, profile.candidates[1], 1e-4, 1e-2)
+    assert profiler.pick(k)[0] == profile.candidates[0]
+    profiler.record(k, profile.candidates[0], 1e-4, 9.4e-3)
+    assert 3e-3 < profile.measured[0].duration < profile.measured[1].duration
+    assert profiler.pick(k)[0] == profile.candidates[2]
+    assert profiler.pick(k)[0] == fresh_select(profile, 1.0)

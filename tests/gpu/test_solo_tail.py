@@ -295,3 +295,177 @@ def test_the_per_wave_model_shows_the_partial_wave_resident():
     "before an observer scheduled at T"))
 def test_the_fold_shows_the_partial_wave_resident():
     assert _observer_at_the_partial_waves_end(unfolded=False) == [1]
+
+
+# ---------------------------------------------------------------------------
+# Cached solo plans: run_solo and run_solo_ptb look each launch's timing
+# up in a per-device plan cache (GPUDevice._solo_plan, _ptb_plan) and
+# only add the start.  The closed form below recomputes every launch
+# from _wave_plan (from the arrival, not from 0.0) and accrues busy time
+# as _account does, with no cache: the two must agree bit for bit.
+
+class ClosedForm:
+    """Inline solo launches on an idle device, from the closed form."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.speed = 1.0
+        self.seconds = 0.0
+        self.last = 0.0
+        self.launches = 0
+
+    def _duration(self, descriptor):
+        duration = descriptor.block_duration
+        if self.speed != 1.0:
+            duration *= self.speed
+        return duration
+
+    def original(self, descriptor, start, blocks):
+        """``(done, steps)`` of one launch of ``blocks`` blocks: steps
+        are the ``(time, busy threads)`` accruals in order."""
+        tpb = descriptor.threads_per_block
+        count = min(self.spec.total_threads // tpb,
+                    self.spec.total_block_slots, blocks)
+        duration = self._duration(descriptor)
+        arrived = start + self.spec.kernel_launch_overhead
+        end, tail = GPUDevice._wave_plan(arrived, duration, count, blocks)
+        done = end + duration if tail else end
+        return done, [(arrived, 0), (end, count * tpb),
+                      (done, tail * tpb)]
+
+    def chain(self, descriptor, start, per):
+        """Completion times and steps of a sliced kernel's launches."""
+        ends, steps, done = [], [], start
+        for first in range(0, descriptor.num_blocks, per):
+            done, more = self.original(
+                descriptor, done, min(per, descriptor.num_blocks - first))
+            ends.append(done)
+            steps += more
+        return ends, steps
+
+    def ptb(self, descriptor, start, workers):
+        tpb = descriptor.threads_per_block
+        blocks = descriptor.num_blocks
+        count = min(workers, blocks)
+        if (count > self.spec.total_threads // tpb
+                or count > self.spec.total_block_slots):
+            return None, []
+        arrived = start + self.spec.kernel_launch_overhead
+        done = arrived + (GPUDevice._ptb_iteration(
+            descriptor, self._duration(descriptor)) * -(-blocks // count))
+        return done, [(arrived, 0), (done, count * tpb)]
+
+    def commit(self, steps, launches):
+        for now, busy in steps:  # _account(now) after each change
+            if now != self.last:
+                if busy:
+                    self.seconds += busy * (now - self.last)
+                self.last = now
+        self.launches += launches
+
+
+def _plan_descriptor(draw, name):
+    tpb = draw(st.sampled_from([128, 256, 512, 1024]))
+    wave = min(SPEC.total_threads // tpb, SPEC.total_block_slots)
+    # fewer blocks than a wave, whole waves only (tail 0), or a tail
+    blocks = draw(st.one_of(
+        st.integers(1, wave - 1),
+        st.integers(1, 3).map(lambda w: w * wave),
+        st.tuples(st.integers(1, 3), st.integers(1, wave - 1)).map(
+            lambda t: t[0] * wave + t[1])))
+    return KernelDescriptor(
+        name, num_blocks=blocks, threads_per_block=tpb,
+        block_duration=draw(st.sampled_from([2.0 ** -15, 3e-6, 7.3e-5])))
+
+
+@st.composite
+def solo_stretches(draw):
+    """Two descriptors and a run of inline launches over them, each
+    with a window bound at, or one ulp either side of, its completion,
+    and speed changes between them."""
+    descriptors = [_plan_descriptor(draw, "a"), _plan_descriptor(draw, "b")]
+    launches = draw(st.lists(st.tuples(
+        st.sampled_from(["original", "slices", "ptb"]),
+        st.integers(0, 1),  # descriptor
+        st.integers(1, 4_000),  # blocks per slice / PTB workers
+        st.sampled_from([0.0, 1e-6, 2.0 ** -20]),  # gap before it
+        st.sampled_from(["done", "done-ulp", "done+ulp", "inf"]),
+        st.booleans(),  # the window includes its bound
+        st.sampled_from([None, 1.0, 0.5, 1.7]),  # speed set before it
+    ), min_size=1, max_size=12))
+    return descriptors, launches
+
+
+@pytest.mark.slow
+@given(solo_stretches())
+@_settings
+def test_cached_solo_plans_match_the_closed_form(case):
+    descriptors, launches = case
+    engine = EventLoop()
+    device = GPUDevice(SPEC, engine)
+    model = ClosedForm(SPEC)
+    now = 0.0
+    for kind, which, size, gap, place, inclusive, speed in launches:
+        if speed is not None:
+            device.set_speed_factor(speed)
+            model.speed = speed
+        descriptor = descriptors[which]
+        start = now + gap
+        if kind == "original":
+            want, steps = model.original(descriptor, start,
+                                         descriptor.num_blocks)
+            ends = [want]
+        elif kind == "slices":
+            ends, steps = model.chain(descriptor, start, size)
+            want = ends[-1]
+        else:
+            want, steps = model.ptb(descriptor, start, size)
+            ends = [want]
+        bound = {"done": want, "inf": math.inf,
+                 "done-ulp": math.nextafter(want or 0.0, -math.inf),
+                 "done+ulp": math.nextafter(want or 0.0, math.inf)}[place]
+        window = (bound, inclusive)
+        if want is not None and not (want < bound
+                                     or (want == bound and inclusive)):
+            want = None
+        got_ends = []
+        if kind == "original":
+            got = device.run_solo(descriptor, start, window)
+        elif kind == "slices":
+            got = device.run_solo(descriptor, start, window, size, got_ends)
+        else:
+            got = device.run_solo_ptb(descriptor, start, window, size)
+        assert got == want
+        if want is not None:
+            model.commit(steps, len(ends))
+            now = want
+            if kind == "slices":
+                assert got_ends == ends
+        assert got_ends == [] or want is not None
+        assert device._busy_thread_seconds == model.seconds
+        assert device._last_change == model.last
+        assert device.launches_completed == model.launches
+        assert device.threads_free == SPEC.total_threads
+    end = now + 1e-3
+    engine.schedule_at(end, lambda: None)
+    engine.run()
+    assert device.utilization() == (
+        model.seconds + 0 * (end - model.last)) / (end * SPEC.total_threads)
+
+
+def test_a_speed_change_between_two_stretches_replans():
+    """The same descriptor before and after a speed change: the second
+    stretch is priced at the new speed, not from the cached plan."""
+    descriptor = KernelDescriptor("k", num_blocks=2_000,
+                                  threads_per_block=256,
+                                  block_duration=1e-5)
+    device = GPUDevice(SPEC, EventLoop())
+    model = ClosedForm(SPEC)
+    window = (math.inf, False)
+    first = device.run_solo(descriptor, 0.0, window)
+    assert first == model.original(descriptor, 0.0, 2_000)[0]
+    device.set_speed_factor(2.0)
+    model.speed = 2.0
+    second = device.run_solo(descriptor, first, window)
+    assert second == model.original(descriptor, first, 2_000)[0]
+    assert second - first > first  # a stale plan would equal it

@@ -503,7 +503,7 @@ def test_ptb_workers_beyond_the_device_stay_on_the_event_path():
 
 
 def test_a_declined_best_effort_attempt_changes_nothing():
-    """``run_inline`` of a best-effort kernel whose last launch would
+    """An inline run of a best-effort kernel whose last launch would
     end outside the window leaves the device, the policy's counters and
     the profiler's counters as they were, whichever launch of the
     kernel crosses the window's end."""
@@ -525,7 +525,8 @@ def test_a_declined_best_effort_attempt_changes_nothing():
                         profiler.profiling_runs, profiler.decisions)
 
             before = state()
-            if policy.run_inline("be", kernel, 0.0, (bound, False)) is None:
+            run = policy.inline_runner("be")
+            if run(kernel, 0.0, (bound, False)) is None:
                 declined += 1
                 assert state() == before, (name, bound)
             else:
