@@ -34,43 +34,23 @@ Quick start::
         RunConfig(duration=10.0),
     )
     print(result.job("bert_infer#0").latency.p99)
+
+Every package re-exports its public names lazily (PEP 562, through
+:func:`repro._lazy.lazy_exports`): ``import repro.harness`` runs no
+submodule, and ``from repro.harness import JobSpec`` loads
+:mod:`repro.harness.colocate` and what it imports, nothing else.  A run
+therefore loads only the modules it executes, and all of them while its
+inputs are built, before the first simulated event.
 """
 
-from . import (
-    baselines,
-    check,
-    cluster,
-    core,
-    gpu,
-    harness,
-    metrics,
-    ptx,
-    runtime,
-    trace,
-    traffic,
-    transform,
-    virt,
-    workloads,
-)
-from .errors import ReproError
+from ._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".errors": ("ReproError",),
+}, submodules=(
+    "baselines", "check", "cluster", "core", "gpu", "harness", "metrics",
+    "ptx", "runtime", "trace", "traffic", "transform", "virt", "workloads",
+))
+__all__ += ["__version__"]
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "ReproError",
-    "__version__",
-    "baselines",
-    "check",
-    "cluster",
-    "core",
-    "gpu",
-    "harness",
-    "metrics",
-    "ptx",
-    "runtime",
-    "trace",
-    "traffic",
-    "transform",
-    "virt",
-    "workloads",
-]

@@ -1,21 +1,12 @@
 """Baseline GPU-sharing systems the paper compares Tally against."""
 
-from .base import ClientInfo, PassthroughPolicy, Priority, SharingPolicy
-from .ideal import Ideal
-from .mps import MPS, MPSPriority
-from .reef import REEF
-from .tgs import TGS
-from .time_slicing import TimeSlicing
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ClientInfo",
-    "Ideal",
-    "MPS",
-    "MPSPriority",
-    "PassthroughPolicy",
-    "Priority",
-    "REEF",
-    "SharingPolicy",
-    "TGS",
-    "TimeSlicing",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("ClientInfo", "PassthroughPolicy", "Priority", "SharingPolicy"),
+    ".ideal": ("Ideal",),
+    ".mps": ("MPS", "MPSPriority"),
+    ".reef": ("REEF",),
+    ".tgs": ("TGS",),
+    ".time_slicing": ("TimeSlicing",),
+})

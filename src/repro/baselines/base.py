@@ -29,7 +29,7 @@ from ..errors import SchedulerError
 from ..gpu.device import DeviceLaunch, GPUDevice
 from ..gpu.engine import EventLoop
 from ..gpu.kernel import KernelDescriptor
-from ..trace.events import ClientGC
+from .. import trace
 
 __all__ = ["Priority", "ClientInfo", "SharingPolicy", "PassthroughPolicy"]
 
@@ -158,7 +158,7 @@ class SharingPolicy(abc.ABC):
             return
         cancelled = self._on_disconnect(info)
         if self.tracer.enabled:
-            self.tracer.emit(ClientGC(
+            self.tracer.emit(trace.ClientGC(
                 ts=self.engine.now, client_id=client_id, kernel="",
                 scope="scheduler", launches_cancelled=cancelled,
             ))

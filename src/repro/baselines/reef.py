@@ -24,7 +24,7 @@ from ..errors import SchedulerError
 from ..gpu.device import DeviceLaunch, GPUDevice, LaunchStatus
 from ..gpu.engine import EventLoop
 from ..gpu.kernel import KernelDescriptor
-from ..trace import SchedDecision
+from .. import trace
 from .base import ClientInfo, Priority, SharingPolicy
 
 __all__ = ["REEF"]
@@ -124,7 +124,7 @@ class REEF(SharingPolicy):
             if (launch is not None and not launch.done
                     and not launch.preempt_requested):
                 if self.tracer.enabled:
-                    self.tracer.emit(SchedDecision(
+                    self.tracer.emit(trace.SchedDecision(
                         ts=self.engine.now, client_id=launch.client_id,
                         kernel=entry.descriptor.name, transform="reset",
                         reason="high-priority arrival",

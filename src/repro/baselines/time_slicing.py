@@ -20,7 +20,7 @@ from ..errors import SchedulerError
 from ..gpu.device import DeviceLaunch, GPUDevice, LaunchStatus
 from ..gpu.engine import EventLoop
 from ..gpu.kernel import KernelDescriptor
-from ..trace import SchedDecision
+from .. import trace
 from .base import ClientInfo, SharingPolicy
 
 __all__ = ["TimeSlicing"]
@@ -133,7 +133,7 @@ class TimeSlicing(SharingPolicy):
         # Compute preemption: stop the active context's launches; their
         # completion callbacks park the remainders for resumption.
         if self.tracer.enabled:
-            self.tracer.emit(SchedDecision(
+            self.tracer.emit(trace.SchedDecision(
                 ts=self.engine.now, client_id=active, kernel="",
                 transform="context-switch",
                 reason=f"quantum expired; switching to {nxt}",

@@ -24,28 +24,12 @@ report, ``repro-bench compare`` to gate against a baseline.  See
 ``docs/performance.md`` for methodology.
 """
 
-from .harness import (
-    BenchmarkResult,
-    BenchReport,
-    Phase,
-    PhaseTimer,
-    peak_rss_kb,
-    run_suite,
-)
-from .regression import RegressionReport, compare_reports, load_report
-from .micro import MICRO_BENCHMARKS
-from .macro import MACRO_BENCHMARKS
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkResult",
-    "BenchReport",
-    "MACRO_BENCHMARKS",
-    "MICRO_BENCHMARKS",
-    "Phase",
-    "PhaseTimer",
-    "RegressionReport",
-    "compare_reports",
-    "load_report",
-    "peak_rss_kb",
-    "run_suite",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".harness": ("BenchmarkResult", "BenchReport", "Phase", "PhaseTimer",
+                 "peak_rss_kb", "run_suite"),
+    ".regression": ("RegressionReport", "compare_reports", "load_report"),
+    ".micro": ("MICRO_BENCHMARKS",),
+    ".macro": ("MACRO_BENCHMARKS",),
+})

@@ -11,58 +11,22 @@ Two layers (see ``docs/validation.md``):
   model, repeated runs for determinism, physical lower bounds, and
   kernel conservation across Tally and every baseline.
 
-``differential`` is imported lazily: the device itself imports this
-package for :data:`NULL_CHECKER`, and the differential layer imports
-the policies, which import the device.
+Like every package here, this one imports its submodules on first use
+(:mod:`repro._lazy`): the device needs only :data:`NULL_CHECKER`, and
+the differential layer imports the policies, which import the device.
 """
 
 from __future__ import annotations
 
-from ..errors import InvariantViolation
-from .cluster import ServiceLedger, check_request_conservation
-from .invariants import NULL_CHECKER, InvariantChecker, NullChecker
+from .._lazy import lazy_exports
 
-__all__ = [
-    "InvariantChecker",
-    "InvariantViolation",
-    "NULL_CHECKER",
-    "NullChecker",
-    "ServiceLedger",
-    "check_request_conservation",
-    # lazily loaded from .differential:
-    "Divergence",
-    "KernelRecord",
-    "ValidationReport",
-    "analytic_divergences",
-    "conservation_divergences",
-    "determinism_divergences",
-    "lower_bound_divergences",
-    "make_policy",
-    "random_mix",
-    "random_plan",
-    "run_mix",
-    "run_validation",
-]
-
-_DIFFERENTIAL = {
-    "Divergence",
-    "KernelRecord",
-    "ValidationReport",
-    "analytic_divergences",
-    "conservation_divergences",
-    "determinism_divergences",
-    "lower_bound_divergences",
-    "make_policy",
-    "random_mix",
-    "random_plan",
-    "run_mix",
-    "run_validation",
-}
-
-
-def __getattr__(name: str):
-    if name in _DIFFERENTIAL:
-        from . import differential
-
-        return getattr(differential, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "..errors": ("InvariantViolation",),
+    ".cluster": ("ServiceLedger", "check_request_conservation"),
+    ".invariants": ("NULL_CHECKER", "InvariantChecker", "NullChecker"),
+    ".differential": ("Divergence", "KernelRecord", "ValidationReport",
+                      "analytic_divergences", "conservation_divergences",
+                      "determinism_divergences", "lower_bound_divergences",
+                      "make_policy", "random_mix", "random_plan", "run_mix",
+                      "run_validation"),
+})

@@ -8,36 +8,22 @@ as the per-GPU experiments, and extends it to cluster-scale resilience:
 online arrivals, device failures, and checkpoint/restore live migration
 of latency-critical tenants (:mod:`repro.cluster.controlplane`, see
 ``docs/cluster.md``).
+
+Names are re-exported lazily (:mod:`repro._lazy`), but the package
+loads :mod:`~repro.cluster.controlplane` with itself: a program that
+imports the cluster package runs a cluster, and this keeps the control
+plane's imports in its set-up rather than in its first run.
 """
 
-from .controlplane import (
-    AutoscalerConfig,
-    ClusterCase,
-    ClusterController,
-    run_cluster_sweep,
-    run_controlplane,
-    schedule_arrivals,
-)
-from .placement import (
-    ClusterJob,
-    Placement,
-    dedicated_placement,
-    packed_placement,
-)
-from .simulate import ClusterResult, ServiceOutcome, evaluate_placement
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AutoscalerConfig",
-    "ClusterCase",
-    "ClusterController",
-    "ClusterJob",
-    "ClusterResult",
-    "Placement",
-    "ServiceOutcome",
-    "dedicated_placement",
-    "evaluate_placement",
-    "packed_placement",
-    "run_cluster_sweep",
-    "run_controlplane",
-    "schedule_arrivals",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".controlplane": ("AutoscalerConfig", "ClusterCase",
+                      "ClusterController", "run_cluster_sweep",
+                      "run_controlplane", "schedule_arrivals"),
+    ".placement": ("ClusterJob", "Placement", "dedicated_placement",
+                   "packed_placement"),
+    ".simulate": ("ClusterResult", "ServiceOutcome", "evaluate_placement"),
+})
+
+from . import controlplane  # noqa: E402,F401  (see above)

@@ -74,16 +74,8 @@ from ..gpu import EventLoop
 from ..harness import JobSpec, RunConfig, standalone
 from ..metrics import LatencySummary
 from ..metrics.recovery import RecoveryReport, ServiceRecovery
-from ..trace import (
-    NULL_TRACER,
-    AdmissionDecision,
-    DeviceDrain,
-    DeviceFault,
-    MigrationComplete,
-    MigrationStart,
-    ScaleDecision,
-    Tracer,
-)
+from .. import trace
+from ..trace import NULL_TRACER, Tracer
 from ..workloads.memory import A100_MEMORY_BYTES
 from .parallel import ClusterShardProgram
 from .placement import ClusterJob, Placement
@@ -564,7 +556,7 @@ class ClusterController:
     def _emit_admission(self, client_id: str, action: str, *,
                         device: int = -1) -> None:
         if self.tracer.enabled:
-            self.tracer.emit(AdmissionDecision(
+            self.tracer.emit(trace.AdmissionDecision(
                 ts=self.engine.now, client_id=client_id, kernel="",
                 action=action, device=device,
                 queue_depth=len(self._admission_queue),
@@ -590,7 +582,7 @@ class ClusterController:
             return  # the device is already dead; nothing left to break
         self._fault_counts[f"device_{event.kind}"] += 1
         if self.tracer.enabled:
-            self.tracer.emit(DeviceFault(
+            self.tracer.emit(trace.DeviceFault(
                 ts=self.engine.now, client_id="", kernel="",
                 device=shard.index, fault=event.kind,
                 factor=event.factor, flapping=event.flapping,
@@ -648,7 +640,7 @@ class ClusterController:
             if not tenant.evicted and tenant.device != shard.index:
                 migrated += 1
         if self.tracer.enabled:
-            self.tracer.emit(DeviceDrain(
+            self.tracer.emit(trace.DeviceDrain(
                 ts=self.engine.now, client_id="", kernel="",
                 device=shard.index, migrated=migrated,
             ))
@@ -731,7 +723,7 @@ class ClusterController:
         self._breach_ticks = 0
         self._last_scale = now
         if self.tracer.enabled:
-            self.tracer.emit(ScaleDecision(
+            self.tracer.emit(trace.ScaleDecision(
                 ts=now, client_id="", kernel="",
                 action="scale_up", device=spare.index,
                 active=self._active_count(), reason=reason,
@@ -764,7 +756,7 @@ class ClusterController:
         self._calm_ticks = 0
         self._last_scale = now
         if self.tracer.enabled:
-            self.tracer.emit(ScaleDecision(
+            self.tracer.emit(trace.ScaleDecision(
                 ts=now, client_id="", kernel="",
                 action="scale_down", device=victim.index,
                 active=self._active_count() - 1, reason="idle",
@@ -804,7 +796,7 @@ class ClusterController:
         if target is None and tenant.latency_critical:
             target = self._make_room(tenant, exclude=source)
         if self.tracer.enabled:
-            self.tracer.emit(MigrationStart(
+            self.tracer.emit(trace.MigrationStart(
                 ts=now, client_id=tenant.client_id, kernel="",
                 source=source.index,
                 target=target.index if target is not None else -1,
@@ -879,7 +871,7 @@ class ClusterController:
         tenant.migrations += 1
         self._downtimes.append(downtime)
         if self.tracer.enabled:
-            self.tracer.emit(MigrationComplete(
+            self.tracer.emit(trace.MigrationComplete(
                 ts=self.engine.now, client_id=tenant.client_id, kernel="",
                 target=target.index, downtime=downtime,
             ))

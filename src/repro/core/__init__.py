@@ -11,29 +11,14 @@ Two halves share the transformation machinery:
   produces the evaluation numbers.
 """
 
-from .candidates import SchedConfig, SchedKind, generate_candidates
-from .client import connect_runtime
-from .config import DEFAULT_TURNAROUND_BOUND, TallyConfig
-from .profiler import Measurement, TransparentProfiler
-from .scheduler import Tally, TallyStats
-from .server import ClientCheckpoint, TallyServer, migrate_client
-from .transformer import ExecMode, ExecPlan, KernelTransformer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_TURNAROUND_BOUND",
-    "ClientCheckpoint",
-    "ExecMode",
-    "ExecPlan",
-    "KernelTransformer",
-    "Measurement",
-    "SchedConfig",
-    "SchedKind",
-    "Tally",
-    "TallyConfig",
-    "TallyServer",
-    "TallyStats",
-    "TransparentProfiler",
-    "connect_runtime",
-    "generate_candidates",
-    "migrate_client",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".candidates": ("SchedConfig", "SchedKind", "generate_candidates"),
+    ".client": ("connect_runtime",),
+    ".config": ("DEFAULT_TURNAROUND_BOUND", "TallyConfig"),
+    ".profiler": ("Measurement", "TransparentProfiler"),
+    ".scheduler": ("Tally", "TallyStats"),
+    ".server": ("ClientCheckpoint", "TallyServer", "migrate_client"),
+    ".transformer": ("ExecMode", "ExecPlan", "KernelTransformer"),
+})

@@ -25,6 +25,13 @@ and the standing verdict.  A decision hashes the descriptor once and
 returns the verdict; it ranks the candidates again only after a
 :meth:`TransparentProfiler.record` that may have changed the ranking,
 which the winner's own samples rarely do (:meth:`_Profile.revise`).
+
+What a record starts from — the candidate list and the analytic cost
+model's estimate of each candidate (the prewarm seeds) — depends only on
+the descriptor, the GPU and the Tally configuration, so it is computed
+once per process (:func:`_setup`, memoized like the transform JIT's
+artifacts) and shared, read-only, by every profiler: each cluster
+device, each standalone baseline and each co-location run.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from dataclasses import dataclass
 from ..errors import SchedulerError
 from ..gpu.kernel import KernelDescriptor
 from ..gpu.specs import GPUSpec
+from ..transform.memo import TransformMemo
 from .candidates import SchedConfig, SchedKind, generate_candidates
 from .config import TallyConfig
 
@@ -42,6 +50,49 @@ __all__ = ["Measurement", "TransparentProfiler"]
 
 #: EWMA weight of a new sample.
 _ALPHA = 0.3
+
+#: bound on memoized profiler set-ups (a cluster run profiles a few
+#: hundred distinct best-effort kernels)
+SETUP_MEMO_CAPACITY = 1024
+
+#: a descriptor's candidates and each one's ``(turnaround, duration)``
+_Setup = tuple[tuple[SchedConfig, ...], tuple[tuple[float, float], ...]]
+
+#: ``(descriptor, spec, config) -> _Setup``, shared by every profiler in
+#: the process
+_SETUPS = TransformMemo(SETUP_MEMO_CAPACITY)
+
+
+def _setup(descriptor: KernelDescriptor, spec: GPUSpec,
+           config: TallyConfig) -> _Setup:
+    """The candidates of ``descriptor`` and the analytic cost model's
+    ``(turnaround, duration)`` of each, built once per process."""
+    key = (descriptor, spec, config)
+    setup = _SETUPS.get(key)
+    if setup is None:
+        setup = _build_setup(descriptor, spec, config)
+        _SETUPS.put(key, setup)
+    return setup
+
+
+def _build_setup(descriptor: KernelDescriptor, spec: GPUSpec,
+                 config: TallyConfig) -> _Setup:
+    candidates = tuple(generate_candidates(descriptor, spec, config))
+    estimates = []
+    for candidate in candidates:
+        if candidate.kind is SchedKind.SLICED:
+            turnaround = descriptor.slice_duration(
+                spec, candidate.blocks_per_slice)
+            duration = descriptor.sliced_duration(
+                spec, candidate.blocks_per_slice)
+        elif candidate.kind is SchedKind.PTB:
+            turnaround = descriptor.ptb_iteration_duration()
+            duration = descriptor.ptb_duration(candidate.workers)
+        else:
+            turnaround = descriptor.duration(spec)
+            duration = turnaround
+        estimates.append((turnaround, duration))
+    return candidates, tuple(estimates)
 
 
 @dataclass
@@ -62,6 +113,8 @@ class Measurement:
 class _Profile:
     """Everything the profiler knows about one kernel descriptor.
 
+    ``candidates`` and their prewarm ``estimates`` are the shared,
+    read-only :func:`_setup`; everything else belongs to one profiler.
     ``measured`` holds the :class:`Measurement` of each candidate in
     candidate order (None while unmeasured) and ``unmeasured`` counts
     the Nones, so :meth:`TransparentProfiler.pick` scans a list
@@ -82,11 +135,14 @@ class _Profile:
     :meth:`TransparentProfiler.record` that cannot change it.
     """
 
-    __slots__ = ("candidates", "measured", "unmeasured", "by_config",
-                 "winner", "runner", "bound", "relaxed", "others_least")
+    __slots__ = ("candidates", "estimates", "measured", "unmeasured",
+                 "by_config", "winner", "runner", "bound", "relaxed",
+                 "others_least")
 
-    def __init__(self, candidates: list[SchedConfig]) -> None:
+    def __init__(self, candidates: tuple[SchedConfig, ...],
+                 estimates: tuple[tuple[float, float], ...]) -> None:
         self.candidates = candidates
+        self.estimates = estimates
         self.measured: list[Measurement | None] = [None] * len(candidates)
         self.unmeasured = len(candidates)
         self.by_config: dict[SchedConfig, Measurement] = {}
@@ -166,8 +222,7 @@ class TransparentProfiler:
     def _profile(self, descriptor: KernelDescriptor) -> _Profile:
         profile = self._profiles.get(descriptor)
         if profile is None:
-            profile = _Profile(
-                generate_candidates(descriptor, self.spec, self.config))
+            profile = _Profile(*_setup(descriptor, self.spec, self.config))
             self._profiles[descriptor] = profile
         return profile
 
@@ -179,31 +234,20 @@ class TransparentProfiler:
         Models a server whose profile cache is already warm; runtime
         measurements keep refining the entries.
         """
-        self._prewarm(descriptor, self._profile(descriptor))
+        self._prewarm(self._profile(descriptor))
 
-    def _prewarm(self, descriptor: KernelDescriptor,
-                 profile: _Profile) -> None:
-        for candidate, measured in zip(profile.candidates,
-                                       profile.measured):
-            if measured is not None:
-                continue
-            if candidate.kind is SchedKind.SLICED:
-                turnaround = descriptor.slice_duration(
-                    self.spec, candidate.blocks_per_slice)
-                duration = descriptor.sliced_duration(
-                    self.spec, candidate.blocks_per_slice)
-            elif candidate.kind is SchedKind.PTB:
-                turnaround = descriptor.ptb_iteration_duration()
-                duration = descriptor.ptb_duration(candidate.workers)
-            else:
-                turnaround = descriptor.duration(self.spec)
-                duration = turnaround
-            profile.add(candidate, Measurement(turnaround, duration))
+    @staticmethod
+    def _prewarm(profile: _Profile) -> None:
+        for candidate, measured, estimate in zip(
+                profile.candidates, profile.measured, profile.estimates):
+            if measured is None:
+                profile.add(candidate, Measurement(*estimate))
 
     # ------------------------------------------------------------------
     def candidates(self, descriptor: KernelDescriptor) -> list[SchedConfig]:
-        """Candidate configurations for ``descriptor`` (cached per descriptor)."""
-        return self._profile(descriptor).candidates
+        """Candidate configurations for ``descriptor`` (built once per
+        process, see :func:`_setup`)."""
+        return list(self._profile(descriptor).candidates)
 
     def lookup(self, descriptor: KernelDescriptor,
                config: SchedConfig) -> Measurement | None:
@@ -254,7 +298,7 @@ class TransparentProfiler:
             profile = self._profile(descriptor)
         if profile.unmeasured:
             if self.config.prewarm_profiles:
-                self._prewarm(descriptor, profile)
+                self._prewarm(profile)
             else:
                 for candidate, m in zip(profile.candidates,
                                         profile.measured):

@@ -43,15 +43,7 @@ from ..errors import PreemptTimeout, SchedulerError
 from ..gpu.device import DeviceLaunch, GPUDevice, LaunchStatus
 from ..gpu.engine import EventLoop
 from ..gpu.kernel import KernelDescriptor, LaunchConfig, LaunchKind
-from ..trace import (
-    PreemptRequest,
-    PtbDispatch,
-    Resume,
-    SchedDecision,
-    SliceDispatch,
-    TransformDegrade,
-    WatchdogReset,
-)
+from .. import trace
 from .candidates import ORIGINAL_CONFIG, SchedConfig, SchedKind, generate_candidates
 from .config import TallyConfig
 from .profiler import TransparentProfiler
@@ -327,7 +319,7 @@ class Tally(SharingPolicy):
                 # completes normally, so the device never acks this.
                 execution.hold_noted = True
                 if self.tracer.enabled:
-                    self.tracer.emit(PreemptRequest(
+                    self.tracer.emit(trace.PreemptRequest(
                         ts=self.engine.now, client_id=launch.client_id,
                         kernel=launch.descriptor.name, launch_seq=launch.seq,
                         mechanism="slice-boundary",
@@ -364,7 +356,7 @@ class Tally(SharingPolicy):
             )
         self.stats.watchdog_resets += 1
         if self.tracer.enabled:
-            self.tracer.emit(WatchdogReset(
+            self.tracer.emit(trace.WatchdogReset(
                 ts=self.engine.now, client_id=client_id,
                 kernel=launch.descriptor.name, launch_seq=launch.seq,
                 deadline=self.config.preempt_deadline, waited=waited,
@@ -380,7 +372,7 @@ class Tally(SharingPolicy):
             if execution is not None and execution.launch is None:
                 self.stats.resumes += 1
                 if self.tracer.enabled:
-                    self.tracer.emit(Resume(
+                    self.tracer.emit(trace.Resume(
                         ts=self.engine.now, client_id=client_id,
                         kernel=execution.descriptor.name,
                         next_block=execution.next_block,
@@ -415,7 +407,7 @@ class Tally(SharingPolicy):
                     reason = f"{reason}; degraded after transform fault"
                     execution.profiling = False
             if self.tracer.enabled:
-                self.tracer.emit(SchedDecision(
+                self.tracer.emit(trace.SchedDecision(
                     ts=self.engine.now, client_id=client_id,
                     kernel=execution.descriptor.name,
                     transform=execution.config.describe(),
@@ -479,7 +471,7 @@ class Tally(SharingPolicy):
                       to_config: SchedConfig, reason: str) -> None:
         self.stats.transform_fallbacks += 1
         if self.tracer.enabled:
-            self.tracer.emit(TransformDegrade(
+            self.tracer.emit(trace.TransformDegrade(
                 ts=self.engine.now, client_id=client_id,
                 kernel=descriptor.name,
                 from_transform=from_config.describe(),
@@ -546,7 +538,7 @@ class Tally(SharingPolicy):
         execution.launch = launch
         self.stats.slices_launched += 1
         if self.tracer.enabled:
-            self.tracer.emit(SliceDispatch(
+            self.tracer.emit(trace.SliceDispatch(
                 ts=self.engine.now, client_id=client_id,
                 kernel=execution.descriptor.name, launch_seq=launch.seq,
                 slice_index=len(execution.slice_times), blocks=blocks,
@@ -600,7 +592,7 @@ class Tally(SharingPolicy):
         execution.segments += 1
         self.stats.ptb_launches += 1
         if self.tracer.enabled:
-            self.tracer.emit(PtbDispatch(
+            self.tracer.emit(trace.PtbDispatch(
                 ts=self.engine.now, client_id=client_id,
                 kernel=execution.descriptor.name, launch_seq=launch.seq,
                 workers=execution.config.workers,

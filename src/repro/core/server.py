@@ -23,8 +23,8 @@ from ..faults.injector import NULL_INJECTOR
 from ..ptx.interpreter import Interpreter
 from ..runtime.memory import MemoryManager, MemorySnapshot
 from ..runtime.registration import FatBinary, ModuleRegistry
-from ..trace.events import ClientGC, DeadlineShed
-from ..trace.tracer import NULL_TRACER
+from .. import trace
+from ..trace import NULL_TRACER
 from ..transform.memo import transform_memo
 from ..virt.channel import Channel, ChannelConfig, SHARED_MEMORY
 from ..virt.protocol import (
@@ -168,7 +168,7 @@ class TallyServer:
             del self._replies[key]
         self.clients_collected += 1
         if self.tracer.enabled:
-            self.tracer.emit(ClientGC(
+            self.tracer.emit(trace.ClientGC(
                 ts=ts, client_id=client_id, kernel="", scope="server",
                 freed_bytes=freed_bytes, buffers_freed=buffers,
             ))
@@ -277,7 +277,7 @@ class TallyServer:
         now = self.clock() if self.clock is not None else 0.0
         self.deadline_sheds += 1
         if self.tracer.enabled:
-            self.tracer.emit(DeadlineShed(
+            self.tracer.emit(trace.DeadlineShed(
                 ts=now,
                 client_id=envelope.client_id,
                 kernel="",

@@ -27,19 +27,11 @@ configuration that buys wall-clock speedup.  Both speak the identical
 protocol and commit bit-identical results (see ``docs/performance.md``).
 """
 
-from .backends import EngineBackend, InlineBackend, ProcessBackend
-from .ops import Op, OpQueue
-from .shard import ShardCell, ShardProgram, WorkerHost
-from .sync import CommitTracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CommitTracer",
-    "EngineBackend",
-    "InlineBackend",
-    "Op",
-    "OpQueue",
-    "ProcessBackend",
-    "ShardCell",
-    "ShardProgram",
-    "WorkerHost",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".backends": ("EngineBackend", "InlineBackend", "ProcessBackend"),
+    ".ops": ("Op", "OpQueue"),
+    ".shard": ("ShardCell", "ShardProgram", "WorkerHost"),
+    ".sync": ("CommitTracer",),
+})

@@ -14,60 +14,21 @@ Two halves (see ``docs/fault_tolerance.md``):
   degrade window against a capacity-limited server, run with and
   without the overload-resilience layer (:mod:`repro.virt.resilience`).
 
-``scenarios`` and ``storm`` are imported lazily: the device imports
-this package for :data:`NULL_INJECTOR`, and those layers import the
-harness/virt stack, which imports the policies, which import the
-device.
+Like every package here, this one imports its submodules on first use
+(:mod:`repro._lazy`): the device needs only :data:`NULL_INJECTOR`, and
+``scenarios``/``storm`` import the harness/virt stack, which imports the
+policies, which import the device.
 """
 
 from __future__ import annotations
 
-from .config import FaultConfig
-from .injector import (
-    NULL_INJECTOR,
-    DeviceFaultEvent,
-    FaultInjector,
-    NullInjector,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DeviceFaultEvent",
-    "FaultConfig",
-    "FaultInjector",
-    "NULL_INJECTOR",
-    "NullInjector",
-    # lazily loaded from .scenarios:
-    "arm_slot_faults",
-    "schedule_client_crash",
-    # lazily loaded from .storm:
-    "StormConfig",
-    "StormResult",
-    "run_storm",
-    "run_storm_sweep",
-    "storm_pair",
-]
-
-_SCENARIOS = {
-    "arm_slot_faults",
-    "schedule_client_crash",
-}
-
-_STORM = {
-    "StormConfig",
-    "StormResult",
-    "run_storm",
-    "run_storm_sweep",
-    "storm_pair",
-}
-
-
-def __getattr__(name: str):
-    if name in _SCENARIOS:
-        from . import scenarios
-
-        return getattr(scenarios, name)
-    if name in _STORM:
-        from . import storm
-
-        return getattr(storm, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("FaultConfig",),
+    ".injector": ("NULL_INJECTOR", "DeviceFaultEvent", "FaultInjector",
+                  "NullInjector"),
+    ".scenarios": ("arm_slot_faults", "schedule_client_crash"),
+    ".storm": ("StormConfig", "StormResult", "run_storm", "run_storm_sweep",
+               "storm_pair"),
+})

@@ -25,7 +25,8 @@ from typing import Protocol
 
 from ..gpu.device import GPUDevice
 from ..gpu.engine import EventLoop
-from ..trace import ClientCrash, NULL_TRACER, SlotFault, Tracer
+from .. import trace
+from ..trace import NULL_TRACER, Tracer
 from .injector import FaultInjector
 
 __all__ = ["arm_slot_faults", "schedule_client_crash"]
@@ -80,7 +81,7 @@ def _fire_slot_fault(device: GPUDevice, engine: EventLoop,
     blocks_lost = victim.blocks_inflight
     faults.injected["slot_fault"] += 1
     if tracer.enabled:
-        tracer.emit(SlotFault(
+        tracer.emit(trace.SlotFault(
             ts=engine.now, client_id=victim.client_id,
             kernel=victim.descriptor.name, launch_seq=victim.seq,
             blocks_lost=blocks_lost,
@@ -101,7 +102,7 @@ def schedule_client_crash(engine: EventLoop, when: float,
     """
     def fire() -> None:
         if tracer.enabled:
-            tracer.emit(ClientCrash(
+            tracer.emit(trace.ClientCrash(
                 ts=engine.now, client_id=client_id, kernel="",
                 reason="injected",
             ))

@@ -5,22 +5,11 @@ SM-slot GPU over a :class:`GPUSpec`; kernels are described by
 :class:`KernelDescriptor` and launched with a :class:`LaunchConfig`.
 """
 
-from .device import DeviceLaunch, GPUDevice, LaunchStatus
-from .engine import Event, EventLoop
-from .kernel import KernelDescriptor, LaunchConfig, LaunchKind
-from .specs import A100_SXM4_40GB, GPUSpec, RTX_3090, V100_SXM2_16GB
+from .._lazy import lazy_exports
 
-__all__ = [
-    "A100_SXM4_40GB",
-    "DeviceLaunch",
-    "Event",
-    "EventLoop",
-    "GPUDevice",
-    "GPUSpec",
-    "KernelDescriptor",
-    "LaunchConfig",
-    "LaunchKind",
-    "LaunchStatus",
-    "RTX_3090",
-    "V100_SXM2_16GB",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".device": ("DeviceLaunch", "GPUDevice", "LaunchStatus"),
+    ".engine": ("Event", "EventLoop"),
+    ".kernel": ("KernelDescriptor", "LaunchConfig", "LaunchKind"),
+    ".specs": ("A100_SXM4_40GB", "GPUSpec", "RTX_3090", "V100_SXM2_16GB"),
+})

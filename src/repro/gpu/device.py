@@ -61,16 +61,8 @@ from typing import Callable
 from ..check.invariants import InvariantChecker, NULL_CHECKER
 from ..errors import GPUSimError
 from ..faults.injector import FaultInjector, NULL_INJECTOR
-from ..trace import (
-    KernelComplete,
-    KernelStart,
-    KernelSubmit,
-    NULL_TRACER,
-    PreemptAck,
-    PreemptLost,
-    PreemptRequest,
-    Tracer,
-)
+from .. import trace
+from ..trace import NULL_TRACER, Tracer
 from .engine import Event, EventLoop
 from .kernel import (
     KernelDescriptor,
@@ -328,7 +320,7 @@ class GPUDevice:
                     if launch_overhead is None else launch_overhead)
         launch.submitted_at = self.engine.now
         if self.tracer.enabled:
-            self.tracer.emit(KernelSubmit(
+            self.tracer.emit(trace.KernelSubmit(
                 ts=self.engine.now, client_id=launch.client_id,
                 kernel=launch.descriptor.name, launch_seq=launch.seq,
                 kind=launch.config.kind.value, priority=launch.priority,
@@ -365,7 +357,7 @@ class GPUDevice:
         if self._fold is not None:
             self._catch_up()  # a boundary due now runs unflagged
         if self.tracer.enabled and not launch.preempt_requested:
-            self.tracer.emit(PreemptRequest(
+            self.tracer.emit(trace.PreemptRequest(
                 ts=self.engine.now, client_id=launch.client_id,
                 kernel=launch.descriptor.name, launch_seq=launch.seq,
                 mechanism="ptb-flag" if launch.is_ptb else "drain",
@@ -375,7 +367,7 @@ class GPUDevice:
                 and not launch.preempt_requested
                 and self.faults.lost_preempt_ack()):
             if self.tracer.enabled:
-                self.tracer.emit(PreemptLost(
+                self.tracer.emit(trace.PreemptLost(
                     ts=self.engine.now, client_id=launch.client_id,
                     kernel=launch.descriptor.name, launch_seq=launch.seq,
                     mechanism="ptb-flag",
@@ -410,7 +402,7 @@ class GPUDevice:
         if launch.done:
             return
         if self.tracer.enabled and not launch.preempt_requested:
-            self.tracer.emit(PreemptRequest(
+            self.tracer.emit(trace.PreemptRequest(
                 ts=self.engine.now, client_id=launch.client_id,
                 kernel=launch.descriptor.name, launch_seq=launch.seq,
                 mechanism="kill",
@@ -683,7 +675,7 @@ class GPUDevice:
             launch.status = LaunchStatus.RUNNING
             launch.started_at = now
             if self.tracer.enabled:
-                self.tracer.emit(KernelStart(
+                self.tracer.emit(trace.KernelStart(
                     ts=now, client_id=launch.client_id,
                     kernel=launch.descriptor.name, launch_seq=launch.seq,
                     blocks=launch.total_blocks,
@@ -1436,7 +1428,7 @@ class GPUDevice:
         if self.tracer.enabled:
             started = (None if math.isnan(launch.started_at)
                        else launch.started_at)
-            self.tracer.emit(KernelComplete(
+            self.tracer.emit(trace.KernelComplete(
                 ts=self.engine.now, client_id=launch.client_id,
                 kernel=launch.descriptor.name, launch_seq=launch.seq,
                 status=launch.status.value, blocks_done=launch.blocks_done,
@@ -1445,7 +1437,7 @@ class GPUDevice:
                           else self.engine.now - started),
             ))
             if launch.status is LaunchStatus.PREEMPTED:
-                self.tracer.emit(PreemptAck(
+                self.tracer.emit(trace.PreemptAck(
                     ts=self.engine.now, client_id=launch.client_id,
                     kernel=launch.descriptor.name, launch_seq=launch.seq,
                     blocks_done=launch.blocks_done,

@@ -1,42 +1,13 @@
 """Experiment harness: co-location runner and per-figure drivers."""
 
-from .colocate import (
-    JobResult,
-    JobSpec,
-    POLICY_NAMES,
-    RunConfig,
-    RunResult,
-    clear_standalone_cache,
-    make_policy,
-    run_colocation,
-    standalone,
-)
-from .regression import Drift, compare_results
-from .serialize import (
-    cluster_result_to_dict,
-    load_result,
-    result_to_dict,
-    save_result,
-)
-from .sweep import SweepCase, run_sweep, seed_sweep
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SweepCase",
-    "run_sweep",
-    "seed_sweep",
-    "JobResult",
-    "JobSpec",
-    "POLICY_NAMES",
-    "RunConfig",
-    "RunResult",
-    "clear_standalone_cache",
-    "make_policy",
-    "run_colocation",
-    "standalone",
-    "Drift",
-    "cluster_result_to_dict",
-    "compare_results",
-    "load_result",
-    "result_to_dict",
-    "save_result",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".colocate": ("JobResult", "JobSpec", "POLICY_NAMES", "RunConfig",
+                  "RunResult", "clear_standalone_cache", "make_policy",
+                  "run_colocation", "standalone"),
+    ".regression": ("Drift", "compare_results"),
+    ".serialize": ("cluster_result_to_dict", "load_result",
+                   "result_to_dict", "save_result"),
+    ".sweep": ("SweepCase", "run_sweep", "seed_sweep"),
+})

@@ -41,6 +41,7 @@ from ..workloads import (
     get_llm_model,
     get_model,
 )
+from ..workloads.memory import A100_MEMORY_BYTES, check_memory_fit
 from ..workloads.models import WorkloadKind
 
 __all__ = [
@@ -277,8 +278,6 @@ def run_colocation(policy_name: str, jobs: list[JobSpec],
         injector = faults  # pre-built (possibly shared) injector
 
     if config.check_memory:
-        from ..workloads.memory import A100_MEMORY_BYTES, check_memory_fit
-
         capacity = (config.memory_capacity_bytes
                     if config.memory_capacity_bytes is not None
                     else A100_MEMORY_BYTES)

@@ -31,7 +31,6 @@ instead.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -88,6 +87,9 @@ def run_sweep(cases: Iterable[SweepCase], *, jobs: int = 1) -> list[RunResult]:
     cases = list(cases)
     if jobs <= 1 or len(cases) <= 1:
         return [_run_case(case) for case in cases]
+    # imported here: a serial sweep never loads the process machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(jobs, len(cases), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers,
                              initializer=_init_worker,

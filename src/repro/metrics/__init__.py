@@ -1,30 +1,13 @@
 """Evaluation metrics: tail latency, serving SLOs, and throughput."""
 
-from .latency import LatencySummary, percentile
-from .overload import BreakerEvent, OverloadReport
-from .recovery import (
-    RecoveryReport,
-    ServiceRecovery,
-    attainment_through_window,
-)
-from .serving import ServingSLO, ServingSummary
-from .throughput import (
-    ThroughputSample,
-    normalized_throughput,
-    system_throughput,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BreakerEvent",
-    "LatencySummary",
-    "OverloadReport",
-    "RecoveryReport",
-    "ServiceRecovery",
-    "ServingSLO",
-    "ServingSummary",
-    "ThroughputSample",
-    "attainment_through_window",
-    "normalized_throughput",
-    "percentile",
-    "system_throughput",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".latency": ("LatencySummary", "percentile"),
+    ".overload": ("BreakerEvent", "OverloadReport"),
+    ".recovery": ("RecoveryReport", "ServiceRecovery",
+                  "attainment_through_window"),
+    ".serving": ("ServingSLO", "ServingSummary"),
+    ".throughput": ("ThroughputSample", "normalized_throughput",
+                    "system_throughput"),
+})

@@ -5,69 +5,18 @@ transformations operate on.  See :mod:`repro.ptx.ir` for the instruction
 set and :mod:`repro.ptx.interpreter` for the execution semantics.
 """
 
-from .builder import KernelBuilder
-from .hash import canonical_form, ir_hash
-from .interpreter import (
-    DeviceMemory,
-    GlobalRef,
-    Interpreter,
-    LaunchResult,
-    SharedRef,
-    launch_kernel,
-)
-from .ir import (
-    Axis,
-    CompareOp,
-    Dim3,
-    Imm,
-    Instr,
-    KernelIR,
-    Opcode,
-    Param,
-    ParamKind,
-    ParamRef,
-    Reg,
-    SharedDecl,
-    SMemAddr,
-    Special,
-    SpecialKind,
-)
-from .library import KernelCase, case_names, make_case
-from .parser import parse_kernel, parse_operand
-from .printer import format_instr, format_kernel
-from .validate import validate_kernel
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Axis",
-    "CompareOp",
-    "Dim3",
-    "DeviceMemory",
-    "GlobalRef",
-    "Imm",
-    "Instr",
-    "Interpreter",
-    "KernelBuilder",
-    "KernelCase",
-    "KernelIR",
-    "LaunchResult",
-    "Opcode",
-    "Param",
-    "ParamKind",
-    "ParamRef",
-    "Reg",
-    "SharedDecl",
-    "SharedRef",
-    "SMemAddr",
-    "Special",
-    "SpecialKind",
-    "canonical_form",
-    "case_names",
-    "format_instr",
-    "format_kernel",
-    "ir_hash",
-    "launch_kernel",
-    "make_case",
-    "parse_kernel",
-    "parse_operand",
-    "validate_kernel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".builder": ("KernelBuilder",),
+    ".hash": ("canonical_form", "ir_hash"),
+    ".interpreter": ("DeviceMemory", "GlobalRef", "Interpreter",
+                     "LaunchResult", "SharedRef", "launch_kernel"),
+    ".ir": ("Axis", "CompareOp", "Dim3", "Imm", "Instr", "KernelIR",
+            "Opcode", "Param", "ParamKind", "ParamRef", "Reg", "SharedDecl",
+            "SMemAddr", "Special", "SpecialKind"),
+    ".library": ("KernelCase", "case_names", "make_case"),
+    ".parser": ("parse_kernel", "parse_operand"),
+    ".printer": ("format_instr", "format_kernel"),
+    ".validate": ("validate_kernel",),
+})

@@ -1,16 +1,10 @@
 """CUDA-like runtime substrate: the API surface Tally intercepts."""
 
-from .api import CudaRuntime
-from .context import Backend, LocalBackend
-from .memory import MemoryManager, MemorySnapshot
-from .registration import FatBinary, ModuleRegistry
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Backend",
-    "CudaRuntime",
-    "FatBinary",
-    "LocalBackend",
-    "MemoryManager",
-    "MemorySnapshot",
-    "ModuleRegistry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".api": ("CudaRuntime",),
+    ".context": ("Backend", "LocalBackend"),
+    ".memory": ("MemoryManager", "MemorySnapshot"),
+    ".registration": ("FatBinary", "ModuleRegistry"),
+})

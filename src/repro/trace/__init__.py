@@ -22,91 +22,21 @@ Quick use::
 See ``docs/observability.md`` for the full event schema.
 """
 
-from .chrome import to_chrome_trace, write_chrome_trace
-from .events import (
-    EVENT_CLASSES,
-    AdmissionDecision,
-    BreakerTransition,
-    BrownoutShift,
-    ChannelFault,
-    ClientCrash,
-    ClientGC,
-    DeadlineShed,
-    DeviceDrain,
-    DeviceFault,
-    EventType,
-    KernelComplete,
-    KernelStart,
-    KernelSubmit,
-    MigrationComplete,
-    MigrationStart,
-    PreemptAck,
-    PreemptLost,
-    PreemptRequest,
-    PtbDispatch,
-    QueueDepth,
-    Resume,
-    RetryBudgetExhausted,
-    ScaleDecision,
-    SchedDecision,
-    SliceDispatch,
-    SlotFault,
-    TraceEvent,
-    TransformDegrade,
-    WatchdogReset,
-    event_from_dict,
-)
-from .summary import ClientCounters, TraceSummary, summarize
-from .tracer import (
-    JSONLSink,
-    MemorySink,
-    NULL_TRACER,
-    TraceSink,
-    Tracer,
-    load_jsonl,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EVENT_CLASSES",
-    "EventType",
-    "TraceEvent",
-    "KernelSubmit",
-    "KernelStart",
-    "KernelComplete",
-    "SliceDispatch",
-    "PtbDispatch",
-    "PreemptRequest",
-    "PreemptAck",
-    "Resume",
-    "SchedDecision",
-    "QueueDepth",
-    "ChannelFault",
-    "ClientCrash",
-    "ClientGC",
-    "PreemptLost",
-    "WatchdogReset",
-    "TransformDegrade",
-    "SlotFault",
-    "DeviceFault",
-    "MigrationStart",
-    "MigrationComplete",
-    "AdmissionDecision",
-    "DeviceDrain",
-    "RetryBudgetExhausted",
-    "BreakerTransition",
-    "DeadlineShed",
-    "BrownoutShift",
-    "ScaleDecision",
-    "event_from_dict",
-    "TraceSink",
-    "MemorySink",
-    "JSONLSink",
-    "Tracer",
-    "NULL_TRACER",
-    "load_jsonl",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "ClientCounters",
-    "TraceSummary",
-    "summarize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".chrome": ("to_chrome_trace", "write_chrome_trace"),
+    ".events": ("EVENT_CLASSES", "AdmissionDecision", "BreakerTransition",
+                "BrownoutShift", "ChannelFault", "ClientCrash", "ClientGC",
+                "DeadlineShed", "DeviceDrain", "DeviceFault", "EventType",
+                "KernelComplete", "KernelStart", "KernelSubmit",
+                "MigrationComplete", "MigrationStart", "PreemptAck",
+                "PreemptLost", "PreemptRequest", "PtbDispatch",
+                "QueueDepth", "Resume", "RetryBudgetExhausted",
+                "ScaleDecision", "SchedDecision", "SliceDispatch",
+                "SlotFault", "TraceEvent", "TransformCache",
+                "TransformDegrade", "WatchdogReset", "event_from_dict"),
+    ".summary": ("ClientCounters", "TraceSummary", "summarize"),
+    ".tracer": ("JSONLSink", "MemorySink", "NULL_TRACER", "TraceSink",
+                "Tracer", "load_jsonl"),
+})

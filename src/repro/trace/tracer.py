@@ -6,6 +6,10 @@ guarded by ``tracer.enabled`` so that the disabled path — the module
 singleton :data:`NULL_TRACER` — costs one attribute load and a branch
 per candidate event and allocates nothing.
 
+Untraced runs never load :mod:`repro.trace.events`: emission sites
+name event classes through the lazy :mod:`repro.trace` package, and a
+live :class:`Tracer` loads them when it is built.
+
 Events land in a bounded ring buffer (oldest dropped first) and are
 simultaneously forwarded to any attached sinks, so a long run can
 stream to disk while tests read the in-memory tail.
@@ -18,9 +22,9 @@ from collections import deque
 from typing import TYPE_CHECKING, Iterable
 
 from ..errors import ReproError
-from .events import TraceEvent, event_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .events import TraceEvent
     from .summary import TraceSummary
 
 __all__ = [
@@ -73,6 +77,8 @@ class JSONLSink(TraceSink):
 
 def load_jsonl(path: str) -> list[TraceEvent]:
     """Read a :class:`JSONLSink` file back into typed events."""
+    from .events import event_from_dict
+
     events: list[TraceEvent] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -104,6 +110,11 @@ class Tracer:
         self._buffer: deque[TraceEvent] = deque(maxlen=capacity)
         self._sinks: list[TraceSink] = list(sinks)
         self.emitted = 0
+        if self.enabled:
+            # Emission sites reach the event classes through the lazy
+            # :mod:`repro.trace` package; load them with the live tracer
+            # so that a traced run imports nothing once it has started.
+            from . import events  # noqa: F401
 
     # ------------------------------------------------------------------
     def emit(self, event: TraceEvent) -> None:

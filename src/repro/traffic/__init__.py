@@ -1,19 +1,8 @@
 """Synthetic inference traffic (MAF2 substitute)."""
 
-from .maf import (
-    TrafficTrace,
-    bursty_trace,
-    maf_trace,
-    poisson_trace,
-    profile_trace,
-    rate_for_load,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TrafficTrace",
-    "bursty_trace",
-    "maf_trace",
-    "poisson_trace",
-    "profile_trace",
-    "rate_for_load",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".maf": ("TrafficTrace", "bursty_trace", "maf_trace", "poisson_trace",
+             "profile_trace", "rate_for_load"),
+})

@@ -9,41 +9,16 @@ Three passes over mini-PTX kernels:
   loop with a global task counter and preemption flag.
 """
 
-from .base import RESERVED_PREFIX, TransformMeta, check_transformable
-from .dce import DCEStats, eliminate_dead_code
-from .memo import (
-    TransformMemo,
-    load_snapshot,
-    transform_memo,
-    warm_snapshot,
-)
-from .peephole import PeepholeStats, peephole_optimize
-from .pipeline import TransformPipeline, TransformStats
-from .ptb import PreemptibleKernel, PTBControl, make_preemptible
-from .slicing import SlicedKernel, SliceLaunch, make_sliced, plan_slices
-from .unified_sync import UnifiedSyncKernel, make_unified_sync
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RESERVED_PREFIX",
-    "PTBControl",
-    "PreemptibleKernel",
-    "SliceLaunch",
-    "SlicedKernel",
-    "PeepholeStats",
-    "TransformMemo",
-    "TransformMeta",
-    "TransformPipeline",
-    "TransformStats",
-    "UnifiedSyncKernel",
-    "DCEStats",
-    "check_transformable",
-    "eliminate_dead_code",
-    "load_snapshot",
-    "make_preemptible",
-    "make_sliced",
-    "make_unified_sync",
-    "peephole_optimize",
-    "plan_slices",
-    "transform_memo",
-    "warm_snapshot",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("RESERVED_PREFIX", "TransformMeta", "check_transformable"),
+    ".dce": ("DCEStats", "eliminate_dead_code"),
+    ".memo": ("TransformMemo", "load_snapshot", "transform_memo",
+              "warm_snapshot"),
+    ".peephole": ("PeepholeStats", "peephole_optimize"),
+    ".pipeline": ("TransformPipeline", "TransformStats"),
+    ".ptb": ("PreemptibleKernel", "PTBControl", "make_preemptible"),
+    ".slicing": ("SlicedKernel", "SliceLaunch", "make_sliced", "plan_slices"),
+    ".unified_sync": ("UnifiedSyncKernel", "make_unified_sync"),
+})

@@ -30,8 +30,8 @@ from typing import Any
 
 from ..ptx.hash import ir_hash
 from ..ptx.ir import KernelIR
-from ..trace.events import TransformCache
-from ..trace.tracer import NULL_TRACER
+from .. import trace
+from ..trace import NULL_TRACER
 from .dce import eliminate_dead_code
 from .memo import TransformMemo
 from .peephole import peephole_optimize
@@ -129,7 +129,7 @@ class TransformPipeline:
 
     def _trace(self, action: str, transform: str, kernel_name: str,
                digest: str) -> None:
-        self._tracer.emit(TransformCache(
+        self._tracer.emit(trace.TransformCache(
             ts=0.0, client_id="", kernel=kernel_name, action=action,
             transform=transform, ir_hash=digest,
         ))

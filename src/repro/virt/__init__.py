@@ -1,49 +1,15 @@
 """Virtualization layer: interception, channels, and wire protocol (§4.3)."""
 
-from .channel import Channel, ChannelConfig, ChannelStats, SHARED_MEMORY, UNIX_SOCKET
-from .interposer import InterposedBackend
-from .resilience import (
-    CircuitBreaker,
-    ResilienceConfig,
-    RetryBudget,
-    decorrelated_jitter,
-)
-from .protocol import (
-    Envelope,
-    FreeRequest,
-    LaunchKernelRequest,
-    MallocRequest,
-    MemcpyD2HRequest,
-    MemcpyH2DRequest,
-    RegisterBinaryRequest,
-    Request,
-    Response,
-    SynchronizeRequest,
-    checksum_of,
-    estimate_size,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Channel",
-    "ChannelConfig",
-    "ChannelStats",
-    "CircuitBreaker",
-    "Envelope",
-    "ResilienceConfig",
-    "RetryBudget",
-    "decorrelated_jitter",
-    "checksum_of",
-    "FreeRequest",
-    "InterposedBackend",
-    "LaunchKernelRequest",
-    "MallocRequest",
-    "MemcpyD2HRequest",
-    "MemcpyH2DRequest",
-    "RegisterBinaryRequest",
-    "Request",
-    "Response",
-    "SHARED_MEMORY",
-    "SynchronizeRequest",
-    "UNIX_SOCKET",
-    "estimate_size",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".channel": ("Channel", "ChannelConfig", "ChannelStats",
+                 "SHARED_MEMORY", "UNIX_SOCKET"),
+    ".interposer": ("InterposedBackend",),
+    ".resilience": ("CircuitBreaker", "ResilienceConfig", "RetryBudget",
+                    "decorrelated_jitter"),
+    ".protocol": ("Envelope", "FreeRequest", "LaunchKernelRequest",
+                  "MallocRequest", "MemcpyD2HRequest", "MemcpyH2DRequest",
+                  "RegisterBinaryRequest", "Request", "Response",
+                  "SynchronizeRequest", "checksum_of", "estimate_size"),
+})

@@ -48,9 +48,8 @@ from ..faults.injector import (
     DUPLICATE,
     NULL_INJECTOR,
 )
-from ..trace import events as trace_events
-from ..trace.events import ChannelFault
-from ..trace.tracer import NULL_TRACER
+from .. import trace
+from ..trace import NULL_TRACER
 from .protocol import Envelope, Request, Response, checksum_of, estimate_size
 from .resilience import (
     CircuitBreaker,
@@ -238,7 +237,7 @@ class Channel:
                     self._fail_terminally()
                     self.stats.budget_exhausted += 1
                     if self.tracer.enabled:
-                        self.tracer.emit(trace_events.RetryBudgetExhausted(
+                        self.tracer.emit(trace.RetryBudgetExhausted(
                             ts=self._clock(),
                             client_id=envelope.client_id,
                             kernel="",
@@ -294,7 +293,7 @@ class Channel:
         now = self._clock()
         self.stats.deadline_give_ups += 1
         if self.tracer.enabled:
-            self.tracer.emit(trace_events.DeadlineShed(
+            self.tracer.emit(trace.DeadlineShed(
                 ts=now,
                 client_id=self.client_id,
                 kernel="",
@@ -364,7 +363,7 @@ class Channel:
                     attempt: int) -> None:
         self.stats.faults += 1
         if self.tracer.enabled:
-            self.tracer.emit(ChannelFault(
+            self.tracer.emit(trace.ChannelFault(
                 ts=self.stats.simulated_time,
                 client_id=envelope.client_id,
                 kernel="",

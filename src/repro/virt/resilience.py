@@ -29,8 +29,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Tuple
 
-from ..trace.events import BreakerTransition
-from ..trace.tracer import NULL_TRACER
+from .. import trace
+from ..trace import NULL_TRACER
 
 __all__ = [
     "ResilienceConfig",
@@ -250,7 +250,7 @@ class CircuitBreaker:
         if to_state == BREAKER_CLOSED:
             self.failures = 0
         if self.tracer.enabled:
-            self.tracer.emit(BreakerTransition(
+            self.tracer.emit(trace.BreakerTransition(
                 ts=now,
                 client_id=self.client_id,
                 kernel="",

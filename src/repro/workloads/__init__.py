@@ -1,47 +1,14 @@
 """The paper's workload suite and job drivers."""
 
-from .distributions import DurationComponent, DurationMixture
-from .inference import InferenceJob, RequestRecord
-from .llm import (
-    BrownoutConfig,
-    KVCache,
-    LLM_MODELS,
-    LLMRequest,
-    LLMServingJob,
-    LLMServingModel,
-    TokenLengths,
-    get_llm_model,
-)
-from .models import (
-    INFERENCE_MODELS,
-    TRAINING_MODELS,
-    Trace,
-    TraceOp,
-    WorkloadKind,
-    WorkloadModel,
-    get_model,
-)
-from .training import TrainingJob
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BrownoutConfig",
-    "DurationComponent",
-    "DurationMixture",
-    "INFERENCE_MODELS",
-    "InferenceJob",
-    "KVCache",
-    "LLM_MODELS",
-    "LLMRequest",
-    "LLMServingJob",
-    "LLMServingModel",
-    "RequestRecord",
-    "TokenLengths",
-    "TRAINING_MODELS",
-    "Trace",
-    "TraceOp",
-    "TrainingJob",
-    "WorkloadKind",
-    "WorkloadModel",
-    "get_model",
-    "get_llm_model",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".distributions": ("DurationComponent", "DurationMixture"),
+    ".inference": ("InferenceJob", "RequestRecord"),
+    ".llm": ("BrownoutConfig", "KVCache", "LLM_MODELS", "LLMRequest",
+             "LLMServingJob", "LLMServingModel", "TokenLengths",
+             "get_llm_model"),
+    ".models": ("INFERENCE_MODELS", "TRAINING_MODELS", "Trace", "TraceOp",
+                "WorkloadKind", "WorkloadModel", "get_model"),
+    ".training": ("TrainingJob",),
+})

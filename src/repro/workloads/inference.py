@@ -20,7 +20,7 @@ from ..baselines.base import Priority, SharingPolicy
 from ..errors import MigrationError, WorkloadError
 from ..gpu.engine import Event, EventLoop
 from ..metrics.latency import LatencySummary
-from ..trace import QueueDepth
+from .. import trace
 from ..traffic.maf import TrafficTrace
 from .models import Trace
 from .runahead import run_ahead
@@ -299,7 +299,7 @@ class InferenceJob:
     def _sample_queue_depth(self) -> None:
         tracer = self.policy.tracer
         if tracer.enabled:
-            tracer.emit(QueueDepth(
+            tracer.emit(trace.QueueDepth(
                 ts=self.engine.now, client_id=self.client_id, kernel="",
                 depth=self.pending_requests,
             ))

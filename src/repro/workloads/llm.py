@@ -47,7 +47,7 @@ from ..gpu.kernel import KernelDescriptor
 from ..gpu.specs import GPUSpec
 from ..metrics.serving import ServingSLO, ServingSummary
 from ..runtime.memory import MemoryManager
-from ..trace import BrownoutShift, DeadlineShed, QueueDepth
+from .. import trace
 from ..traffic.maf import TrafficTrace
 
 __all__ = [
@@ -652,7 +652,7 @@ class LLMServingJob:
     def _sample_queue_depth(self) -> None:
         tracer = self.policy.tracer
         if tracer.enabled:
-            tracer.emit(QueueDepth(
+            tracer.emit(trace.QueueDepth(
                 ts=self.engine.now, client_id=self.client_id, kernel="",
                 depth=self.pending_requests,
             ))
@@ -700,7 +700,7 @@ class LLMServingJob:
         self._last_brownout_shift = self.engine.now
         tracer = self.policy.tracer
         if tracer.enabled:
-            tracer.emit(BrownoutShift(
+            tracer.emit(trace.BrownoutShift(
                 ts=self.engine.now, client_id=self.client_id, kernel="",
                 level=level, previous=previous, reason=reason,
                 kv_utilization=self.kv.utilization,
@@ -735,7 +735,7 @@ class LLMServingJob:
                 request.finished = now
                 self.deadline_sheds += 1
                 if tracer.enabled:
-                    tracer.emit(DeadlineShed(
+                    tracer.emit(trace.DeadlineShed(
                         ts=now, client_id=self.client_id, kernel="",
                         scope="llm", deadline=deadline,
                         lateness=now - deadline,

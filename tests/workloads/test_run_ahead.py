@@ -41,6 +41,7 @@ from repro.gpu import A100_SXM4_40GB, EventLoop, GPUDevice, KernelDescriptor
 from repro.gpu.engine import credited_total
 from repro.harness import JobSpec, RunConfig, run_colocation
 from repro.traffic import TrafficTrace
+from repro.transform.memo import TransformMemo
 from repro.workloads import InferenceJob, TrainingJob
 from repro.workloads.models import Trace, TraceOp
 
@@ -497,6 +498,9 @@ def test_ptb_workers_beyond_the_device_stay_on_the_event_path():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("repro.core.profiler.generate_candidates",
                    lambda *_args: [SchedConfig(SchedKind.PTB, workers=300)])
+        # profilers share candidates process-wide: a private store keeps
+        # the patched ones from leaking into (or being served from) it
+        mp.setattr("repro.core.profiler._SETUPS", TransformMemo())
         credited = credited_total()
         _differential(("Tally", specs, [], []))
         assert credited_total() > credited
