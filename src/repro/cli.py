@@ -34,7 +34,7 @@ from .harness import (
     run_colocation,
     standalone,
 )
-from .trace import JSONLSink, Tracer, summarize
+from .trace import JSONLSink, Tracer
 from .harness.experiments import (
     fig4,
     fig5a,
@@ -67,6 +67,9 @@ def _make_tracer(path: str) -> Tracer:
 
 def _finish_trace(tracer: Tracer, path: str, config: RunConfig) -> None:
     """Write the trace file and print the derived counters."""
+    # the summary reads event classes, which untraced runs never load
+    from .trace import summarize
+
     if not path.endswith(".jsonl"):
         tracer.export_chrome(path)
     tracer.close()

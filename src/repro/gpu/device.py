@@ -9,26 +9,25 @@ wait for resident blocks to drain.
 
 Two launch kinds are modelled:
 
-* ``ORIGINAL`` — every grid block is dispatched once; blocks that start
-  together complete together (one boundary per wave-batch), which keeps
-  the work proportional to waves, not blocks.  A launch alone on the
-  device runs all its waves, the partial last wave folded in, as one
-  *wave chain* settled by one event and cut short, exactly, whenever
-  anything else changes.  The waves of launches sharing the device are
-  *records* in a device-private heap behind a single proxy event; the
-  *settle loop* runs their boundaries in the per-wave model's key
-  order without touching the event heap, and a boundary that only
-  restarts its own chunk skips dispatch (see ``docs/performance.md``).
+* ``ORIGINAL`` — every grid block is dispatched once; the blocks a
+  dispatch starts together run as one wave and complete together.
 * ``PTB`` — ``workers`` persistent blocks hold their slots and consume
-  one logical block per iteration; a preemption request makes workers
-  exit after the iteration in flight, bounding turnaround at one
-  block's duration.  Iterations are **batched into one event per
-  uninterrupted run segment**: while nothing can change an iteration's
-  duration or stop the workers, the remaining iterations complete as a
-  single simulation event, and any preemption request or co-location
-  change *truncates* the batch at the next iteration boundary — so the
-  observable timing is identical to per-iteration events while the
-  event count collapses (see ``docs/performance.md``).
+  one logical block each per iteration; a preemption request makes the
+  workers exit after the iteration in flight, bounding turnaround at
+  one iteration.
+
+Both run as *chunks*: the blocks (or workers) started together, one
+wave (iteration) after another.  Wave ``k`` of a chunk ends at ``base +
+d * k``, in closed form; ``base`` moves to the boundary only when the
+price ``d`` changes (a co-location flip or a speed change), and the
+batch that the dispatch after an ORIGINAL boundary starts first for the
+same launch continues its chunk.  Every wave or iteration in flight is
+a *record* in a device-private heap behind one proxy event, keyed as
+its own event would be.  The *settle loop* runs the boundaries in key
+order without touching the event heap, and advances a chunk whose
+boundaries only restart it in one step (see ``docs/performance.md``,
+"Wave records").  ``EventLoop.events_processed`` counts every boundary,
+executed or credited.
 
 Slicing is realized above the device as a chain of ORIGINAL launches
 over block sub-ranges (see :mod:`repro.core.scheduler`).
@@ -36,12 +35,10 @@ over block sub-ranges (see :mod:`repro.core.scheduler`).
 An idle, uninstrumented device can also run launches that would start
 alone on it (a passthrough policy's kernels, a Tally high-priority
 client's, a Tally best-effort client's slices or whole launch)
-*inline* (:meth:`GPUDevice.run_solo`): when the event loop
-proves that nothing else runs before a launch ends, its completion
-time and busy time follow from the same wave arithmetic
-(:meth:`GPUDevice._wave_plan`) without any event at all.  A PTB launch
-whose workers all fit runs inline the same way
-(:meth:`GPUDevice.run_solo_ptb`).
+*inline* (:meth:`GPUDevice.run_solo`, :meth:`GPUDevice.run_solo_ptb`):
+when the event loop proves that nothing else runs before a launch
+ends, its completion time and busy time follow from the same closed
+form without any event at all.
 
 A mild ``colocation_slowdown`` factor inflates block durations while
 blocks of more than one client are resident, standing in for memory
@@ -90,46 +87,6 @@ class LaunchStatus(enum.Enum):
     PREEMPTED = "preempted"  # stopped early; progress recorded
 
 
-class _Batch:
-    """A run of identical work intervals settled by one simulation event.
-
-    Two flavours share this record and the truncation machinery:
-
-    * a **PTB batch** — ``count`` persistent workers executing ``iters``
-      iterations of ``iter_duration`` each;
-    * an **ORIGINAL wave chain** — ``iters`` back-to-back full waves of
-      ``count`` blocks each, only formed while the launch has the
-      device to itself (so nothing can change a wave's size or price).
-      A chain that runs through the launch's partial last wave holds
-      ``tail = (T, born, seq, blocks)``: the key of the event that ends
-      its full waves at the *virtual boundary* ``T``, and the partial
-      wave's size; its ``event`` settles the whole launch at ``T +
-      iter_duration`` (see :meth:`GPUDevice._start_wave_chain`).
-
-    The settlement event sits at ``started + iters * iter_duration``
-    (one wave later for a chain with a ``tail``).  A preemption request,
-    a kill, a new arrival, or a co-location change truncates a batch at
-    the next interval boundary (the interval in flight keeps the
-    duration it started with, exactly as per-interval events would have
-    priced it).
-    """
-
-    __slots__ = ("launch", "count", "threads", "started", "iter_duration",
-                 "iters", "event", "tail")
-
-    def __init__(self, launch: "DeviceLaunch", count: int, threads: int,
-                 started: float, iter_duration: float, iters: int,
-                 event: Event) -> None:
-        self.launch = launch
-        self.count = count
-        self.threads = threads
-        self.started = started
-        self.iter_duration = iter_duration
-        self.iters = iters
-        self.event = event
-        self.tail: tuple | None = None
-
-
 class DeviceLaunch:
     """One kernel launch resident on (or queued for) the device."""
 
@@ -138,7 +95,7 @@ class DeviceLaunch:
         "total_blocks", "block_offset", "blocks_to_start", "blocks_inflight",
         "blocks_done", "tasks_done", "preempt_requested", "killed",
         "blocks_killed", "status", "submitted_at", "arrived_at",
-        "started_at", "finished_at", "seq", "batches", "is_ptb",
+        "started_at", "finished_at", "seq", "is_ptb",
     )
 
     _seq = itertools.count()
@@ -181,9 +138,6 @@ class DeviceLaunch:
         self.started_at = float("nan")
         self.finished_at = float("nan")
         self.seq = next(DeviceLaunch._seq)
-        #: in-flight :class:`_Batch` records (PTB iteration batches or
-        #: an ORIGINAL wave chain)
-        self.batches: list[_Batch] = []
 
     # ------------------------------------------------------------------
     @property
@@ -259,26 +213,33 @@ class GPUDevice:
         #: :meth:`set_speed_factor` drops them
         self._solo_plans: dict[tuple, tuple] = {}
         self._ptb_plans: dict[tuple, tuple | None] = {}
-        #: multi-interval batches currently in flight — PTB iteration
-        #: batches and ORIGINAL wave chains — truncated on arrivals and
-        #: co-location transitions
-        self._chains: list[_Batch] = []
-        #: the wave chain among ``_chains`` that runs through its
-        #: launch's partial last wave, if any (it holds the device alone,
-        #: so there is at most one)
-        self._fold: _Batch | None = None
-        #: heap of ``(end, born, seq, launch, blocks)`` records, one per
-        #: ORIGINAL wave in flight outside a wave chain, keyed as the
-        #: per-wave model's completion event would be; the proxy event
-        #: stands for the earliest, unless the settle loop is running
-        #: (see :meth:`_settle_waves`)
+        #: heap of wave records ``(end, born, seq, launch, count, base,
+        #: d, k)``, one per wave or PTB iteration in flight: wave ``k``
+        #: of a chunk of ``count`` blocks (workers) priced ``d`` from
+        #: ``base``, ending at ``base + d * k`` and keyed as its own
+        #: completion event would be; the proxy event stands for the
+        #: earliest, unless the settle loop is running (see
+        #: :meth:`_settle_waves`)
         self._waves: list[tuple] = []
         self._proxy: Event | None = None
+        #: the record whose boundary the settle loop's full body is
+        #: running: the first batch the dispatch after it starts for
+        #: the same launch continues its chunk (see :meth:`_start_batch`)
+        self._refill: tuple | None = None
         self._rr = 0  # round-robin cursor for same-priority fairness
-        # Utilization accounting (thread-seconds of busy time).
+        # Utilization accounting (see :meth:`_account`): busy
+        # thread-seconds up to ``_last_change``, since which
+        # ``_busy_level`` threads were busy until ``_touched``, the last
+        # instant at which the count may have changed.
         self._busy_thread_seconds = 0.0
         self._last_change = 0.0
+        self._busy_level = 0
+        self._touched = 0.0
         self.launches_completed = 0
+        #: events :meth:`run_solo` and :meth:`run_solo_ptb` stand for
+        #: (each launch's arrival and its boundaries), which a run-ahead
+        #: stretch credits
+        self.inline_events = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -294,9 +255,9 @@ class GPUDevice:
         Models a transiently slow device — thermal throttling, ECC
         retirement storms, a noisy host neighbour — for cluster-level
         fault injection (:mod:`repro.faults`).  The factor follows the
-        co-location pricing rule: intervals already in flight keep the
-        price they started with, and batched schedules are truncated so
-        their next interval boundary re-evaluates the new price.  Passing
+        co-location pricing rule: waves and iterations already in flight
+        keep the price they started with, and the next ones take the new
+        price.  Passing
         ``1.0`` restores full speed; runs that never call this method pay
         nothing on the hot path (a single ``!= 1.0`` test).
         """
@@ -307,8 +268,6 @@ class GPUDevice:
         self._speed_factor = factor
         self._solo_plans.clear()
         self._ptb_plans.clear()
-        if self._chains:
-            self._truncate_chains()
 
     def submit(self, launch: DeviceLaunch, *,
                launch_overhead: float | None = None) -> DeviceLaunch:
@@ -354,8 +313,6 @@ class GPUDevice:
         """
         if launch.done:
             return True
-        if self._fold is not None:
-            self._catch_up()  # a boundary due now runs unflagged
         if self.tracer.enabled and not launch.preempt_requested:
             self.tracer.emit(trace.PreemptRequest(
                 ts=self.engine.now, client_id=launch.client_id,
@@ -375,10 +332,7 @@ class GPUDevice:
             return False
         launch.preempt_requested = True
         self._update_waiting(launch)
-        # Batched PTB iterations settle at the next boundary: the flag
-        # write lands mid-iteration, workers exit when it completes.
-        for batch in launch.batches[:]:  # a folded chain may leave
-            self._truncate_batch(batch)
+        # PTB workers see the flag at their next iteration boundary.
         # If nothing is in flight and the launch has already reached the
         # device (it may have been starved of slots and never started),
         # retire it immediately; a launch still in its submission delay
@@ -407,23 +361,13 @@ class GPUDevice:
                 kernel=launch.descriptor.name, launch_seq=launch.seq,
                 mechanism="kill",
             ))
-        if self._fold is not None and self._fold.launch is launch:
-            self._unfold(self._fold)
         launch.preempt_requested = True
         launch.killed = True
         self._update_waiting(launch)
-        # Credit iterations that fully completed inside in-flight PTB
-        # batches before discarding them (the iteration in flight is
-        # lost, matching per-iteration accounting).
-        for batch in launch.batches:
-            self._settle_batch_progress(batch)
-            batch.event.cancel()
-            if batch in self._chains:
-                self._chains.remove(batch)
-        launch.batches.clear()
         if launch.blocks_inflight > 0:
-            # The waves' boundaries still run, but the resources are
-            # returned now and the boundaries become no-ops.
+            # The waves' (iterations') boundaries still run, but the
+            # resources are returned now and the boundaries become
+            # no-ops: the wave (iteration) in flight is lost.
             self._account()
             tpb = launch.descriptor.threads_per_block
             self._threads_free += launch.blocks_inflight * tpb
@@ -450,27 +394,19 @@ class GPUDevice:
 
     def resident_for(self, client_id: str) -> list[DeviceLaunch]:
         """The client's resident, unfinished launches (for cleanup)."""
-        if self._fold is not None:
-            self._catch_up()
         return [l for l in self._resident
                 if l.client_id == client_id and not l.done]
 
     @property
     def threads_free(self) -> int:
-        if self._fold is not None:
-            self._catch_up()
         return self._threads_free
 
     @property
     def slots_free(self) -> int:
-        if self._fold is not None:
-            self._catch_up()
         return self._slots_free
 
     @property
     def resident_launches(self) -> tuple[DeviceLaunch, ...]:
-        if self._fold is not None:
-            self._catch_up()
         return tuple(self._resident)
 
     def utilization(self) -> float:
@@ -479,30 +415,43 @@ class GPUDevice:
         A pure read: it adds the busy time since the last change without
         folding it into the running sum, so reading it (the invariant
         checker does after every event) cannot move a later reading."""
-        if self._fold is not None:
-            self._catch_up()
         now = self.engine.now
         if now <= 0:
             return 0.0
         busy = self._total_threads - self._threads_free
-        return (self._busy_thread_seconds
-                + busy * (now - self._last_change)) / (
-            now * self._total_threads)
+        level = self._busy_level
+        last = self._last_change
+        if busy == level:
+            seconds = self._busy_thread_seconds + level * (now - last)
+        else:
+            touched = self._touched
+            seconds = (self._busy_thread_seconds + level * (touched - last)
+                       + busy * (now - touched))
+        return seconds / (now * self._total_threads)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _account(self, now: float | None = None) -> None:
-        """Accrue busy thread-seconds up to ``now`` (default: the
-        clock)."""
-        if now is None:
-            now = self.engine.now
-        last = self._last_change
-        if now != last:
+    def _account(self) -> None:
+        """Note that the busy thread count may change now, before it
+        does.
+
+        Busy time accrues only where the count changes: when the count
+        after the last instant noted differs from the one before it, the
+        stretch up to that instant is added to the sum.  Changes that
+        cancel out at one instant (a wave released and restarted) add
+        nothing, so the sum does not depend on which boundaries run."""
+        now = self.engine.now
+        touched = self._touched
+        if now != touched:
             busy = self._total_threads - self._threads_free
-            if busy:
-                self._busy_thread_seconds += busy * (now - last)
-            self._last_change = now
+            level = self._busy_level
+            if busy != level:
+                self._busy_thread_seconds += level * (
+                    touched - self._last_change)
+                self._last_change = touched
+                self._busy_level = busy
+            self._touched = now
 
     def _sub_inflight(self, client_id: str, count: int) -> None:
         """Decrement a client's in-flight blocks; track 0-transitions."""
@@ -511,16 +460,10 @@ class GPUDevice:
         inflight[client_id] = left
         if left == 0 and count > 0:
             self._active_clients -= 1
-            if self._chains:
-                self._reprice_batches(client_id)
 
     def _arrive(self, launch: DeviceLaunch) -> None:
         launch.arrived_at = self.engine.now
         self._submitting[launch.client_id] -= 1
-        if self._chains:
-            # The newcomer competes for resources from the next interval
-            # boundary on; batched schedules stop being safe now.
-            self._truncate_chains()
         insort(self._resident, launch, key=DeviceLaunch.sort_key)
         if launch.blocks_to_start > 0 and not launch.preempt_requested:
             waiting = self._waiting[:]
@@ -599,7 +542,7 @@ class GPUDevice:
                 capacity = self._capacity(*key)
             if fit < capacity // 8:
                 return
-        self._start_batch(launch, fit, solo=True)
+        self._start_batch(launch, fit)
 
     def _dispatch_group(self, group: list[DeviceLaunch]) -> None:
         self._rr = (self._rr + 1) % len(group)
@@ -643,21 +586,28 @@ class GPUDevice:
             duration *= self._speed_factor
         return duration
 
-    def _start_batch(self, launch: DeviceLaunch, count: int, *,
-                     solo: bool = False) -> None:
+    def _start_batch(self, launch: DeviceLaunch, count: int) -> None:
+        """Start ``count`` blocks (PTB workers) of ``launch`` as one
+        wave: a new chunk from now, or, for the first batch of the
+        launch whose boundary the settle loop is running
+        (``_refill``), that chunk's next wave if its price is
+        unchanged."""
         if self.check.enabled:
             self.check.verify_dispatch(self, launch)
         engine = self.engine
         now = engine.now
-        last = self._last_change
-        if now != last:  # _account(), inline
+        touched = self._touched
+        if now != touched:  # _account(), inline
             busy = self._total_threads - self._threads_free
-            if busy:
-                self._busy_thread_seconds += busy * (now - last)
-            self._last_change = now
+            level = self._busy_level
+            if busy != level:
+                self._busy_thread_seconds += level * (
+                    touched - self._last_change)
+                self._last_change = touched
+                self._busy_level = busy
+            self._touched = now
         tpb = launch.descriptor.threads_per_block
-        threads = count * tpb
-        self._threads_free -= threads
+        self._threads_free -= count * tpb
         self._slots_free -= count
         left = launch.blocks_to_start - count
         launch.blocks_to_start = left
@@ -669,8 +619,6 @@ class GPUDevice:
         inflight[launch.client_id] = prev + count
         if prev == 0:
             self._active_clients += 1
-            if self._chains:
-                self._reprice_batches(launch.client_id)
         if launch.status is LaunchStatus.PENDING:
             launch.status = LaunchStatus.RUNNING
             launch.started_at = now
@@ -682,36 +630,21 @@ class GPUDevice:
                 ))
 
         if launch.is_ptb:
-            self._start_ptb_batch(launch, count, threads)
-            return
-        duration = self._block_duration(launch)
-        if solo and left and launch.blocks_inflight == count:
-            chained = self._solo_chain(launch, count)
-            if chained:
-                self._start_wave_chain(launch, count, threads, duration,
-                                       chained)
-                return
-        # one wave ends at _wave_plan(now, duration, count, count)[0],
-        # under the sequence number its own event would take
-        # (engine.reserve(1), inline)
+            d = self._ptb_iteration_duration(launch)
+        else:
+            d = self._block_duration(launch)
+        base = now
+        k = 1
+        chunk = self._refill
+        if chunk is not None and chunk[3] is launch:
+            self._refill = None
+            if chunk[6] == d:
+                base = chunk[5]
+                k = chunk[7] + 1
+        # the sequence number the wave's own event would take, inline
         seq = engine._seq
         engine._seq = seq + 1
-        self._push_wave((now + duration, now, seq, launch, count))
-
-    @staticmethod
-    def _wave_plan(start: float, duration: float, count: int,
-                   blocks: int) -> tuple[float, int]:
-        """The timing of ``blocks`` blocks run back to back, ``count``
-        at a time, from ``start`` at ``duration`` per wave: the end ``T
-        = start + duration * W`` of the ``W`` whole waves, and the size
-        of the partial last wave after them (0 if none), which ends at
-        ``T + duration``.  The one timing model of solo ORIGINAL work:
-        a wave record (``W = 1``), a wave chain and a folded partial
-        wave take their times from here, and so do :meth:`run_solo`'s
-        cached plans (:meth:`_solo_plan`, from ``start = 0.0``: adding
-        the span to the arrival later is the same sum)."""
-        waves, tail = divmod(blocks, count)
-        return start + duration * waves, tail
+        self._push_wave((base + d * k, now, seq, launch, count, base, d, k))
 
     def solo_window(self) -> tuple[float, bool] | None:
         """The window (see :meth:`EventLoop.quiet_until`) in which
@@ -740,16 +673,17 @@ class GPUDevice:
         chain runs.
 
         Each launch arrives after the launch overhead and starts the
-        wave :meth:`_dispatch_single` starts on an idle device; its
-        waves run as the solo wave chain does (:meth:`_wave_plan`), and
-        busy time accrues in the order the event path accrues it — at
-        the arrival (:meth:`_start_batch`), at the end of the whole
-        waves (:meth:`_cross` or :meth:`_release`) and at the end of a
-        partial last wave (:meth:`_release`).  Inside the window
-        nothing can observe the device before the last launch would
-        have completed, so settling the chain now is indistinguishable.
-        The chain's timing depends only on the launch sizes, so it is
-        planned once per size (:meth:`_solo_plan`) and only summed here.
+        chunk :meth:`_dispatch_single` starts on an idle device, from
+        its arrival: wave ``k`` ends at ``arrival + d * k``, its partial
+        last wave included.  Busy time accrues as :meth:`_account`
+        accrues it on the event path, at the arrival, at the end of the
+        whole waves if a partial wave follows, and at the completion;
+        :attr:`inline_events` counts the arrival and every boundary.
+        Inside the window nothing can observe the device before the last
+        launch would have completed, so settling the chain now is
+        indistinguishable.  The chain's timing depends only on the
+        launch sizes, so it is planned once per size
+        (:meth:`_solo_plan`) and only summed here.
         """
         total = descriptor.num_blocks
         if per is None:
@@ -758,9 +692,11 @@ class GPUDevice:
         overhead = self.spec.kernel_launch_overhead
         seconds = self._busy_thread_seconds
         last = self._last_change
+        level = self._busy_level
+        touched = self._touched
         done = start
         left = total
-        planned = launches = 0
+        planned = launches = events = 0
         while left:
             blocks = per if left > per else left
             if blocks != planned:
@@ -770,28 +706,41 @@ class GPUDevice:
                     plan = plans[key]
                 except KeyError:
                     plan = self._solo_plan(key)
-                span, duration, tail, busy, wave_busy, tail_busy = plan
+                span, tail_span, busy, wave_busy, tail_busy, count = plan
                 planned = blocks
             arrived = done + overhead
             end = arrived + span
-            done = end + duration if tail else end
-            # _account(arrived), _account(end) and _account(done),
-            # inline; the threads the launch takes return by ``done``
-            if arrived != last:
-                if busy:
-                    seconds += busy * (arrived - last)
-                last = arrived
-            if end != last:
-                seconds += wave_busy * (end - last)
-                last = end
-            if done != last:
-                if tail_busy:
-                    seconds += tail_busy * (done - last)
-                last = done
+            # _account() at the arrival, the end of the whole waves (if
+            # a partial wave follows) and the completion, inline
+            if arrived != touched:
+                if busy != level:
+                    seconds += level * (touched - last)
+                    last = touched
+                    level = busy
+                touched = arrived
+            if tail_span is None:
+                done = end
+                final = wave_busy
+            else:
+                done = arrived + tail_span
+                final = tail_busy
+                if end != touched:
+                    if wave_busy != level:
+                        seconds += level * (touched - last)
+                        last = touched
+                        level = wave_busy
+                    touched = end
+            if done != touched:
+                if final != level:
+                    seconds += level * (touched - last)
+                    last = touched
+                    level = final
+                touched = done
             if ends is not None:
                 ends.append(done)
             left -= blocks
             launches += 1
+            events += count
         bound, inclusive = window
         if done > bound or (done == bound and not inclusive):
             if ends:
@@ -799,27 +748,32 @@ class GPUDevice:
             return None
         self._busy_thread_seconds = seconds
         self._last_change = last
+        self._busy_level = level
+        self._touched = touched
         self.launches_completed += launches
+        self.inline_events += events
         return done
 
     def _solo_plan(self, key: tuple) -> tuple:
         """Plan and cache :meth:`run_solo`'s launch of ``blocks`` blocks
         for ``key = (descriptor, blocks, threads free, slots free)``:
-        ``(span, duration, tail, busy, wave_busy, tail_busy)`` — the
-        length of the whole waves, a wave's duration, the partial
-        wave's size, and the busy threads before the launch, during its
-        whole waves and during its partial wave.  The plans depend on
-        the speed factor too, so :meth:`set_speed_factor` drops them."""
+        ``(span, tail_span, busy, wave_busy, tail_busy, events)`` — the
+        ends of the whole waves and of the partial wave (None if none)
+        from the arrival, the busy threads before the launch, during its
+        whole waves and during its partial wave, and the events it
+        stands for.  The plans depend on the speed factor too, so
+        :meth:`set_speed_factor` drops them."""
         descriptor, blocks, threads_free, slots_free = key
         tpb = descriptor.threads_per_block
         count = min(threads_free // tpb, slots_free, blocks)
-        duration = descriptor.block_duration
+        d = descriptor.block_duration
         if self._speed_factor != 1.0:
-            duration *= self._speed_factor
-        span, tail = self._wave_plan(0.0, duration, count, blocks)
+            d *= self._speed_factor
+        waves, tail = divmod(blocks, count)
         busy = self._total_threads - threads_free
-        plan = (span, duration, tail, busy, busy + count * tpb,
-                busy + tail * tpb)
+        plan = (d * waves, d * (waves + 1) if tail else None, busy,
+                busy + count * tpb, busy + tail * tpb,
+                1 + waves + (tail > 0))
         self._cache_plan(self._solo_plans, key, plan)
         return plan
 
@@ -838,10 +792,10 @@ class GPUDevice:
         persistent blocks over ``descriptor``'s whole grid.
 
         It runs inline only if every worker fits on the idle device at
-        once: then :meth:`_start_ptb_batch` settles all iterations in
-        one batch, priced by the same :meth:`_ptb_iteration`; workers
-        placed in groups advance one iteration per event instead.
-        Busy time accrues at the arrival and at the completion, as
+        once: then its iterations are one chunk, iteration ``k`` ending
+        at ``arrival + d * k`` at the price of :meth:`_ptb_iteration`;
+        workers placed in groups take the event path.  Busy time
+        accrues at the arrival and at the completion, as
         :meth:`_start_batch` and :meth:`_release` accrue it.
         """
         key = (descriptor, workers, self._threads_free, self._slots_free)
@@ -851,32 +805,43 @@ class GPUDevice:
             plan = self._ptb_plan(key)
         if plan is None:
             return None
-        span, busy, workers_busy = plan
+        span, busy, workers_busy, events = plan
         arrived = start + self.spec.kernel_launch_overhead
         done = arrived + span
         bound, inclusive = window
         if done > bound or (done == bound and not inclusive):
             return None
-        # _account(arrived) and _account(done), inline
+        # _account() at the arrival and at the completion, inline
         seconds = self._busy_thread_seconds
         last = self._last_change
-        if arrived != last:
-            if busy:
-                seconds += busy * (arrived - last)
-            last = arrived
-        if done != last:
-            seconds += workers_busy * (done - last)
-            last = done
+        level = self._busy_level
+        touched = self._touched
+        if arrived != touched:
+            if busy != level:
+                seconds += level * (touched - last)
+                last = touched
+                level = busy
+            touched = arrived
+        if done != touched:
+            if workers_busy != level:
+                seconds += level * (touched - last)
+                last = touched
+                level = workers_busy
+            touched = done
         self._busy_thread_seconds = seconds
         self._last_change = last
+        self._busy_level = level
+        self._touched = touched
         self.launches_completed += 1
+        self.inline_events += events
         return done
 
     def _ptb_plan(self, key: tuple) -> tuple | None:
         """Plan and cache :meth:`run_solo_ptb`'s launch for ``key =
         (descriptor, workers, threads free, slots free)``: ``(span,
-        busy, workers_busy)`` — its length, and the busy threads before
-        and during it — or None if its workers do not all fit."""
+        busy, workers_busy, events)`` — its length, the busy threads
+        before and during it, and the events it stands for — or None if
+        its workers do not all fit."""
         descriptor, workers, threads_free, slots_free = key
         tpb = descriptor.threads_per_block
         blocks = descriptor.num_blocks
@@ -887,35 +852,11 @@ class GPUDevice:
             if self._speed_factor != 1.0:
                 base *= self._speed_factor
             busy = self._total_threads - threads_free
-            plan = (self._ptb_iteration(descriptor, base)
-                    * -(-blocks // count), busy, busy + count * tpb)
+            iterations = -(-blocks // count)
+            plan = (self._ptb_iteration(descriptor, base) * iterations,
+                    busy, busy + count * tpb, 1 + iterations)
         self._cache_plan(self._ptb_plans, key, plan)
         return plan
-
-    def _solo_chain(self, launch: DeviceLaunch, count: int) -> int:
-        """How many of ``launch``'s blocks still to start run in the
-        wave chain of its just-started ``count``-block wave: all of
-        them, partial last wave included, when that wave is all the
-        launch has in flight and the launch is alone on the device
-        (see :meth:`_alone_on_device`); none otherwise."""
-        if launch.blocks_inflight == count and self._alone_on_device(launch):
-            return launch.blocks_to_start
-        return 0
-
-    def _alone_on_device(self, launch: DeviceLaunch) -> bool:
-        """Whether ``launch`` holds every claimed resource on the device
-        and no other resident launch could start blocks before it
-        finishes (the precondition for chaining its remaining waves)."""
-        if (self._threads_free + launch.blocks_inflight
-                * launch.descriptor.threads_per_block != self._total_threads):
-            return False
-        if self._slots_free + launch.blocks_inflight \
-                != self.spec.total_block_slots:
-            return False
-        for other in self._waiting:
-            if other is not launch:
-                return False
-        return True
 
     def _unwait(self, launch: DeviceLaunch) -> None:
         """Take waiting ``launch`` out of ``_waiting``."""
@@ -953,9 +894,39 @@ class GPUDevice:
         if self.check.enabled:
             self.check.verify(self)
 
-    # ------------------------------------------------------------------
-    # PTB iteration batching
-    # ------------------------------------------------------------------
+    def _finish_iteration(self, record: tuple) -> None:
+        """An iteration of ``record``'s PTB workers completes: they
+        consume a logical block each, then exit (on a preemption
+        request, or with no block left) or start their chunk's next
+        iteration at the current price."""
+        launch = record[3]
+        if launch.killed:
+            return  # resources already reclaimed by kill()
+        workers = record[4]
+        launch.tasks_done = min(launch.tasks_done + workers,
+                                launch.total_blocks)
+        launch.blocks_done = launch.tasks_done
+        if (launch.preempt_requested
+                or launch.tasks_done >= launch.total_blocks):
+            self._release(launch, workers,
+                          workers * launch.descriptor.threads_per_block)
+            if launch.blocks_inflight == 0:
+                self._finalize(launch)
+            else:
+                self._dispatch()
+        else:
+            end, _born, _seq, _launch, _count, base, d, k = record
+            duration = self._ptb_iteration_duration(launch)
+            if duration != d:
+                base, d, k = end, duration, 0
+            engine = self.engine
+            seq = engine._seq
+            engine._seq = seq + 1
+            self._push_wave((base + d * (k + 1), end, seq, launch, workers,
+                             base, d, k + 1))
+        if self.check.enabled:
+            self.check.verify(self)
+
     def _ptb_iteration_duration(self, launch: DeviceLaunch) -> float:
         return self._ptb_iteration(launch.descriptor,
                                    self._block_duration(launch))
@@ -967,161 +938,13 @@ class GPUDevice:
         return (base * (1.0 + descriptor.ptb_overhead_fraction)
                 + PTB_ITERATION_OVERHEAD)
 
-    def _start_ptb_batch(self, launch: DeviceLaunch, count: int,
-                         threads: int) -> None:
-        """Schedule a run segment for ``count`` freshly placed workers.
-
-        When this batch is the launch's *only* worker group (the common
-        case — all workers placed at once), every remaining iteration is
-        scheduled as one settlement event; otherwise concurrent worker
-        groups consume tasks interleaved, so the batch advances one
-        iteration at a time (exactly the pre-batching behaviour).
-        """
-        duration = self._ptb_iteration_duration(launch)
-        if (launch.blocks_to_start == 0
-                and launch.blocks_inflight == count
-                and not launch.preempt_requested):
-            remaining = launch.total_blocks - launch.tasks_done
-            iters = -(-remaining // count)  # ceil
-        else:
-            iters = 1
-        batch = _Batch(launch, count, threads, self.engine.now,
-                       duration, iters, None)  # type: ignore[arg-type]
-        batch.event = self.engine.schedule(
-            duration * iters, lambda: self._ptb_batch_done(batch))
-        launch.batches.append(batch)
-        if iters > 1:
-            self._chains.append(batch)
-
-    def _start_wave_chain(self, launch: DeviceLaunch, count: int,
-                          threads: int, duration: float,
-                          blocks: int) -> None:
-        """Chain the waves of a solo ORIGINAL launch's next ``blocks``
-        blocks behind its ``count``-block wave in flight.
-
-        The launch holds the whole device, so every subsequent wave
-        starts the instant the previous one completes, with the same
-        price — ``1 + blocks // count`` full waves collapse into one
-        event at their end ``T``.  A partial last wave of the remaining
-        ``blocks % count`` blocks is *folded* in: ``T`` becomes a
-        virtual boundary, and the one event settles the whole launch at
-        ``T + duration`` under the key ``(T + duration, T, seq)`` its own
-        wave event would have had, ``seq`` reserved now (see
-        :meth:`_unfold`).  Bookkeeping for the not-yet-started waves
-        stays in ``blocks_to_start`` until settlement, so block
-        conservation holds at every observable point.
-        """
-        now = self.engine.now
-        end, tail = self._wave_plan(now, duration, count, count + blocks)
-        batch = _Batch(launch, count, threads, now, duration,
-                       1 + blocks // count, None)  # type: ignore[arg-type]
-        if tail:
-            seq = self.engine.reserve(2)
-            batch.tail = (end, now, seq, tail)
-            batch.event = self.engine.schedule_as(
-                end + duration, end, seq + 1, lambda: self._fold_done(batch))
-            self._fold = batch
-        else:
-            batch.event = self.engine.schedule_at(
-                end, lambda: self._wave_chain_done(batch))
-        launch.batches.append(batch)
-        self._chains.append(batch)
-
-    def _settle(self, batch: _Batch, completed: int) -> None:
-        """Credit ``completed`` fully elapsed intervals of ``batch`` and
-        re-anchor it so repeated settlement never double-credits."""
-        if completed <= 0:
-            return
-        launch = batch.launch
-        if launch.is_ptb:
-            remaining = launch.total_blocks - launch.tasks_done
-            consumed = min(completed * batch.count, remaining)
-            launch.tasks_done += consumed
-            launch.blocks_done = launch.tasks_done
-        else:
-            # Completed waves moved blocks straight from blocks_to_start
-            # to blocks_done (the chain's in-flight wave stays the only
-            # contribution to blocks_inflight throughout).
-            launch.blocks_done += completed * batch.count
-            launch.blocks_to_start -= completed * batch.count
-            self._update_waiting(launch)
-        batch.started += completed * batch.iter_duration
-        batch.iters -= completed
-
-    def _settle_batch_progress(self, batch: _Batch) -> None:
-        """Credit intervals of ``batch`` that have fully completed,
-        for a batch ending early on a kill: the interval in flight is
-        lost, but intervals whose boundary has passed were real work —
-        per-interval events would have credited them as they fired.
-        """
-        elapsed = self.engine.now - batch.started
-        if elapsed <= 0 or batch.iter_duration <= 0:
-            return
-        completed = int(elapsed / batch.iter_duration + 1e-9)
-        cap = batch.iters if batch.launch.is_ptb else batch.iters - 1
-        self._settle(batch, min(completed, cap))
-
-    def _truncate_batch(self, batch: _Batch) -> None:
-        """Shrink ``batch`` to settle at the next interval boundary.
-
-        Fully elapsed intervals are credited immediately (so the
-        launch's counters are exact from this point on — the world is
-        about to change, and dispatch may consult them).  If the batch
-        sits exactly on an interval boundary, it settles *now* — the
-        per-interval event chain had an event at this very timestamp —
-        otherwise the interval in flight runs out at the duration it
-        started with.  Either way the settlement handler re-evaluates
-        the world (preemption flag, co-location pricing, free
-        resources) when it fires, exactly as per-interval events did at
-        every boundary.
-        """
-        if batch.tail is not None and self._unfold(batch):
-            return
-        if batch.iters <= 1:
-            return
-        q = (self.engine.now - batch.started) / batch.iter_duration
-        completed = int(q + 1e-9)
-        if completed >= batch.iters:
-            return  # the settlement event is due at this very instant
-        # Exactly on a boundary (and not at the batch's own start): the
-        # per-interval chain had an event at this very timestamp.
-        at_boundary = completed >= 1 and q - completed <= 1e-9
-        self._settle(batch, completed)
-        batch.event.cancel()
-        fn = (self._ptb_batch_done if batch.launch.is_ptb
-              else self._wave_chain_done)
-        if at_boundary:
-            batch.iters = 0
-            when = self.engine.now
-        else:
-            batch.iters = 1
-            when = batch.started + batch.iter_duration
-            if when < self.engine.now:
-                when = self.engine.now
-        batch.event = self.engine.schedule_at(when, lambda: fn(batch))
-
-    def _reprice_batches(self, changed_client: str) -> None:
-        """A client's residency flipped: other clients' batched
-        intervals may now be priced wrong — truncate them so the next
-        boundary re-evaluates the co-location factor."""
-        for batch in list(self._chains):
-            if batch.launch.client_id != changed_client:
-                self._truncate_batch(batch)
-
-    def _truncate_chains(self) -> None:
-        """A new launch reached the device: every batched schedule may
-        now face competition for resources (and re-pricing), so all of
-        them settle at their next interval boundary."""
-        for batch in list(self._chains):
-            self._truncate_batch(batch)
-
     # ------------------------------------------------------------------
-    # The settle loop: co-resident waves in a device-private heap
+    # The settle loop: wave records in a device-private heap
     # ------------------------------------------------------------------
     def _push_wave(self, record: tuple) -> None:
-        """Add an ``(end, born, seq, launch, blocks)`` wave record; the
-        proxy event moves to it if it is the new earliest (the settle
-        loop re-arms the proxy itself when it returns)."""
+        """Add a wave record; the proxy event moves to it if it is the
+        new earliest (the settle loop re-arms the proxy itself when it
+        returns)."""
         waves = self._waves
         heappush(waves, record)
         if waves[0] is record and self.engine.settling is not waves:
@@ -1136,28 +959,33 @@ class GPUDevice:
         :meth:`EventLoop.settle_limit` — no other event, and no end of
         the drain, would come first in the per-wave model.
 
-        Each boundary runs :meth:`_finish_batch` as its own event would
-        have, at its own ``now`` and ``current`` — the *full body*.  A
-        pure self-refill (:meth:`_pure_refill`) only accrues busy time,
-        as :meth:`_account` does at every boundary, moves its blocks to
-        ``blocks_done`` and pushes the refill's record under the next
-        sequence number; it changes nothing the event heap or the limit
-        depend on, nor the free pool, so the busy threads are read only
-        after a full body.  Every boundary after the first is credited
-        (:meth:`EventLoop.credit`).  Checked and traced runs take the
-        full body at every boundary.  Meanwhile ``engine.settling``
-        shows the records left, which :meth:`EventLoop.quiet_until`
-        counts as events, and the proxy is re-armed when the loop stops.
+        A boundary runs its *full body* as its own event would have, at
+        its own ``now``: :meth:`_finish_batch` for an ORIGINAL wave
+        (with ``_refill`` set, so that the dispatch continues the chunk)
+        and :meth:`_finish_iteration` for a PTB iteration.  A *pure
+        refill* (:meth:`_pure_refill`) only restarts its own chunk: it
+        moves the blocks to ``blocks_done`` (``tasks_done``) and pushes
+        the chunk's next wave, under the next sequence number, and it
+        changes nothing the event heap, the limit, the free pool or the
+        busy time depend on.  So the refills of one chunk that run
+        before the next other record and below the limit run in one
+        step (:meth:`_walk_length`): the step takes one sequence number,
+        which orders the final record's ties as its own would be
+        ordered, since nothing was scheduled between.  Every boundary
+        after the first is credited (:meth:`EventLoop.credit`).
+        Checked and traced runs take the full body at every boundary.
+        Meanwhile ``engine.settling`` shows the records left, which
+        :meth:`EventLoop.quiet_until` counts as events, and the proxy
+        is re-armed when the loop stops.
 
-        A launch's True verdict, with its block duration, holds until
-        the next full body: a pure refill leaves the pool, the prices,
-        ``_chains`` and every flag as they were and only lowers
-        ``blocks_to_start`` of a launch that keeps its wave in flight.
-        That can stop a launch waiting, which only lifts
-        :meth:`_pure_refill`'s refusals, never adds one.  So
-        ``_pure_refill`` runs at most once per launch between full
-        bodies; ``blocks_to_start >= count``, the one clause a refill
-        can break, is tested at every boundary.
+        A launch's True verdict, with its price, holds until the next
+        full body: a pure refill leaves the pool, the prices and every
+        flag as they were and only lowers ``blocks_to_start`` of a
+        launch that keeps its wave in flight.  That can stop a launch
+        waiting, which only lifts :meth:`_pure_refill`'s refusals, never
+        adds one.  So ``_pure_refill`` runs at most once per launch
+        between full bodies; the blocks left, the one thing a refill
+        changes that it depends on, are counted at every boundary.
         """
         engine = self.engine
         waves = self._waves
@@ -1166,45 +994,77 @@ class GPUDevice:
         outer = engine.settling
         engine.settling = waves
         walk = not (self.check.enabled or self.tracer.enabled)
-        #: block duration of each launch found a pure refill since the
-        #: last full body
+        #: price of each launch found a pure refill since the last full
+        #: body
         pure: dict[DeviceLaunch, float] = {}
-        busy = self._total_threads - self._threads_free
         settled = 0
         limit = None
         try:
             while True:
-                launch = record[3]
-                count = record[4]
+                end, _born, _seq, launch, count, base, d, k = record
                 duration = None
-                if walk and launch.blocks_to_start >= count:
-                    if launch in pure:
-                        duration = pure[launch]
-                    elif self._pure_refill(launch, count):
-                        duration = pure[launch] = self._block_duration(launch)
+                if walk:
+                    # blocks (PTB: logical blocks after this iteration)
+                    # beyond this refill's
+                    spare = (launch.total_blocks - launch.tasks_done - 1
+                             if launch.is_ptb
+                             else launch.blocks_to_start) - count
+                    if spare >= 0:
+                        duration = pure.get(launch)
+                        if duration is None and self._pure_refill(launch,
+                                                                  count):
+                            duration = pure[launch] = (
+                                self._ptb_iteration_duration(launch)
+                                if launch.is_ptb
+                                else self._block_duration(launch))
                 if duration is not None:
-                    end = record[0]
-                    last = self._last_change
-                    if end != last:  # _account(end), inline
-                        self._busy_thread_seconds += busy * (end - last)
-                        self._last_change = end
-                    launch.blocks_done += count
-                    left = launch.blocks_to_start - count
-                    launch.blocks_to_start = left
-                    if not left:
-                        self._unwait(launch)
-                    # engine.reserve(1), inline; end + duration is
-                    # _wave_plan's end for one wave
+                    if duration != d:
+                        base, d, k = end, duration, 0
+                    k += 1
+                    after = base + d * k  # the refill's end
+                    blocks = count
+                    if spare >= count:
+                        # most refills alternate with another chunk's:
+                        # walk only if the refill's boundary may come
+                        # before the next record and the limit
+                        if limit is None:
+                            limit = engine.settle_limit()
+                        head = waves[0] if waves else limit
+                        if after <= head[0] and after <= limit[0]:
+                            more = self._walk_length(
+                                base, d, k - 1, spare // count,
+                                head if head < limit else limit)
+                            if more:
+                                k += more
+                                end = base + d * (k - 1)
+                                after = base + d * k
+                                engine.now = end
+                                settled += more
+                                blocks += more * count
+                    if launch.is_ptb:
+                        launch.tasks_done += blocks
+                        launch.blocks_done = launch.tasks_done
+                    else:
+                        launch.blocks_done += blocks
+                        rest = launch.blocks_to_start - blocks
+                        launch.blocks_to_start = rest
+                        if not rest:
+                            self._unwait(launch)
                     seq = engine._seq
                     engine._seq = seq + 1
-                    heappush(waves, (end + duration, end, seq, launch, count))
+                    heappush(waves, (after, end, seq, launch, count, base, d,
+                                     k))
                 else:
-                    self._finish_batch(
-                        launch, count,
-                        count * launch.descriptor.threads_per_block)
+                    if launch.is_ptb:
+                        self._finish_iteration(record)
+                    else:
+                        self._refill = record
+                        self._finish_batch(
+                            launch, count,
+                            count * launch.descriptor.threads_per_block)
+                        self._refill = None
                     if pure:
                         pure = {}
-                    busy = self._total_threads - self._threads_free
                     limit = None
                 if not waves:
                     break
@@ -1215,10 +1075,10 @@ class GPUDevice:
                     break
                 heappop(waves)
                 engine.now = record[0]
-                engine.current = record
                 settled += 1
         finally:
             engine.settling = outer
+            self._refill = None
             if settled:
                 engine.credit(settled)
         if waves:
@@ -1226,22 +1086,41 @@ class GPUDevice:
             self._proxy = engine.schedule_as(
                 record[0], record[1], record[2], self._settle_waves)
 
+    def _walk_length(self, base: float, d: float, k: int, most: int,
+                     bound: tuple) -> int:
+        """How many of a chunk's next ``most`` boundaries, ``base + d *
+        (k + i)`` for ``i = 1, 2, ...``, run before ``bound``: each
+        keyed as its wave's event, born at the boundary before and
+        scheduled after everything now queued."""
+        seq = self.engine._seq
+        if not (base + d * (k + 1), base + d * k, seq) < bound:
+            return 0
+        if (base + d * (k + most), base + d * (k + most - 1), seq) < bound:
+            return most
+        # 1 <= the answer < most; start from the closed-form estimate
+        n = min(max(int((bound[0] - base) / d) - k, 1), most - 1)
+        while not (base + d * (k + n), base + d * (k + n - 1), seq) < bound:
+            n -= 1
+        while (base + d * (k + n + 1), base + d * (k + n), seq) < bound:
+            n += 1
+        return n
+
     def _pure_refill(self, launch: DeviceLaunch, count: int) -> bool:
-        """Whether the boundary of ``launch``'s ``count``-block wave
+        """Whether the boundary of ``launch``'s ``count``-block wave,
+        with blocks (PTB: logical blocks after it) left for another,
         would only start the same ``count`` blocks of it again.
 
-        Then :meth:`_finish_batch` would release the wave and
-        :meth:`_dispatch` give the freed slots straight back through
-        :meth:`_dispatch_single` — with nothing waiting above
-        ``launch`` or beside it at its priority, the refill not growing
-        past ``count`` (the launch fits no extra block now), not falling
-        under the coalescing minimum and not turning into a solo wave
-        chain — and leave the free pool, every co-location count and the
-        wave's price as they were.  Launches below saw that pool at the
-        last dispatch and did not start; a level there with two of them
-        waiting would rotate the round-robin cursor, unless no slot is
-        free to reach it.  A client whose last blocks this wave holds
-        would flip its residency and re-price batches in ``_chains``.
+        PTB workers that neither stop nor lose their flag write simply
+        start their next iteration.  For an ORIGINAL wave,
+        :meth:`_finish_batch` would release it and :meth:`_dispatch`
+        give the freed slots straight back through
+        :meth:`_dispatch_single` — with nothing waiting above ``launch``
+        or beside it at its priority and the refill not growing past
+        ``count`` (the launch fits no extra block now) — and leave the
+        free pool, every co-location count and the wave's price as they
+        were.  Launches below saw that pool at the last dispatch and did
+        not start; a level there with two of them waiting would rotate
+        the round-robin cursor, unless no slot is free to reach it.
 
         The coalescing minimum needs no test.  While ``blocks_to_start``
         exceeds ``count``, more than ``count`` blocks were left when the
@@ -1249,24 +1128,18 @@ class GPUDevice:
         met, was ``capacity // 8``; the minimum now is no larger.
 
         A True verdict stays true until the next full body (see
-        :meth:`_settle_waves`) for any of the launch's waves that
-        ``blocks_to_start`` still covers: each clause but the first
-        reads only what a pure refill leaves alone, or the waiting
-        launches, which a refill can only thin out; and a launch with
-        two waves in flight has ``blocks_inflight`` and its client's
-        count above either wave's size.
+        :meth:`_settle_waves`) for any of the launch's waves that the
+        blocks left still cover: each clause reads only what a pure
+        refill leaves alone, or the waiting launches, which a refill
+        can only thin out; and a launch with two waves in flight has
+        ``blocks_inflight`` above either wave's size.
         """
-        left = launch.blocks_to_start
-        if left < count or launch.preempt_requested or launch.killed:
+        if launch.preempt_requested or launch.killed:
             return False
-        if left > count:
-            if (self._slots_free and self._threads_free
-                    >= launch.descriptor.threads_per_block):
-                return False
-            if (launch.blocks_inflight == count
-                    and self._alone_on_device(launch)):
-                return False
-        if self._chains and self._client_inflight[launch.client_id] == count:
+        if launch.is_ptb:
+            return True
+        if launch.blocks_to_start > count and self._slots_free and (
+                self._threads_free >= launch.descriptor.threads_per_block):
             return False
         priority = launch.priority
         slots = self._slots_free
@@ -1282,142 +1155,6 @@ class GPUDevice:
                     return False
                 lower = other.priority
         return True
-
-    # ------------------------------------------------------------------
-    # Folded partial waves: the virtual boundary of a solo wave chain
-    # ------------------------------------------------------------------
-    def _crossed(self, batch: _Batch) -> bool:
-        """Whether the per-wave model has already run the virtual
-        boundary of folded chain ``batch`` — its chain event, keyed
-        ``batch.tail[:3]`` — before the event now running."""
-        return self.engine.current[:3] > batch.tail[:3]
-
-    def _cross(self, batch: _Batch) -> int:
-        """Run folded chain ``batch``'s virtual boundary ``T`` as the
-        chain event and the dispatch after it would have: account busy
-        time to ``T`` with the full wave's threads, release the full
-        wave, start the partial wave.  Returns its blocks."""
-        boundary, _born, _seq, tail = batch.tail
-        batch.tail = None
-        self._fold = None
-        self._chains.remove(batch)
-        launch = batch.launch
-        launch.batches.remove(batch)
-        self._account(boundary)
-        count = batch.count
-        launch.blocks_done += batch.iters * count
-        launch.blocks_to_start = 0
-        self._update_waiting(launch)
-        tpb = launch.descriptor.threads_per_block
-        self._threads_free += count * tpb
-        self._slots_free += count
-        if self.check.enabled:
-            self.check.verify_dispatch(self, launch)
-        self._threads_free -= tail * tpb
-        self._slots_free -= tail
-        launch.blocks_inflight = tail
-        self._client_inflight[launch.client_id] -= count - tail
-        return tail
-
-    def _cross_now(self, batch: _Batch) -> None:
-        """Run ``batch``'s virtual boundary now, late; its partial wave
-        becomes the wave record its settlement stood for."""
-        batch.event.cancel()
-        boundary, _born, seq, _tail = batch.tail
-        tail = self._cross(batch)
-        self._push_wave((boundary + batch.iter_duration, boundary, seq + 1,
-                         batch.launch, tail))
-
-    def _catch_up(self) -> None:
-        """Something is about to read the device: if the per-wave model
-        has passed the folded chain's boundary, run it."""
-        if self._crossed(self._fold):
-            self._cross_now(self._fold)
-
-    def _unfold(self, batch: _Batch) -> bool:
-        """The world is about to change under folded chain ``batch``.
-
-        Past its virtual boundary, the boundary runs now (returns
-        True).  Otherwise the settlement turns back into the event the
-        chain had without the fold — under that event's key ``(T, born,
-        seq)`` — so the caller's truncation proceeds exactly as before:
-        a chain event, or for a single full wave its wave record
-        (returns True: no chain is left).
-        """
-        if self._crossed(batch):
-            self._cross_now(batch)
-            return True
-        batch.event.cancel()
-        boundary, born, seq, _tail = batch.tail
-        batch.tail = None
-        self._fold = None
-        if batch.iters == 1:
-            self._chains.remove(batch)
-            batch.launch.batches.remove(batch)
-            self._push_wave((boundary, born, seq, batch.launch, batch.count))
-            return True
-        batch.event = self.engine.schedule_as(
-            boundary, born, seq, lambda: self._wave_chain_done(batch))
-        return False
-
-    def _fold_done(self, batch: _Batch) -> None:
-        """Undisturbed to the end: cross the boundary, then run the
-        partial wave's own boundary."""
-        launch = batch.launch
-        tail = self._cross(batch)
-        self._finish_batch(launch, tail,
-                           tail * launch.descriptor.threads_per_block)
-
-    def _wave_chain_done(self, batch: _Batch) -> None:
-        launch = batch.launch
-        if batch in self._chains:
-            self._chains.remove(batch)
-        if launch.killed:
-            return  # resources already reclaimed by kill()
-        if batch in launch.batches:
-            launch.batches.remove(batch)
-        count = batch.count
-        launch.blocks_done += batch.iters * count
-        launch.blocks_to_start -= (batch.iters - 1) * count
-        self._update_waiting(launch)
-        self._release(launch, count, batch.threads)
-        finished = (launch.blocks_inflight == 0
-                    and (launch.blocks_to_start == 0
-                         or launch.preempt_requested))
-        if finished:
-            self._finalize(launch)
-        else:
-            self._dispatch()
-        if self.check.enabled:
-            self.check.verify(self)
-
-    def _ptb_batch_done(self, batch: _Batch) -> None:
-        launch = batch.launch
-        if batch in self._chains:
-            self._chains.remove(batch)
-        if launch.killed:
-            return  # resources already reclaimed by kill()
-        if batch in launch.batches:
-            launch.batches.remove(batch)
-        workers = batch.count
-        remaining = launch.total_blocks - launch.tasks_done
-        consumed = min(batch.iters * workers, remaining)
-        launch.tasks_done += consumed
-        launch.blocks_done = launch.tasks_done
-        stop = (launch.preempt_requested
-                or launch.tasks_done >= launch.total_blocks)
-        if stop:
-            self._release(launch, workers, batch.threads)
-            if launch.blocks_inflight == 0:
-                self._finalize(launch)
-            else:
-                self._dispatch()
-        else:
-            # Workers hold their slots and start the next run segment
-            # under the current co-location pricing.
-            self._start_ptb_batch(launch, workers, batch.threads)
-        if self.check.enabled:
-            self.check.verify(self)
 
     # ------------------------------------------------------------------
     def _finalize(self, launch: DeviceLaunch) -> None:

@@ -12,8 +12,8 @@ Hot-path design (see ``docs/performance.md``):
   calls.  ``born`` is the simulated time the event was scheduled at;
   for ordinary events it rises with ``seq``, so the order is plain
   ``(time, seq)``.  :meth:`EventLoop.schedule_as` lets the device
-  re-create an event that *would have been* scheduled earlier (a
-  batched interval boundary) under its original tie-breaking key;
+  schedule its proxy event under the key of the wave record it stands
+  for, which may have been born earlier;
 * :class:`Event` handles are slotted and carry only what cancellation
   needs; the heap never compares them (the ``(time, born, seq)``
   prefix is unique);
@@ -32,7 +32,7 @@ Hot-path design (see ``docs/performance.md``):
   boundaries in a private heap behind one proxy event, and settles
   them in one loop while :meth:`EventLoop.settle_limit` says nothing
   else would run first; each boundary after the first is credited
-  (see ``docs/performance.md``, "The settle loop").
+  (see ``docs/performance.md``, "Wave records").
 """
 
 from __future__ import annotations
@@ -109,13 +109,6 @@ class EventLoop:
 
     def __init__(self) -> None:
         self.now = 0.0
-        #: ordering key ``(time, born, seq, ...)`` of the event (or
-        #: device boundary, see :meth:`settle_limit`) being run; between
-        #: drains, a key just below (exclusive :meth:`advance_to`) or
-        #: just above (inclusive) every event at ``now``.  Batched device
-        #: schedules compare their virtual interval boundaries against it
-        #: to resolve equal-time ties.
-        self.current: tuple = (0.0, _NEG_INF, -1, None)
         #: heap of ``(time, born, seq, Event)`` — C-speed tuple comparisons
         self._heap: list[tuple[float, float, int, Event]] = []
         self._seq = 0
@@ -159,25 +152,17 @@ class EventLoop:
             raise GPUSimError(f"negative delay {delay!r}")
         return self.schedule_at(self.now + delay, fn)
 
-    def reserve(self, count: int) -> int:
-        """Reserve ``count`` consecutive sequence numbers; return the
-        first.  Every later :meth:`schedule_at` gets a larger one."""
-        seq = self._seq
-        self._seq = seq + count
-        return seq
-
     def schedule_as(self, time: float, born: float, seq: int,
                     fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` at ``time`` under the ordering key of an
         event scheduled at simulated time ``born`` with sequence number
-        ``seq`` (from :meth:`reserve`, or a cancelled event's own).
+        ``seq`` (one the loop handed out, such as a cancelled
+        event's own).
 
-        The device uses this to turn a batched interval boundary back
-        into the event the per-interval model would have scheduled, so
-        equal-time ties fall exactly as they would have; ``born`` may
-        lie ahead of ``now`` for a boundary whose wave has not started
-        yet.  Each ``(born, seq)`` pair must be used by at most one live
-        event.
+        The device schedules its proxy event under the key of the wave
+        record it stands for, so equal-time ties fall exactly as the
+        wave's own event would have.  Each ``(born, seq)`` pair must be
+        used by at most one live event.
         """
         if not (time >= self.now and born <= time):
             raise GPUSimError(
@@ -279,7 +264,6 @@ class EventLoop:
         event = entry[3]
         event.loop = None
         self.now = entry[0]
-        self.current = entry
         self.events_processed += 1
         event.fn()
         return True
@@ -324,7 +308,6 @@ class EventLoop:
                 continue
             event.loop = None  # fired: a late cancel is a no-op
             self.now = when
-            self.current = entry
             self.events_processed += 1
             event.fn()
             processed += 1
@@ -354,10 +337,6 @@ class EventLoop:
         processed = self._drain(time, inclusive, max_events)
         if time > self.now:
             self.now = time
-        # Between drains the clock sits just past every event at ``time``
-        # (inclusive) or just before them (exclusive: they stay pending).
-        self.current = ((time, _INF, _INF, None) if inclusive
-                        else (time, _NEG_INF, -1, None))
         return processed
 
     def run_until(self, time: float, *, max_events: int | None = None) -> None:

@@ -14,10 +14,11 @@ runs and the drain does not return, so nothing can observe the driver,
 the policy or the device between the stretch and its end (see
 ``docs/performance.md``, "Solo run-ahead").
 
-The stretch credits the events it stands for — two per device launch
-(arrival, completion; a sliced kernel makes one launch per slice), one
-per host gap, minus the resume event — so ``events_processed`` is the
-same whatever horizons the drains use.
+The stretch credits the events it stands for — per device launch its
+arrival and every wave or PTB iteration boundary
+(:attr:`~repro.gpu.device.GPUDevice.inline_events`; a sliced kernel
+makes one launch per slice), one per host gap, minus the resume event —
+so ``events_processed`` is the same whatever horizons the drains use.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def run_ahead(job, completions: list[float] | None) -> int | None:
     run_inline = policy.inline_runner(client_id)
     crosses_gaps = policy.run_ahead_crosses_gaps(client_id)
     device = policy.device
-    launches = device.launches_completed
+    events = device.inline_events
     engine = job.engine
     ops = job.trace.ops
     last = len(ops)
@@ -82,7 +83,7 @@ def run_ahead(job, completions: list[float] | None) -> int | None:
         return None
     job._op_index = index
     policy.count_inline(client_id, kernels)
-    engine.credit(2 * (device.launches_completed - launches) + gaps - 1)
+    engine.credit(device.inline_events - events + gaps - 1)
     job._gap_event = engine.schedule_at(
         now, policy.run_ahead_resume(client_id, job._advance))
     return kernels

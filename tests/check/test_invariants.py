@@ -132,36 +132,17 @@ class TestMutationsCaught:
             engine.run()
 
     def test_broken_block_conservation_is_caught(self, monkeypatch):
-        # Corrupt every ORIGINAL completion path (plain waves, solo wave
-        # chains, and the virtual boundary where a solo chain's last
-        # full wave ends and its folded partial wave starts) so the
-        # phantom block lands whichever one runs.
+        # Corrupt the ORIGINAL wave boundary's full body (a checked run
+        # takes it at every boundary) so a phantom block lands.
         orig_finish = GPUDevice._finish_batch
-        orig_chain = GPUDevice._wave_chain_done
-        orig_cross = GPUDevice._cross
-
-        def phantom(device, launch):
-            if not launch.done:
-                launch.blocks_done += 1  # phantom block
-                device.check.verify(device)
 
         def finish(self, launch, count, threads):
             orig_finish(self, launch, count, threads)
-            phantom(self, launch)
-
-        def chain_done(self, batch):
-            launch = batch.launch
-            orig_chain(self, batch)
-            phantom(self, launch)
-
-        def cross(self, batch):
-            tail = orig_cross(self, batch)
-            phantom(self, batch.launch)
-            return tail
+            if not launch.done:
+                launch.blocks_done += 1  # phantom block
+                self.check.verify(self)
 
         monkeypatch.setattr(GPUDevice, "_finish_batch", finish)
-        monkeypatch.setattr(GPUDevice, "_wave_chain_done", chain_done)
-        monkeypatch.setattr(GPUDevice, "_cross", cross)
         device, engine, _checker = checked_device()
         device.submit(DeviceLaunch(kernel(blocks=3000), client_id="a"))
         with pytest.raises(InvariantViolation):

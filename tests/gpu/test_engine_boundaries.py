@@ -167,19 +167,23 @@ def test_infinite_time_stays_legal():
 
 
 def test_schedule_as_orders_by_birth_then_sequence():
-    # an event re-created under an earlier key runs before same-time
-    # events scheduled after that key, on a fresh and on a used loop
+    # an event re-created under an earlier key (a cancelled event's
+    # sequence number) runs before same-time events scheduled after
+    # that key, on a fresh and on a used loop
     for warm in (False, True):
         loop = EventLoop()
         ran = []
-        seq = loop.reserve(1)
+        first = loop.schedule_at(0.25, lambda: ran.append("cancelled"))
+        first.cancel()
         if warm:
             loop.schedule_at(0.5, lambda: None)
         loop.schedule_at(1.0, lambda: ran.append("early"))
         loop.advance_to(0.75)
         loop.schedule_at(2.0, lambda: ran.append("late"))
-        loop.schedule_as(2.0, 0.25, seq, lambda: ran.append("rearmed"))
-        loop.schedule_as(2.0, 1.5, loop.reserve(1),
+        second = loop.schedule_at(2.0, lambda: ran.append("cancelled"))
+        second.cancel()
+        loop.schedule_as(2.0, 0.25, first.seq, lambda: ran.append("rearmed"))
+        loop.schedule_as(2.0, 1.5, second.seq,
                          lambda: ran.append("future-born"))
         loop.run()
         assert ran == ["early", "rearmed", "late", "future-born"]

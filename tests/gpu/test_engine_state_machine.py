@@ -3,7 +3,7 @@ machine.
 
 The model keeps every live event in a list sorted by its ordering key
 ``(time, born, seq)`` and runs the head.  Rules schedule (plainly, and
-under reserved keys via :meth:`EventLoop.schedule_as`), cancel live,
+under cancelled events' keys via :meth:`EventLoop.schedule_as`), cancel live,
 cancelled and already-fired handles, step, drain exclusively and
 inclusively, with and without an event budget, and credit run-ahead
 events.  Callbacks record what the loop tells them while they run —
@@ -99,9 +99,14 @@ class EventLoopMachine(RuleBasedStateMachine):
                          min_size=1, max_size=3),
           unused=st.integers(0, 2))
     def schedule_as(self, slots, unused):
-        """Reserve sequence numbers and schedule under them, born at or
-        before the event's time — possibly before or after ``now``."""
-        first = self.loop.reserve(len(slots) + unused)
+        """Schedule placeholders, cancel them and schedule under their
+        sequence numbers, born at or before the event's time — possibly
+        before or after ``now``."""
+        placeholders = [self.loop.schedule_at(self.now, lambda: None)
+                        for _ in range(len(slots) + unused)]
+        for placeholder in placeholders:
+            placeholder.cancel()
+        first = placeholders[0].seq
         assert first == self.seq
         self.seq += len(slots) + unused
         for i, (offset, back) in enumerate(slots):

@@ -1,10 +1,11 @@
 """The device's settle loop: walk ≡ per-wave body, bit for bit.
 
-Co-resident ORIGINAL waves are records in a device-private heap behind
-one proxy event; the settle loop runs their boundaries in the per-wave
-model's key order, and a boundary that only restarts its own chunk
-(``GPUDevice._pure_refill``) skips release and dispatch (see
-``docs/performance.md``, "The settle loop").  These tests run the same
+Every ORIGINAL wave and PTB iteration is a record in a device-private
+heap behind one proxy event; the settle loop runs their boundaries in
+the per-wave model's key order, and the boundaries that only restart
+their own chunk (``GPUDevice._pure_refill``) skip release and dispatch
+and run in one step (see ``docs/performance.md``, "Wave records").
+These tests run the same
 inputs with that walk on and with the predicate patched to refuse every
 boundary — so each one runs the full release → finalize-or-dispatch
 body — and demand identical results (``==``, not ``approx``):
@@ -51,9 +52,9 @@ def _no_walk(monkeypatch_context):
 @st.composite
 def colocated_mix(draw):
     """2-3 clients at two priority levels, mostly ORIGINAL (a PTB
-    client's iteration batches are re-priced when another client's
-    residency flips), plus disruptions placed on (or one ulp either
-    side of) a wave boundary of the undisturbed run."""
+    client's iterations are re-priced when another client's residency
+    flips), plus disruptions placed on (or one ulp either side of) a
+    wave boundary of the undisturbed run."""
     clients = []
     for i in range(draw(st.integers(min_value=2, max_value=3))):
         clients.append((
@@ -446,9 +447,9 @@ def test_a_waiting_group_below_keeps_rotating(waves):
 @pytest.mark.parametrize("act", ["preempt", "kill"])
 def test_a_chunk_left_alone_becomes_a_wave_chain(act):
     """A grid whose single chunk fills the device restarted it while
-    another launch waited; once that launch stops waiting (unstarted),
-    the chunk's next boundary restarts it alone, which forms a solo
-    wave chain (fewer events) rather than a pure refill."""
+    another launch waited, by full bodies; once that launch stops
+    waiting (unstarted), the chunk's next boundaries are pure refills,
+    which the loop walks in one step."""
     def outcome():
         engine = EventLoop()
         device = GPUDevice(SPEC, engine)

@@ -1,16 +1,17 @@
-"""Folded partial waves: a solo launch settles in one event, bit for bit.
+"""Solo launches: a chunk whose partial last wave is its last wave.
 
-A solo ORIGINAL launch runs its waves as one wave chain, and the chain
-runs through the launch's partial last wave: the chain's end ``T``
-becomes a virtual boundary and one event at ``T + d`` settles the whole
-launch (see ``docs/performance.md``).  These tests run the same inputs
-with the fold on and with the formation predicate
-(``GPUDevice._solo_chain``) patched to chain full waves only, and
-demand identical results — ``==``, not ``approx`` — including when an
-arrival, a preemption, a kill, a slot fault, a speed change or a mere
-look at the device lands exactly on ``T``, one ulp either side of it,
-inside the partial wave, or exactly on ``T + d``.  One tie the fold
-still orders differently is recorded as a strict xfail at the end.
+A solo ORIGINAL launch is one chunk: wave ``k`` ends at ``arrival + d *
+k``, its partial last wave included, and the settle loop walks its
+pure refills in one step (see ``docs/performance.md``, "Wave
+records").  These tests run the same inputs on the device as runs use it
+(the walk on), on the device with a tracer and an invariant checker
+(every boundary takes the full body) and on the naive reference device
+(:class:`~repro.check.reference.ReferenceDevice`, one event per wave),
+and demand identical results — ``==``, not ``approx`` — including when
+an arrival, a preemption, a kill, a slot fault, a speed change or a
+mere look at the device lands exactly on ``T``, the end of the whole
+waves, one ulp either side of it, inside the partial wave, or exactly on
+``T + d``.
 """
 
 import math
@@ -21,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.check import InvariantChecker
+from repro.check.reference import ReferenceDevice
 from repro.faults import FaultConfig, FaultInjector, arm_slot_faults
 from repro.gpu import (
     A100_SXM4_40GB,
@@ -29,6 +31,7 @@ from repro.gpu import (
     GPUDevice,
     KernelDescriptor,
 )
+from repro.gpu.engine import credited_total
 from repro.harness import (
     JobSpec,
     RunConfig,
@@ -48,22 +51,15 @@ _settings = settings(
 )
 
 
-def _unfolded(monkeypatch_context):
-    """Chain full waves only: the partial last wave runs as its own
-    event after the chain settles."""
-    solo_chain = GPUDevice._solo_chain
-
-    def full_waves_only(self, launch, count):
-        blocks = solo_chain(self, launch, count)
-        return blocks - blocks % count
-
-    monkeypatch_context.setattr(GPUDevice, "_solo_chain", full_waves_only)
-
-
 def _no_run_ahead(monkeypatch_context):
     """Keep passthrough policies on the event path."""
     monkeypatch_context.setattr(PassthroughPolicy, "run_ahead",
                                 SharingPolicy.run_ahead)
+
+
+def _no_walk(monkeypatch_context):
+    monkeypatch_context.setattr(GPUDevice, "_pure_refill",
+                                lambda self, *args: False)
 
 
 class PlannedSlotFaults(FaultInjector):
@@ -83,7 +79,7 @@ PLACES = ["T", "T-ulp", "T+ulp", "mid", "T+d"]
 @st.composite
 def solo_grid(draw):
     """A solo grid whose last wave is partial, plus disturbances placed
-    on or around its virtual boundary ``T``."""
+    on or around the end ``T`` of its whole waves."""
     tpb = draw(st.sampled_from([64, 128, 256, 512, 1024]))
     wave = min(SPEC.total_threads // tpb, SPEC.total_block_slots)
     blocks = (draw(st.integers(min_value=1, max_value=5)) * wave
@@ -93,9 +89,9 @@ def solo_grid(draw):
     disturbances = draw(st.lists(st.tuples(
         st.sampled_from(["arrive", "preempt", "kill", "speed", "observe"]),
         st.sampled_from(PLACES),
-        # born at t=0, before the chain formed; or this many partial
-        # waves before it fires (an event on T born after the chain
-        # formed runs after the chain's boundary)
+        # born at t=0, before the launch started; or this many partial
+        # waves before it fires (an event on T born after the last
+        # whole wave started runs after that wave's boundary)
         st.sampled_from([None, 0.25, 1.25]),
         st.integers(min_value=0, max_value=2),  # arrival priority
     ), min_size=1, max_size=2))
@@ -103,14 +99,12 @@ def solo_grid(draw):
 
 
 def _boundary(grid):
-    """``(T, d)`` of the grid's folded chain in an undisturbed run."""
-    engine = EventLoop()
-    device = GPUDevice(SPEC, engine)
-    launch = _launch(grid)
-    engine.schedule_at(grid[3], lambda: device.submit(launch))
-    while device._fold is None:
-        assert engine.step()
-    return device._fold.tail[0], device._fold.iter_duration
+    """``(T, d)`` of the grid's undisturbed run: the end of its whole
+    waves, ``arrival + d * W``, and its block duration."""
+    blocks, tpb, duration, at = grid
+    wave = min(SPEC.total_threads // tpb, SPEC.total_block_slots)
+    arrival = at + SPEC.kernel_launch_overhead
+    return arrival + duration * (blocks // wave), duration
 
 
 def _launch(grid):
@@ -131,17 +125,22 @@ def _when(place, boundary, duration):
     }[place]
 
 
-def _simulate(grid, disturbances, boundary, duration, mode):
-    """Run one case; return everything observable about it."""
+def _simulate(grid, disturbances, boundary, duration, world, faulted):
+    """Run one case in ``world`` — ``"walk"`` (the device as runs use
+    it), ``"full"`` (traced and checked: every boundary takes the full
+    body) or ``"reference"`` — with kills born at t=0 fired as planned
+    slot faults if ``faulted``; return everything observable."""
     engine = EventLoop()
-    tracer = Tracer(capacity=None)
     planned = []
-    if mode == "check":
-        device = GPUDevice(SPEC, engine, tracer=tracer,
-                           check=InvariantChecker(raise_on_violation=False))
+    faults = PlannedSlotFaults(planned) if faulted else None
+    if world == "reference":
+        device = ReferenceDevice(SPEC, engine)
+    elif world == "full":
+        device = GPUDevice(SPEC, engine, tracer=Tracer(capacity=None),
+                           check=InvariantChecker(raise_on_violation=False),
+                           faults=faults)
     else:
-        device = GPUDevice(SPEC, engine, tracer=tracer,
-                           faults=PlannedSlotFaults(planned))
+        device = GPUDevice(SPEC, engine, faults=faults)
     solo = _launch(grid)
     launches = [solo]
     engine.schedule_at(grid[3], lambda: device.submit(solo))
@@ -166,7 +165,7 @@ def _simulate(grid, disturbances, boundary, duration, mode):
                                    device.submit(l, launch_overhead=t))
                 continue
             fn = lambda l=other: device.submit(l, launch_overhead=0.0)
-        elif kind == "kill" and mode == "faults":
+        elif kind == "kill" and faulted:
             if born is None:
                 planned.append(when)
                 continue
@@ -183,8 +182,8 @@ def _simulate(grid, disturbances, boundary, duration, mode):
         else:
             engine.schedule_at(max(0.0, when - born * duration),
                                lambda t=when, fn=fn: engine.schedule_at(t, fn))
-    if mode == "faults":
-        arm_slot_faults(device, engine, device.faults, 1.0, tracer=tracer)
+    if faulted:
+        arm_slot_faults(device, engine, faults, 1.0)
     engine.run()
 
     def exact(x):
@@ -192,12 +191,9 @@ def _simulate(grid, disturbances, boundary, duration, mode):
 
     outcome = [(exact(l.started_at), exact(l.finished_at), l.blocks_done,
                 l.blocks_killed, l.status) for l in launches]
-    # launch sequence numbers are process-wide: count from the run's first
-    events = [replace(e, launch_seq=e.launch_seq - solo.seq)
-              for e in tracer.events]
-    violations = device.check.violations if mode == "check" else []
-    return (outcome, looks, device.utilization(), events, violations,
-            engine.events_processed)
+    violations = device.check.violations if world == "full" else []
+    return (outcome, looks, device.utilization(), engine.events_processed,
+            violations)
 
 
 @pytest.mark.slow
@@ -205,80 +201,94 @@ def _simulate(grid, disturbances, boundary, duration, mode):
 @given(solo_grid())
 @_settings
 def test_folded_tail_is_bit_identical(mode, case):
+    """The partial last wave against the reference, with kills as calls
+    (``check``) or as planned slot faults (``faults``)."""
     grid, disturbances = case
+    faulted = mode == "faults"
     boundary, duration = _boundary(grid)
-    folded = _simulate(grid, disturbances, boundary, duration, mode)
-    with pytest.MonkeyPatch.context() as mp:
-        _unfolded(mp)
-        unfolded = _simulate(grid, disturbances, boundary, duration, mode)
-    assert folded[:5] == unfolded[:5]
-    assert folded[5] <= unfolded[5]
+    reference = _simulate(grid, disturbances, boundary, duration,
+                          "reference", faulted)
+    walk = _simulate(grid, disturbances, boundary, duration, "walk", faulted)
+    full = _simulate(grid, disturbances, boundary, duration, "full", faulted)
+    assert walk[:4] == reference[:4]
+    assert full[:4] == reference[:4]
+    assert full[4] == []
 
 
 @pytest.mark.parametrize("waves", [1, 3])
 def test_undisturbed_solo_launch_settles_in_one_event(waves):
+    """The settle loop walks every pure refill of a solo launch in one
+    step: the heap runs the submission, the arrival and the proxy of
+    the first boundary, and the ``waves`` further boundaries (the
+    partial wave's included) are credited."""
     wave = SPEC.total_threads // 256
     grid = (waves * wave + 100, 256, 2e-5, 0.0)
     boundary, duration = _boundary(grid)
-    folded = _simulate(grid, [], boundary, duration, "check")
-    with pytest.MonkeyPatch.context() as mp:
-        _unfolded(mp)
-        unfolded = _simulate(grid, [], boundary, duration, "check")
-    assert folded[:5] == unfolded[:5]
-    assert folded[4] == []
-    # submit, arrival, settlement — one event fewer than unfolded
-    assert folded[5] == 3
-    assert unfolded[5] == 4
+    engine = EventLoop()
+    device = GPUDevice(SPEC, engine)
+    solo = _launch(grid)
+    engine.schedule_at(0.0, lambda: device.submit(solo))
+    engine.run()
+    reference = _simulate(grid, [], boundary, duration, "reference", False)
+    arrival = SPEC.kernel_launch_overhead
+    assert (reference[0][0][1] == solo.finished_at
+            == arrival + duration * (waves + 1))
+    # the submission, the arrival and every boundary, whole waves and
+    # the partial one
+    assert engine.events_processed == reference[3] == 3 + waves
+    assert engine.events_processed - engine.events_credited == 3
+    assert engine.events_credited == waves
 
 
 def test_standalone_event_budget():
-    """The fold stays on the standalone-baseline path: identical job
-    results, at most 80 % of the unfolded run's events."""
+    """The walk stays on the standalone-baseline path: identical job
+    results and events with the walk off, and the heap executes at most
+    60 % of the per-wave events."""
     job = JobSpec.inference("bert_infer", load=0.5)
     config = RunConfig(duration=1.0, warmup=0.25)
 
     def run():
         # the run standalone() makes, with its event count
         clear_standalone_cache()
+        before = credited_total()
         result = run_colocation(
             "Ideal", [replace(job, priority=Priority.HIGH)], config)
         assert list(result.jobs.values()) == [standalone(job, config)]
         clear_standalone_cache()
-        return result
+        return result, credited_total() - before
 
     with pytest.MonkeyPatch.context() as mp:
         # run-ahead settles solo kernels without events and credits the
-        # same count either way; measure the fold on the event path
+        # same count either way; measure the walk on the event path
         _no_run_ahead(mp)
-        folded = run()
-        _unfolded(mp)
-        unfolded = run()
-    assert folded.jobs == unfolded.jobs
-    assert folded.events <= 0.8 * unfolded.events
+        walk, credited = run()
+        _no_walk(mp)
+        per_wave, _credited = run()
+    assert walk.jobs == per_wave.jobs
+    assert walk.events == per_wave.events
+    assert walk.events - credited <= 0.6 * walk.events
 
 
-def _observer_at_the_partial_waves_end(unfolded):
-    """A solo 4,420-block grid at ``d = 2**-15`` (five full waves of 864
-    blocks, then 100); an event due exactly at the chain's virtual
-    boundary ``T``, scheduled before the launch, schedules an observer
-    for exactly ``T + d``.  Returns what the observer counts resident."""
+def _observer_at_the_partial_waves_end(world):
+    """A solo 4,420-block grid at ``d = 2**-15`` (five whole waves of
+    864 blocks, then 100); an event due exactly at the end ``T`` of the
+    whole waves, scheduled before the launch, schedules an observer for
+    exactly ``T + d``.  Returns what the observer counts resident."""
     grid = (4_420, 256, 2.0 ** -15, 0.0)
     boundary, duration = _boundary(grid)
-    with pytest.MonkeyPatch.context() as mp:
-        if unfolded:
-            _unfolded(mp)
-        engine = EventLoop()
-        device = GPUDevice(SPEC, engine)
-        solo = _launch(grid)
-        engine.schedule_at(0.0, lambda: device.submit(solo))
-        seen = []
+    engine = EventLoop()
+    device = (ReferenceDevice(SPEC, engine) if world == "reference"
+              else GPUDevice(SPEC, engine))
+    solo = _launch(grid)
+    engine.schedule_at(0.0, lambda: device.submit(solo))
+    seen = []
 
-        def observe():
-            seen.append(len(device.resident_launches))
+    def observe():
+        seen.append(len(device.resident_launches))
 
-        engine.schedule_at(boundary, lambda: engine.schedule_at(
-            boundary + duration, observe))
-        engine.run()
+    engine.schedule_at(boundary, lambda: engine.schedule_at(
+        boundary + duration, observe))
+    engine.run()
     return seen
 
 
@@ -286,23 +296,23 @@ def test_the_per_wave_model_shows_the_partial_wave_resident():
     """Per wave, the partial wave starts at ``T`` after the event there
     (born earlier), so it takes a later sequence number than the
     observer and completes after it."""
-    assert _observer_at_the_partial_waves_end(unfolded=True) == [1]
+    assert _observer_at_the_partial_waves_end("reference") == [1]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: the fold reserves the partial wave's sequence "
-    "number when the chain forms, so its settlement at T + d runs "
-    "before an observer scheduled at T"))
 def test_the_fold_shows_the_partial_wave_resident():
-    assert _observer_at_the_partial_waves_end(unfolded=False) == [1]
+    """The walk stops before the event at ``T`` and the partial wave
+    starts in the full body after it, under a later sequence number
+    than the observer's, as the reference orders them."""
+    assert _observer_at_the_partial_waves_end("walk") == [1]
 
 
 # ---------------------------------------------------------------------------
 # Cached solo plans: run_solo and run_solo_ptb look each launch's timing
 # up in a per-device plan cache (GPUDevice._solo_plan, _ptb_plan) and
 # only add the start.  The closed form below recomputes every launch
-# from _wave_plan (from the arrival, not from 0.0) and accrues busy time
-# as _account does, with no cache: the two must agree bit for bit.
+# from the arrival (wave k ends at arrival + d * k) and integrates the
+# busy threads as a step function, with no cache: the two must agree
+# bit for bit, in the times, the utilization and the events counted.
 
 class ClosedForm:
     """Inline solo launches on an idle device, from the closed form."""
@@ -310,9 +320,11 @@ class ClosedForm:
     def __init__(self, spec):
         self.spec = spec
         self.speed = 1.0
-        self.seconds = 0.0
-        self.last = 0.0
+        #: ``(time, busy threads from then on)``, as ReferenceDevice
+        #: keeps them
+        self.steps = [(0.0, 0)]
         self.launches = 0
+        self.events = 0
 
     def _duration(self, descriptor):
         duration = descriptor.block_duration
@@ -321,27 +333,33 @@ class ClosedForm:
         return duration
 
     def original(self, descriptor, start, blocks):
-        """``(done, steps)`` of one launch of ``blocks`` blocks: steps
-        are the ``(time, busy threads)`` accruals in order."""
+        """``(done, steps, events)`` of one launch of ``blocks`` blocks:
+        steps are the ``(time, busy threads)`` changes in order."""
         tpb = descriptor.threads_per_block
         count = min(self.spec.total_threads // tpb,
                     self.spec.total_block_slots, blocks)
         duration = self._duration(descriptor)
         arrived = start + self.spec.kernel_launch_overhead
-        end, tail = GPUDevice._wave_plan(arrived, duration, count, blocks)
-        done = end + duration if tail else end
-        return done, [(arrived, 0), (end, count * tpb),
-                      (done, tail * tpb)]
+        waves, tail = divmod(blocks, count)
+        end = arrived + duration * waves
+        steps = [(arrived, count * tpb)]
+        if tail:
+            steps.append((end, tail * tpb))
+            end = arrived + duration * (waves + 1)
+        steps.append((end, 0))
+        return end, steps, 1 + waves + (tail > 0)
 
     def chain(self, descriptor, start, per):
-        """Completion times and steps of a sliced kernel's launches."""
-        ends, steps, done = [], [], start
+        """Completion times, steps and events of a sliced kernel's
+        launches."""
+        ends, steps, events, done = [], [], 0, start
         for first in range(0, descriptor.num_blocks, per):
-            done, more = self.original(
+            done, more, counted = self.original(
                 descriptor, done, min(per, descriptor.num_blocks - first))
             ends.append(done)
             steps += more
-        return ends, steps
+            events += counted
+        return ends, steps, events
 
     def ptb(self, descriptor, start, workers):
         tpb = descriptor.threads_per_block
@@ -349,19 +367,29 @@ class ClosedForm:
         count = min(workers, blocks)
         if (count > self.spec.total_threads // tpb
                 or count > self.spec.total_block_slots):
-            return None, []
+            return None, [], 0
         arrived = start + self.spec.kernel_launch_overhead
+        iterations = -(-blocks // count)
         done = arrived + (GPUDevice._ptb_iteration(
-            descriptor, self._duration(descriptor)) * -(-blocks // count))
-        return done, [(arrived, 0), (done, count * tpb)]
+            descriptor, self._duration(descriptor)) * iterations)
+        return done, [(arrived, count * tpb), (done, 0)], 1 + iterations
 
-    def commit(self, steps, launches):
-        for now, busy in steps:  # _account(now) after each change
-            if now != self.last:
-                if busy:
-                    self.seconds += busy * (now - self.last)
-                self.last = now
+    def commit(self, steps, launches, events):
+        for now, busy in steps:
+            if self.steps[-1][0] == now:
+                self.steps.pop()
+            if self.steps[-1][1] != busy:
+                self.steps.append((now, busy))
         self.launches += launches
+        self.events += events
+
+    def utilization(self, now):
+        seconds = 0.0
+        for (start, busy), (end, _next) in zip(self.steps, self.steps[1:]):
+            seconds += busy * (end - start)
+        start, busy = self.steps[-1]
+        seconds += busy * (now - start)
+        return seconds / (now * self.spec.total_threads)
 
 
 def _plan_descriptor(draw, name):
@@ -370,12 +398,13 @@ def _plan_descriptor(draw, name):
     # fewer blocks than a wave, whole waves only (tail 0), or a tail
     blocks = draw(st.one_of(
         st.integers(1, wave - 1),
-        st.integers(1, 3).map(lambda w: w * wave),
-        st.tuples(st.integers(1, 3), st.integers(1, wave - 1)).map(
+        st.integers(1, 6).map(lambda w: w * wave),
+        st.tuples(st.integers(1, 6), st.integers(1, wave - 1)).map(
             lambda t: t[0] * wave + t[1])))
     return KernelDescriptor(
         name, num_blocks=blocks, threads_per_block=tpb,
-        block_duration=draw(st.sampled_from([2.0 ** -15, 3e-6, 7.3e-5])))
+        block_duration=draw(st.sampled_from(
+            [2.0 ** -15, 3e-6, 1.3e-5, 7.3e-5])))
 
 
 @st.composite
@@ -412,14 +441,14 @@ def test_cached_solo_plans_match_the_closed_form(case):
         descriptor = descriptors[which]
         start = now + gap
         if kind == "original":
-            want, steps = model.original(descriptor, start,
-                                         descriptor.num_blocks)
+            want, steps, events = model.original(descriptor, start,
+                                                 descriptor.num_blocks)
             ends = [want]
         elif kind == "slices":
-            ends, steps = model.chain(descriptor, start, size)
+            ends, steps, events = model.chain(descriptor, start, size)
             want = ends[-1]
         else:
-            want, steps = model.ptb(descriptor, start, size)
+            want, steps, events = model.ptb(descriptor, start, size)
             ends = [want]
         bound = {"done": want, "inf": math.inf,
                  "done-ulp": math.nextafter(want or 0.0, -math.inf),
@@ -437,20 +466,23 @@ def test_cached_solo_plans_match_the_closed_form(case):
             got = device.run_solo_ptb(descriptor, start, window, size)
         assert got == want
         if want is not None:
-            model.commit(steps, len(ends))
+            model.commit(steps, len(ends), events)
             now = want
             if kind == "slices":
                 assert got_ends == ends
         assert got_ends == [] or want is not None
-        assert device._busy_thread_seconds == model.seconds
-        assert device._last_change == model.last
         assert device.launches_completed == model.launches
+        assert device.inline_events == model.events
         assert device.threads_free == SPEC.total_threads
+        if now > 0:
+            # the device is idle and nothing is queued: read it at the
+            # last completion
+            engine.now = now
+            assert device.utilization() == model.utilization(now)
     end = now + 1e-3
     engine.schedule_at(end, lambda: None)
     engine.run()
-    assert device.utilization() == (
-        model.seconds + 0 * (end - model.last)) / (end * SPEC.total_threads)
+    assert device.utilization() == model.utilization(end)
 
 
 def test_a_speed_change_between_two_stretches_replans():

@@ -85,6 +85,13 @@ def test_a_colocation_setup_loads_only_what_it_runs():
     assert "repro.trace.events" not in modules
 
 
+def test_the_cli_loads_no_event_class():
+    """Only ``--trace`` runs summarize events; a CLI start does not load
+    the event classes."""
+    report = probe("import repro.cli")
+    assert "repro.trace.events" not in report["repro"]
+
+
 @pytest.mark.parametrize("workload", COLOCATION_WORKLOADS)
 def test_no_colocation_setup_loads_the_process_machinery(workload):
     report = probe(_child(f"child.build_inputs({workload!r}, 0)"))
