@@ -12,8 +12,8 @@ that every online service still meets a 1.25x p99 SLA.
 from repro.cluster import (
     ClusterJob,
     dedicated_placement,
-    evaluate_placement,
     packed_placement,
+    run_controlplane,
 )
 from repro.harness import RunConfig
 from repro.harness.reporting import format_table
@@ -50,7 +50,8 @@ def test_cluster_consolidation(benchmark, report_sink, scale):
         dedicated = dedicated_placement(jobs)
         packed = packed_placement(jobs, compute_budget=1.4)
         return (dedicated, packed,
-                evaluate_placement(packed, "Tally", config))
+                run_controlplane(placement=packed, policy="Tally",
+                                 config=config))
 
     dedicated, packed, result = benchmark.pedantic(run, rounds=1,
                                                    iterations=1)

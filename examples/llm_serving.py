@@ -25,7 +25,7 @@ from repro.harness import JobSpec, RunConfig, run_colocation, standalone
 from repro.harness.reporting import format_seconds, format_table
 from repro.metrics import ServingSLO
 from repro.traffic import poisson_trace
-from repro.workloads.llm import LLMServingJob, get_llm_model
+from repro.workloads import LLMServingJob, get_llm_model
 
 DURATION = 8.0
 WARMUP = 1.0

@@ -84,8 +84,8 @@ def bench_colocation(scale: str = "smoke") -> BenchmarkResult:
 
 
 def bench_cluster(scale: str = "smoke") -> BenchmarkResult:
-    """Cluster consolidation sweep over a packed placement."""
-    from ..cluster import ClusterJob, evaluate_placement, packed_placement
+    """A packed placement evaluated on the cluster control plane."""
+    from ..cluster import ClusterJob, packed_placement, run_controlplane
     from ..harness import RunConfig, clear_standalone_cache
 
     duration = max(2.0, _duration(scale) / 2)
@@ -105,7 +105,7 @@ def bench_cluster(scale: str = "smoke") -> BenchmarkResult:
     clear_standalone_cache()
     credited = credited_total()
     start = time.perf_counter()
-    result = evaluate_placement(placement, "Tally", config)
+    result = run_controlplane(placement=placement, config=config)
     timer.add("sweep", time.perf_counter() - start)
 
     wall = sum(p.wall_s for p in timer.phases)

@@ -449,20 +449,14 @@ def run_validation(seeds=(0, 1, 2), policies=POLICY_NAMES,
     seed's oracles are self-contained and results are merged in seed
     order.
     """
+    import functools
+
+    from ..harness.sweep import pool_map
+
     seeds = tuple(seeds)
     policies = tuple(policies)
-    if jobs > 1 and len(seeds) > 1:
-        import functools
-        import os
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(jobs, len(seeds), os.cpu_count() or 1)
-        worker = functools.partial(_validate_seed, policies=policies,
-                                   spec=spec)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(worker, seeds))
-    else:
-        per_seed = [_validate_seed(seed, policies, spec) for seed in seeds]
+    per_seed = pool_map(functools.partial(_validate_seed, policies=policies,
+                                          spec=spec), seeds, jobs=jobs)
     divergences: list[Divergence] = []
     checks = 0
     for seed_divergences, seed_checks in per_seed:

@@ -188,10 +188,11 @@ def _parse_fail_device(specs: list[str]) -> tuple[tuple[int, float], ...]:
 
 def _cmd_cluster(args: argparse.Namespace) -> None:
     from .cluster import (
+        AutoscalerConfig,
         ClusterJob,
         dedicated_placement,
-        evaluate_placement,
         packed_placement,
+        run_controlplane,
     )
 
     jobs: list[ClusterJob] = []
@@ -220,46 +221,6 @@ def _cmd_cluster(args: argparse.Namespace) -> None:
     config = RunConfig(duration=args.duration, warmup=1.0,
                        tally_config=_faulted_tally_config(faults))
     tracer = _make_tracer(args.trace) if args.trace else None
-    fail_device = _parse_fail_device(args.fail_device or [])
-    online = (fail_device or args.arrivals is not None or args.spares
-              or args.autoscale is not None
-              or args.parallel_shards is not None
-              or (faults is not None and faults.any_device_faults))
-    if online:
-        _cluster_online(args, jobs, packed, dedicated, config, faults,
-                        fail_device, tracer)
-        return
-    start = time.time()
-    result = evaluate_placement(packed, "Tally", config, tracer=tracer,
-                                check=args.check, faults=faults,
-                                jobs=args.jobs)
-    wall = time.time() - start
-    saved = 1 - packed.gpus_used / dedicated.gpus_used
-    rows = [
-        ("jobs", len(jobs), ""),
-        ("GPUs, dedicated", dedicated.gpus_used, ""),
-        ("GPUs, Tally-packed", packed.gpus_used, f"{saved:.0%} saved"),
-        ("SLA violations", result.sla_violations,
-         f"worst p99 {result.worst_p99_ratio:.2f}x"),
-        ("aggregate norm. thpt",
-         f"{result.total_normalized_throughput:.1f}", ""),
-        ("simulated / wall",
-         f"{config.duration:.0f}s x {packed.gpus_used} GPUs / {wall:.1f}s",
-         f"{result.events} events, {args.jobs} worker(s)"),
-    ]
-    print(format_table(("metric", "value", "note"), rows,
-                       title="Cluster consolidation under Tally"))
-    if args.check:
-        print("invariant checks: enabled on every GPU, 0 violations")
-    if tracer is not None:
-        _finish_trace(tracer, args.trace, config)
-
-
-def _cluster_online(args, jobs, packed, dedicated, config, faults,
-                    fail_device, tracer) -> None:
-    """``cluster --arrivals/--fail-device``: the online control plane."""
-    from .cluster import AutoscalerConfig, run_controlplane
-
     autoscale = (AutoscalerConfig.parse(args.autoscale)
                  if args.autoscale is not None else None)
     # with the autoscaler, spares start standby and are activated by
@@ -269,30 +230,28 @@ def _cluster_online(args, jobs, packed, dedicated, config, faults,
     engine = "serial" if args.parallel_shards is None else "parallel"
     workers = args.parallel_shards or 0
     start = time.time()
-    if args.arrivals is not None:
-        result = run_controlplane(
-            jobs=jobs, devices=devices, policy="Tally", config=config,
-            arrival_rate=args.arrivals, faults=faults,
-            fail_device=fail_device, tracer=tracer, check=args.check,
-            autoscale=autoscale, standby=standby,
-            engine=engine, workers=workers)
-    else:
-        result = run_controlplane(
-            placement=packed, devices=devices, policy="Tally",
-            config=config, faults=faults, fail_device=fail_device,
-            tracer=tracer, check=args.check,
-            autoscale=autoscale, standby=standby,
-            engine=engine, workers=workers)
+    # without --arrivals every job starts on its packed GPU at t=0
+    result = run_controlplane(
+        jobs, devices,
+        placement=packed if args.arrivals is None else None,
+        policy="Tally", config=config, arrival_rate=args.arrivals,
+        faults=faults, fail_device=_parse_fail_device(args.fail_device),
+        tracer=tracer, check=args.check, autoscale=autoscale,
+        standby=standby, engine=engine, workers=workers)
     wall = time.time() - start
-    recovery = result.recovery
-    assert recovery is not None
+    saved = 1 - packed.gpus_used / dedicated.gpus_used
     mode = (f"online arrivals at {args.arrivals:g}/s"
             if args.arrivals is not None else "packed placement")
     rows = [
         ("jobs", len(jobs), mode),
-        ("devices", devices,
-         f"{packed.gpus_used} packed + {args.spares} spare(s)"
-         + (" [standby]" if standby else "")),
+        ("GPUs, dedicated", dedicated.gpus_used, ""),
+        ("GPUs, Tally-packed", packed.gpus_used, f"{saved:.0%} saved"),
+    ]
+    if args.spares:
+        rows.append(("devices", devices,
+                     f"{packed.gpus_used} packed + {args.spares} spare(s)"
+                     + (" [standby]" if standby else "")))
+    rows += [
         ("SLA violations", result.sla_violations,
          f"worst p99 {result.worst_p99_ratio:.2f}x"),
         ("aggregate norm. thpt",
@@ -307,9 +266,9 @@ def _cluster_online(args, jobs, packed, dedicated, config, faults,
         rows.append(("invariant checks", str(result.invariant_checks),
                      "0 violations"))
     print(format_table(("metric", "value", "note"), rows,
-                       title="Cluster control plane under Tally"))
+                       title="Cluster consolidation under Tally"))
     print()
-    print(recovery.format())
+    print(result.recovery.format())
     if args.save:
         import json
 
@@ -593,10 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help=trace_help)
     cluster.add_argument("--check", action="store_true", help=check_help)
     cluster.add_argument("--faults", metavar="SPEC", default=None,
-                         help=faults_help)
-    cluster.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="simulate GPUs in N worker processes "
-                              "(results are identical to --jobs 1)")
+                         help='seeded fault injection, e.g. '
+                              '"seed=1,device_crash_rate=0.2,'
+                              'slot_fault_rate=0.5" (see '
+                              "docs/fault_tolerance.md); crash_at is "
+                              "rejected here: crash a device with "
+                              "--fail-device instead")
     cluster.add_argument("--arrivals", type=float, default=None,
                          metavar="RATE",
                          help="online control plane: jobs arrive at "
@@ -619,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(docs/cluster.md)")
     cluster.add_argument("--parallel-shards", type=_positive_int,
                          default=None, metavar="N",
-                         help="run the online control plane's device "
+                         help="run the control plane's device "
                               "shards in N worker processes, each "
                               "advancing to every control-event horizon "
                               "(bit-identical to serial; "

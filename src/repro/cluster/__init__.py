@@ -18,12 +18,11 @@ plane's imports in its set-up rather than in its first run.
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".controlplane": ("AutoscalerConfig", "ClusterCase",
-                      "ClusterController", "run_cluster_sweep",
+    ".controlplane": ("AutoscalerConfig", "ClusterController",
                       "run_controlplane", "schedule_arrivals"),
     ".placement": ("ClusterJob", "Placement", "dedicated_placement",
                    "packed_placement"),
-    ".simulate": ("ClusterResult", "ServiceOutcome", "evaluate_placement"),
+    ".simulate": ("ClusterResult", "ServiceOutcome"),
 })
 
 from . import controlplane  # noqa: E402,F401  (see above)

@@ -1,10 +1,11 @@
-"""Online cluster control plane: arrivals, failures, live migration.
+"""Cluster control plane: placements, arrivals, failures, live migration.
 
-The static evaluation (:func:`~repro.cluster.simulate.evaluate_placement`)
-answers "does this packing meet SLAs in steady state?".  This module
-answers the question a production fleet actually faces: jobs arrive and
-depart online, devices crash / throttle / flap, and the packed cluster
-must keep its latency-critical tenants alive through all of it.
+This is the one way to run a cluster.  Started from a placement and
+left alone, it answers "does this packing meet SLAs in steady state?"
+(:func:`run_controlplane` with ``placement=``).  It also answers the
+question a production fleet actually faces: jobs arrive and depart
+online, devices crash / throttle / flap, and the packed cluster must
+keep its latency-critical tenants alive through all of it.
 
 One :class:`ClusterController` drives one device shard per simulated
 GPU — a :class:`~repro.gpu.device.GPUDevice`, its own sharing-policy
@@ -56,8 +57,8 @@ top of the shards it runs:
 Everything is deterministic: fault schedules come from seeded sub-RNGs,
 arrival times from a seeded draw, and all control decisions are
 functions of event-loop state — a fixed seed replays bit-identically,
-including across the process-parallel :func:`run_cluster_sweep`.
-See ``docs/cluster.md`` for the full semantics.
+with the shards in-process or in worker processes.  See
+``docs/cluster.md`` for the full semantics.
 """
 
 from __future__ import annotations
@@ -79,14 +80,12 @@ from ..trace import NULL_TRACER, Tracer
 from ..workloads.memory import A100_MEMORY_BYTES
 from .parallel import ClusterShardProgram
 from .placement import ClusterJob, Placement
-from .simulate import ClusterResult, ServiceOutcome, _to_jobspec
+from .simulate import ClusterResult, ServiceOutcome, _tail_p99, _to_jobspec
 
 __all__ = [
     "AutoscalerConfig",
-    "ClusterCase",
     "ClusterController",
     "run_controlplane",
-    "run_cluster_sweep",
     "schedule_arrivals",
 ]
 
@@ -315,6 +314,11 @@ class ClusterController:
         if standby > 0 and autoscale is None:
             raise HarnessError(
                 "standby devices need autoscale= to ever activate")
+        if faults is not None and faults.crash_at is not None:
+            raise HarnessError(
+                "FaultConfig.crash_at (a client crash) has no meaning on "
+                "the cluster control plane; crash a device with "
+                "fail_device=((index, time),) instead")
         self.config = config if config is not None else RunConfig(
             duration=6.0, warmup=1.0)
         self.policy_name = policy
@@ -676,8 +680,7 @@ class ClusterController:
             window = latencies[tenant.client_id]
             if not window:
                 continue
-            baseline_tail = _baseline_tail(
-                standalone(tenant.spec, self.config))
+            baseline_tail = _tail_p99(standalone(tenant.spec, self.config))
             threshold = tenant.job.sla_factor * baseline_tail
             if not 0 < threshold < float("inf"):
                 continue
@@ -920,7 +923,7 @@ class ClusterController:
                 total_throughput += (data["completed"] / span) / baseline.rate
             if not tenant.latency_critical:
                 continue
-            baseline_tail = _baseline_tail(baseline)
+            baseline_tail = _tail_p99(baseline)
             # (window key, latency) pairs: completion or first-token time
             pairs = data["lat"] or []
             latencies = [lat for key, lat in pairs if start <= key < end]
@@ -982,87 +985,6 @@ class ClusterController:
         )
 
 
-def _baseline_tail(baseline) -> float:
-    if baseline.latency is not None:
-        return baseline.latency.p99
-    if baseline.serving is not None and baseline.serving.ttft is not None:
-        return baseline.serving.ttft.p99
-    return float("inf")
-
-
-# ---------------------------------------------------------------------------
-# Parallel sweep over control-plane cases
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClusterCase:
-    """One fully described, picklable control-plane run.
-
-    Lives here rather than in :mod:`repro.harness.sweep` because the
-    cluster package already imports the harness (the reverse import
-    would be circular); the worker-pool mechanics are shared.
-    """
-
-    jobs: tuple[ClusterJob, ...]
-    devices: int
-    policy: str = "Tally"
-    config: RunConfig | None = None
-    label: str = ""
-    check: bool = False
-    faults: FaultConfig | None = None
-    arrival_rate: float | None = None
-    fail_device: tuple[tuple[int, float], ...] = ()
-    drain: tuple[tuple[int, float], ...] = ()
-    admission_limit: int = 8
-    flap_threshold: int = 3
-    migration_downtime: float = 0.05
-    autoscale: AutoscalerConfig | None = None
-    standby: int = 0
-    engine: str = "serial"
-    workers: int = 0
-
-
-def _run_cluster_case(case: ClusterCase) -> ClusterResult:
-    controller = ClusterController(
-        list(case.jobs), case.devices, policy=case.policy,
-        config=case.config, arrival_rate=case.arrival_rate,
-        faults=case.faults, fail_device=case.fail_device,
-        drain=case.drain, check=case.check,
-        admission_limit=case.admission_limit,
-        flap_threshold=case.flap_threshold,
-        migration_downtime=case.migration_downtime,
-        autoscale=case.autoscale, standby=case.standby,
-        engine=case.engine, workers=case.workers,
-    )
-    return controller.run()
-
-
-def run_cluster_sweep(cases: list[ClusterCase], *,
-                      jobs: int = 1) -> list[ClusterResult]:
-    """Run control-plane cases, optionally over worker processes.
-
-    Every case is an independent simulation with its own event loop and
-    seeded schedules, so ``jobs=N`` is bit-identical to ``jobs=1`` —
-    workers receive configs (never live injectors or drivers) and start
-    with the parent's transform-memo warm snapshot, exactly like
-    :func:`repro.harness.run_sweep`.
-    """
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-
-    from ..harness.sweep import _init_worker
-    from ..transform.memo import warm_snapshot
-
-    cases = list(cases)
-    if jobs <= 1 or len(cases) <= 1:
-        return [_run_cluster_case(case) for case in cases]
-    workers = min(jobs, len(cases), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_init_worker,
-                             initargs=(warm_snapshot(),)) as pool:
-        return list(pool.map(_run_cluster_case, cases))
-
-
 def run_controlplane(jobs: list[ClusterJob] | None = None,
                      devices: int | None = None, *,
                      placement: Placement | None = None,
@@ -1083,13 +1005,15 @@ def run_controlplane(jobs: list[ClusterJob] | None = None,
                      standby: int = 0,
                      engine: str = "serial",
                      workers: int = 0) -> ClusterResult:
-    """Run one online control-plane scenario and return its result.
+    """Run one control-plane scenario and return its result.
 
     Two entry shapes:
 
-    * ``placement=`` — start from a validated (e.g. packed) placement:
+    * ``placement=`` — evaluate a validated (e.g. packed) placement:
       every job begins on its assigned device at t=0 and the run
-      continues online from there (the failover scenario);
+      continues online from there.  Without faults, drains or an
+      autoscaler that is the static evaluation (each bin runs as one
+      co-location); with them, the failover scenario;
     * ``jobs=`` + ``devices=`` — fully online: jobs are admitted
       first-fit as they arrive (all at t=0, or Poisson-spaced when
       ``arrival_rate`` is given).

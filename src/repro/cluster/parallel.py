@@ -7,8 +7,10 @@ each shard (device + policy + server + drivers) lives in its own
 controller keeps the *decision* half (admission, migration targeting,
 autoscaling) and reaches a shard only through timestamped ops
 (``apply``), read-only queries (``query``) and the end-of-run
-``finalize``.  This module is the one place where devices, policies,
-servers and drivers are built.
+``finalize``.  This module is the one place in the cluster where
+devices, policies and servers are built; drivers come from the same
+factory as a single-GPU run's
+(:func:`~repro.harness.colocate.make_driver`).
 
 The controller's loop holds only control events, so its next event
 time is a *horizon*: every shard runs exclusively up to it and no
@@ -30,16 +32,9 @@ from ..errors import HarnessError
 from ..faults import FaultConfig, FaultInjector, arm_slot_faults
 from ..gpu import EventLoop, GPUDevice
 from ..harness import JobSpec, RunConfig
-from ..harness.colocate import _traffic_for, make_policy
+from ..harness.colocate import job_inputs, make_driver, make_policy
 from ..trace import NULL_TRACER
-from ..workloads import (
-    InferenceJob,
-    LLMServingJob,
-    TrainingJob,
-    WorkloadKind,
-    get_llm_model,
-    get_model,
-)
+from ..workloads import InferenceJob, TrainingJob
 
 __all__ = [
     "ClusterShardDomain",
@@ -111,8 +106,7 @@ class ClusterShardDomain:
     def apply(self, kind: str, payload, at: float):
         if kind == "admit":
             client_id, spec = payload
-            driver = _build_driver(self.config, spec, self.policy,
-                                   client_id)
+            driver = make_driver(spec, self.config, self.policy, client_id)
             self.server.connect(client_id, spec.effective_priority)
             self.drivers[client_id] = driver
             self.roles[client_id] = spec.role
@@ -236,43 +230,15 @@ class ClusterShardDomain:
         return None
 
 
-def _build_driver(config: RunConfig, spec: JobSpec, policy,
-                  client_id: str):
-    """Construct the driver for one admitted job on ``policy``."""
-    if spec.role == "llm":
-        llm_model = get_llm_model(spec.model)
-        traffic = _traffic_for(spec, llm_model.mean_request_time(),
-                               config)
-        return LLMServingJob(llm_model, traffic, policy, client_id,
-                             priority=spec.effective_priority,
-                             seed=spec.traffic_seed)
-    model = get_model(spec.model)
-    expected = ("inference" if model.kind is WorkloadKind.INFERENCE
-                else "training")
-    if expected != spec.role:
-        raise HarnessError(
-            f"model {spec.model!r} is a {expected} workload, "
-            f"not {spec.role}")
-    trace = model.build_trace(config.spec, seed=config.trace_seed)
-    if spec.role == "inference":
-        traffic = _traffic_for(spec, trace.duration, config)
-        return InferenceJob(trace, traffic, policy, client_id,
-                            priority=spec.effective_priority)
-    return TrainingJob(trace, policy, client_id,
-                       priority=spec.effective_priority)
-
-
 def _thaw_driver(config: RunConfig, spec: JobSpec, policy, frozen: dict):
     """Rebuild a frozen driver on the target shard's loop.
 
     The trace and traffic are regenerated from (config, spec) exactly
-    as :func:`_build_driver` builds them — both are pure functions of
-    seeds, so the thawed driver is byte-equivalent to the source
-    shard's driver at the same instant.
+    as :func:`~repro.harness.colocate.make_driver` builds them — both
+    are pure functions of seeds, so the thawed driver is
+    byte-equivalent to the source shard's driver at the same instant.
     """
-    model = get_model(spec.model)
-    trace = model.build_trace(config.spec, seed=config.trace_seed)
+    trace, traffic = job_inputs(spec, config)
     if spec.role == "inference":
-        traffic = _traffic_for(spec, trace.duration, config)
         return InferenceJob.thaw(trace, traffic, policy, frozen)
     return TrainingJob.thaw(trace, policy, frozen)

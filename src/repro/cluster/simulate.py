@@ -1,11 +1,13 @@
-"""Cluster-consolidation evaluation.
+"""What a cluster run reports: SLA outcomes, GPUs and throughput.
 
-Given a placement, run each GPU's job set through the co-location
-simulator under a sharing policy and report: GPUs used, SLA compliance
-of every latency-critical service, and aggregate normalized throughput.
-Comparing a dedicated placement against a Tally-packed one reproduces
-the paper's motivating claim that sharing can substantially shrink the
-GPU count of a cluster without violating service SLAs.
+:func:`~repro.cluster.controlplane.run_controlplane` evaluates a
+placement — every GPU's job set under a sharing policy, on the control
+plane's device shards — and returns a :class:`ClusterResult`: GPUs used,
+the SLA outcome of every latency-critical service, and aggregate
+normalized throughput.  Comparing a dedicated placement against a
+Tally-packed one reproduces the paper's motivating claim that sharing
+can substantially shrink the GPU count of a cluster without violating
+service SLAs.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..baselines import Priority
-from ..errors import HarnessError
-from ..harness import (JobSpec, RunConfig, SweepCase, run_colocation,
-                       run_sweep, standalone)
+from ..harness import JobSpec
 from ..metrics.recovery import RecoveryReport
-from .placement import ClusterJob, Placement
+from .placement import ClusterJob
 
-__all__ = ["ServiceOutcome", "ClusterResult", "evaluate_placement"]
+__all__ = ["ServiceOutcome", "ClusterResult"]
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,11 @@ class ClusterResult:
     gpus_used: int
     services: list[ServiceOutcome]
     total_normalized_throughput: float
-    #: simulation events processed across every GPU's run
+    #: simulation events processed: the control plane's own (one
+    #: admission per job, arrivals, faults, ...) plus every shard's
     events: int = 0
     #: recovery metrics — downtime per service, MTTR, shed/evicted
-    #: counts, SLO attainment through the fault window; populated by
-    #: the online control plane, None for static evaluations
+    #: counts, SLO attainment through the fault window
     recovery: RecoveryReport | None = None
     #: invariant audits performed across the run (0 when unchecked)
     invariant_checks: int = 0
@@ -76,86 +76,14 @@ def _to_jobspec(job: ClusterJob) -> JobSpec:
 def _tail_p99(job_result) -> float:
     """The service's tail metric: request p99, or TTFT p99 for LLMs.
 
-    A latency-critical service that completed *zero* requests in the
-    window (crashed via ``JobSpec.crash_at``, or killed by a device
-    fault) has no tail — that is the worst possible SLA outcome, not a
-    configuration error, so it reports ``inf`` (an unconditional SLA
-    violation) instead of aborting the whole cluster evaluation.
+    A job result with *zero* completed requests in the window (a crashed
+    client, or a service evicted by a device fault) has no tail — that
+    is the worst possible SLA outcome, not a configuration error, so it
+    reports ``inf`` (an unconditional SLA violation) instead of
+    aborting the whole cluster evaluation.
     """
     if job_result.latency is not None:
         return job_result.latency.p99
     if job_result.serving is not None and job_result.serving.ttft is not None:
         return job_result.serving.ttft.p99
     return float("inf")
-
-
-def evaluate_placement(placement: Placement, policy: str,
-                       config: RunConfig | None = None, *,
-                       tracer=None, check: bool = False,
-                       faults=None, jobs: int = 1) -> ClusterResult:
-    """Simulate every GPU of ``placement`` under ``policy``.
-
-    A :class:`~repro.trace.Tracer` records every GPU's run into one
-    stream; per-GPU timelines overlap in time, so filter by client id
-    when analyzing.  ``check=True`` runs every GPU with the invariant
-    checker enabled (see ``docs/validation.md``).  ``faults`` (a
-    :class:`~repro.faults.FaultConfig`) enables the same seeded fault
-    injection on every GPU (see ``docs/fault_tolerance.md``); each GPU
-    gets its own injector so per-GPU fault streams are independent of
-    bin ordering.  ``jobs`` fans the per-GPU simulations out over that
-    many worker processes — every GPU is an independent simulation, so
-    results are bit-identical to the serial run (``docs/performance.md``
-    covers the speedup).  A tracer cannot cross process boundaries, so
-    ``jobs > 1`` with a tracer is rejected.
-    """
-    if not placement.bins:
-        raise HarnessError("empty placement")
-    if jobs > 1 and tracer is not None:
-        raise HarnessError(
-            "tracing is per-process state: use jobs=1 when tracing"
-        )
-    config = config if config is not None else RunConfig(duration=6.0,
-                                                         warmup=1.0)
-    per_gpu_specs = [[_to_jobspec(job) for job in gpu_jobs]
-                     for gpu_jobs in placement.bins]
-    if jobs > 1:
-        cases = [SweepCase(policy=policy, jobs=tuple(specs), config=config,
-                           label=f"gpu {index}", check=check, faults=faults)
-                 for index, specs in enumerate(per_gpu_specs)]
-        results = run_sweep(cases, jobs=jobs)
-    else:
-        results = [run_colocation(policy, specs, config, tracer=tracer,
-                                  check=check, faults=faults)
-                   for specs in per_gpu_specs]
-    services: list[ServiceOutcome] = []
-    total_throughput = 0.0
-    total_events = 0
-    for gpu_index, gpu_jobs in enumerate(placement.bins):
-        specs = per_gpu_specs[gpu_index]
-        # Offline (best-effort) duplicates of an online service need
-        # distinct traffic seeds; placement already carries them.
-        result = results[gpu_index]
-        total_events += result.events
-        counters: dict[str, int] = {}
-        for job, spec in zip(gpu_jobs, specs):
-            baseline = standalone(spec, config)
-            # Client ids are assigned per model in submission order.
-            n = counters.get(job.model, 0)
-            counters[job.model] = n + 1
-            job_result = result.job(f"{job.model}#{n}")
-            if baseline.rate > 0:
-                total_throughput += job_result.rate / baseline.rate
-            if job.latency_critical:
-                services.append(ServiceOutcome(
-                    model=job.model,
-                    gpu=gpu_index,
-                    p99_ratio=_tail_p99(job_result) / _tail_p99(baseline),
-                    sla_factor=job.sla_factor,
-                ))
-    return ClusterResult(
-        policy=policy,
-        gpus_used=placement.gpus_used,
-        services=services,
-        total_normalized_throughput=total_throughput,
-        events=total_events,
-    )

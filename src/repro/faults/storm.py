@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from ..check import ServiceLedger, check_request_conservation
 from ..errors import (
@@ -62,6 +63,7 @@ from ..errors import (
     VirtError,
 )
 from ..gpu import EventLoop
+from ..harness.sweep import pool_map
 from ..metrics import OverloadReport, attainment_through_window
 from ..trace import NULL_TRACER
 from ..virt import Channel, ChannelConfig, ResilienceConfig, SHARED_MEMORY
@@ -300,23 +302,9 @@ def run_storm(config: StormConfig, *, tracer=None,
     tracer = tracer if tracer is not None else NULL_TRACER
     shards = config.shards
     want_events = bool(getattr(tracer, "enabled", False))
-    if jobs <= 1 or shards <= 1:
-        cells = [_storm_cell(config, shard, want_events)
-                 for shard in range(shards)]
-    else:
-        import os
-        from concurrent.futures import ProcessPoolExecutor
-
-        from ..harness.sweep import _init_worker
-        from ..transform.memo import warm_snapshot
-
-        workers = min(jobs, shards, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_worker,
-                                 initargs=(warm_snapshot(),)) as pool:
-            cells = list(pool.map(_storm_cell, [config] * shards,
-                                  range(shards),
-                                  [want_events] * shards))
+    cells = pool_map(partial(_storm_cell, config,
+                             collect_events=want_events),
+                     range(shards), jobs=jobs)
 
     if want_events:
         from ..engine import CommitTracer
@@ -364,19 +352,6 @@ def run_storm_sweep(configs: list[StormConfig], *,
 
     Each case is an independent seeded simulation, so ``jobs=N`` is
     bit-identical to ``jobs=1`` (same discipline as
-    :func:`repro.cluster.run_cluster_sweep`).
+    :func:`repro.harness.run_sweep`).
     """
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-
-    from ..harness.sweep import _init_worker
-    from ..transform.memo import warm_snapshot
-
-    configs = list(configs)
-    if jobs <= 1 or len(configs) <= 1:
-        return [run_storm(config) for config in configs]
-    workers = min(jobs, len(configs), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_init_worker,
-                             initargs=(warm_snapshot(),)) as pool:
-        return list(pool.map(run_storm, configs))
+    return pool_map(run_storm, configs, jobs=jobs)

@@ -34,13 +34,8 @@ from ..gpu import A100_SXM4_40GB, EventLoop, GPUDevice, GPUSpec
 from ..metrics import LatencySummary, ServingSLO, ServingSummary
 from ..trace import Tracer
 from ..traffic import TrafficTrace, bursty_trace, maf_trace, poisson_trace
-from ..workloads import (
-    InferenceJob,
-    LLMServingJob,
-    TrainingJob,
-    get_llm_model,
-    get_model,
-)
+from ..workloads import InferenceJob, TrainingJob, get_model
+from ..workloads.llm_models import get_llm_model
 from ..workloads.memory import A100_MEMORY_BYTES, check_memory_fit
 from ..workloads.models import WorkloadKind
 
@@ -96,6 +91,12 @@ class JobSpec:
     #: simulated time at which this client crashes (fault injection);
     #: None = the process survives the whole run
     crash_at: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.role == "llm":
+            # The serving driver is loaded with the job that needs it,
+            # so a run's inputs, not the run itself, pay its import.
+            from ..workloads import llm  # noqa: F401
 
     @property
     def effective_priority(self) -> Priority:
@@ -233,6 +234,47 @@ def _traffic_for(spec_: JobSpec, service_time: float,
     )
 
 
+def job_inputs(spec: JobSpec, config: RunConfig):
+    """The ``(model or trace, traffic)`` a job's driver runs on.
+
+    An LLM endpoint runs its serving model, an inference service and a
+    trainer their kernel trace; a trainer has no traffic (None).  Both
+    are pure functions of ``(spec, config)``.
+    """
+    if spec.role == "llm":
+        llm_model = get_llm_model(spec.model)
+        return llm_model, _traffic_for(spec, llm_model.mean_request_time(),
+                                       config)
+    model = get_model(spec.model)
+    expected = ("inference" if model.kind is WorkloadKind.INFERENCE
+                else "training")
+    if expected != spec.role:
+        raise HarnessError(
+            f"model {spec.model!r} is a {expected} workload, "
+            f"not {spec.role}"
+        )
+    trace = model.build_trace(config.spec, seed=config.trace_seed)
+    if spec.role == "training":
+        return trace, None
+    return trace, _traffic_for(spec, trace.duration, config)
+
+
+def make_driver(spec: JobSpec, config: RunConfig, policy: SharingPolicy,
+                client_id: str):
+    """The workload driver of one job on ``policy``, not yet started."""
+    source, traffic = job_inputs(spec, config)
+    priority = spec.effective_priority
+    if spec.role == "llm":
+        from ..workloads.llm import LLMServingJob
+
+        return LLMServingJob(source, traffic, policy, client_id,
+                             priority=priority, seed=spec.traffic_seed)
+    if spec.role == "inference":
+        return InferenceJob(source, traffic, policy, client_id,
+                            priority=priority)
+    return TrainingJob(source, policy, client_id, priority=priority)
+
+
 def run_colocation(policy_name: str, jobs: list[JobSpec],
                    config: RunConfig | None = None, *,
                    tracer: Tracer | None = None,
@@ -295,39 +337,8 @@ def run_colocation(policy_name: str, jobs: list[JobSpec],
     for job_spec in jobs:
         n = counters.get(job_spec.model, 0)
         counters[job_spec.model] = n + 1
-        client_id = f"{job_spec.model}#{n}"
-        if job_spec.role == "llm":
-            llm_model = get_llm_model(job_spec.model)
-            traffic = _traffic_for(job_spec, llm_model.mean_request_time(),
-                                   config)
-            driver: object = LLMServingJob(
-                llm_model, traffic, policy, client_id,
-                priority=job_spec.effective_priority,
-                seed=job_spec.traffic_seed,
-            )
-            drivers.append((job_spec, driver))
-            continue
-        model = get_model(job_spec.model)
-        expected = ("inference" if model.kind is WorkloadKind.INFERENCE
-                    else "training")
-        if expected != job_spec.role:
-            raise HarnessError(
-                f"model {job_spec.model!r} is a {expected} workload, "
-                f"not {job_spec.role}"
-            )
-        trace = model.build_trace(config.spec, seed=config.trace_seed)
-        if job_spec.role == "inference":
-            traffic = _traffic_for(job_spec, trace.duration, config)
-            driver = InferenceJob(
-                trace, traffic, policy, client_id,
-                priority=job_spec.effective_priority,
-            )
-        else:
-            driver = TrainingJob(
-                trace, policy, client_id,
-                priority=job_spec.effective_priority,
-            )
-        drivers.append((job_spec, driver))
+        drivers.append((job_spec, make_driver(job_spec, config, policy,
+                                              f"{job_spec.model}#{n}")))
 
     if injector is not None:
         _arm_faults(injector, drivers, device, engine, policy, config,
@@ -342,7 +353,6 @@ def run_colocation(policy_name: str, jobs: list[JobSpec],
     results: dict[str, JobResult] = {}
     for job_spec, driver in drivers:
         if job_spec.role == "llm":
-            assert isinstance(driver, LLMServingJob)
             serving = driver.serving_summary(since=start, until=end,
                                              slo=config.slo)
             results[driver.client_id] = JobResult(
@@ -354,7 +364,6 @@ def run_colocation(policy_name: str, jobs: list[JobSpec],
                 serving=serving, evicted=serving.evicted,
             )
         elif job_spec.role == "inference":
-            assert isinstance(driver, InferenceJob)
             latencies = driver.latencies(since=start, until=end)
             summary = LatencySummary.of(latencies) if latencies else None
             completed = driver.completions_in(start, end)
@@ -366,7 +375,6 @@ def run_colocation(policy_name: str, jobs: list[JobSpec],
                 queueing=driver.queueing_summary(since=start, until=end),
             )
         else:
-            assert isinstance(driver, TrainingJob)
             completed = driver.completions_in(start, end)
             results[driver.client_id] = JobResult(
                 client_id=driver.client_id, model=job_spec.model,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..faults import FaultConfig
 from ..transform.memo import load_snapshot, warm_snapshot
@@ -78,24 +78,35 @@ def _run_case(case: SweepCase) -> RunResult:
     return result
 
 
+def pool_map(fn: Callable, items: Iterable, *, jobs: int = 1) -> list:
+    """``[fn(item) for item in items]``, over up to ``jobs`` processes.
+
+    Each item must be an independent simulation, so the results are
+    bit-identical whichever process runs which item; they come back in
+    item order.  Workers start with the parent's transform-memo warm
+    snapshot.  ``jobs=1`` (or a single item) runs in-process and never
+    loads the process machinery.
+    """
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_init_worker,
+                             initargs=(warm_snapshot(),)) as pool:
+        # map() preserves input order regardless of completion order.
+        return list(pool.map(fn, items))
+
+
 def run_sweep(cases: Iterable[SweepCase], *, jobs: int = 1) -> list[RunResult]:
     """Run every case and return results in case order.
 
     ``jobs`` bounds the number of worker processes; ``jobs=1`` runs
     everything in-process.  Results are bit-identical either way.
     """
-    cases = list(cases)
-    if jobs <= 1 or len(cases) <= 1:
-        return [_run_case(case) for case in cases]
-    # imported here: a serial sweep never loads the process machinery
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(jobs, len(cases), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_init_worker,
-                             initargs=(warm_snapshot(),)) as pool:
-        # map() preserves input order regardless of completion order.
-        return list(pool.map(_run_case, cases))
+    return pool_map(_run_case, cases, jobs=jobs)
 
 
 def seed_sweep(policy: str, jobs: Sequence[JobSpec], config: RunConfig,

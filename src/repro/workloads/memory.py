@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..errors import WorkloadError
+from .llm_models import LLM_MODELS
 from .models import WorkloadKind, WorkloadModel, get_model
 
 __all__ = [
@@ -82,8 +83,6 @@ class MemoryFootprint:
 
 def footprint_of(model_name: str) -> MemoryFootprint:
     """Memory footprint estimate for one workload."""
-    from .llm import LLM_MODELS
-
     llm = LLM_MODELS.get(model_name)
     if llm is not None:
         # Serving: fp16 weights plus the explicitly sized KV pool (the

@@ -4,9 +4,7 @@ import pytest
 
 from repro.cluster import (
     AutoscalerConfig,
-    ClusterCase,
     ClusterJob,
-    run_cluster_sweep,
     run_controlplane,
 )
 from repro.errors import HarnessError
@@ -134,24 +132,13 @@ class TestScaleDown:
 
 
 class TestDeterminism:
-    def case(self):
-        return ClusterCase(
-            jobs=tuple(hp_fleet(4, depart_at=1.5)), devices=4,
-            config=CFG, arrival_rate=50.0, autoscale=FAST, standby=3,
-            check=True)
+    def run(self):
+        return run_controlplane(
+            jobs=hp_fleet(4, depart_at=1.5), devices=4, config=CFG,
+            arrival_rate=50.0, autoscale=FAST, standby=3, check=True)
 
     @pytest.mark.slow
     def test_repeat_runs_bit_identical(self):
-        first, second = run_cluster_sweep([self.case(), self.case()])
+        first, second = self.run(), self.run()
         assert repr(first.recovery) == repr(second.recovery)
         assert first.events == second.events
-
-    @pytest.mark.slow
-    def test_parallel_sweep_matches_serial(self):
-        cases = [self.case(), self.case()]
-        serial = run_cluster_sweep(cases, jobs=1)
-        parallel = run_cluster_sweep(cases, jobs=2)
-        assert [repr(r.recovery) for r in serial] == \
-            [repr(r.recovery) for r in parallel]
-        assert [r.events for r in serial] == \
-            [r.events for r in parallel]

@@ -5,10 +5,8 @@ import pytest
 from repro.check import InvariantViolation, ServiceLedger, \
     check_request_conservation
 from repro.cluster import (
-    ClusterCase,
     ClusterJob,
     packed_placement,
-    run_cluster_sweep,
     run_controlplane,
     schedule_arrivals,
 )
@@ -89,6 +87,18 @@ class TestControlPlaneBasics:
         with pytest.raises(HarnessError, match="outside the run"):
             run_controlplane(jobs=fleet(), devices=2, config=CFG,
                              fail_device=((0, 99.0),))
+
+    def test_client_crash_time_rejected(self):
+        """``FaultConfig.crash_at`` crashes a client of a single-GPU run;
+        the control plane cannot honour it, so it refuses it."""
+        faults = FaultConfig(seed=0, crash_at=0.5)
+        with pytest.raises(HarnessError, match="fail_device"):
+            run_controlplane(jobs=fleet(), devices=2, config=CFG,
+                             faults=faults)
+        placement = packed_placement(fleet(), compute_budget=1.4)
+        with pytest.raises(HarnessError, match="crash_at"):
+            run_controlplane(placement=placement, config=CFG,
+                             faults=faults)
 
     def test_drain_time_validated(self):
         with pytest.raises(HarnessError,
@@ -232,19 +242,3 @@ class TestDeterminism:
                            device_degraded_rate=0.6, device_flap_rate=0.4,
                            slot_fault_rate=3.0)
         assert FaultInjector(cfg2).device_fault_schedule(1, 4.0) == schedule
-
-    @pytest.mark.slow
-    def test_parallel_sweep_matches_serial(self):
-        faults = FaultConfig(seed=2, device_crash_rate=0.25,
-                             device_degraded_rate=0.4)
-        cases = [ClusterCase(jobs=tuple(fleet()), devices=3, policy=p,
-                             config=CFG, faults=faults, arrival_rate=4.0,
-                             check=True)
-                 for p in ("Tally", "Time-Slicing")]
-        serial = run_cluster_sweep(cases, jobs=1)
-        parallel = run_cluster_sweep(cases, jobs=2)
-        assert [repr(r.recovery) for r in serial] == \
-            [repr(r.recovery) for r in parallel]
-        assert [r.events for r in serial] == [r.events for r in parallel]
-        assert [r.total_normalized_throughput for r in serial] == \
-            [r.total_normalized_throughput for r in parallel]

@@ -8,15 +8,19 @@ shard advancing exactly to each control event.  The in-process engine
 pickling, batched op delivery and pipe ordering in between, must commit
 *exactly* the same result — metrics, ledgers, audits, event counts.
 
-:func:`~repro.cluster.evaluate_placement`, which runs each bin through
-``run_colocation`` on its own event loop, is the reference for the
-per-shard loops themselves: a fault-free control-plane run of the same
-placement must reproduce its service outcomes and throughput exactly.
+The test-local :func:`evaluate_placement`, one ``run_colocation`` plus
+``standalone`` baselines per bin on its own event loop, is the
+reference for the per-shard loops themselves.  It never touches the
+controller, the shard engine or the op protocol; a fault-free
+control-plane run of the same placement must reproduce its service
+outcomes and throughput exactly.
 
 Comparison is by ``repr``: ClusterResult carries NaN fields (mttr on
 fault-free runs, post-recovery attainment) that defeat dataclass
 equality, and ``repr`` renders NaN identically on both sides.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -25,12 +29,13 @@ from repro.cluster import (
     ClusterController,
     ClusterJob,
     Placement,
-    evaluate_placement,
+    ServiceOutcome,
     run_controlplane,
 )
+from repro.cluster.simulate import _tail_p99, _to_jobspec
 from repro.errors import HarnessError
 from repro.faults import FaultConfig
-from repro.harness import RunConfig
+from repro.harness import RunConfig, run_colocation, standalone
 from repro.trace import Tracer
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -149,6 +154,29 @@ def _oracle_placement(seed: int) -> Placement:
         for i, (service, trainer) in enumerate(pairs)])
 
 
+def evaluate_placement(placement: Placement, policy: str,
+                       config: RunConfig):
+    """``(services, total normalized throughput, events)`` of one
+    ``run_colocation`` per bin, each job against its ``standalone``."""
+    services, throughput, events = [], 0.0, 0
+    for gpu, jobs in enumerate(placement.bins):
+        specs = [_to_jobspec(job) for job in jobs]
+        result = run_colocation(policy, specs, config)
+        events += result.events
+        seen = Counter()  # client ids count per model in submission order
+        for job, spec in zip(jobs, specs):
+            measured = result.job(f"{job.model}#{seen[job.model]}")
+            seen[job.model] += 1
+            baseline = standalone(spec, config)
+            throughput += measured.rate / baseline.rate
+            if job.latency_critical:
+                services.append(ServiceOutcome(
+                    model=job.model, gpu=gpu,
+                    p99_ratio=_tail_p99(measured) / _tail_p99(baseline),
+                    sla_factor=job.sla_factor))
+    return services, throughput, events
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("policy", ["Tally", "TGS", "MPS-Priority"])
@@ -156,11 +184,11 @@ def test_fault_free_run_matches_evaluate_placement(policy, seed):
     """Per-shard loops reproduce one ``run_colocation`` per bin."""
     placement = _oracle_placement(seed)
     config = RunConfig(duration=1.0, warmup=0.2, trace_seed=seed)
-    static = evaluate_placement(placement, policy, config)
+    services, throughput, events = evaluate_placement(placement, policy,
+                                                      config)
     online = run_controlplane(placement=placement, policy=policy,
                               config=config, compute_budget=2.0)
-    assert online.services == static.services
-    assert (online.total_normalized_throughput
-            == static.total_normalized_throughput)
+    assert online.services == services
+    assert online.total_normalized_throughput == throughput
     # the controller's loop adds one admission event per job
-    assert online.events == static.events + len(placement.jobs())
+    assert online.events == events + len(placement.jobs())

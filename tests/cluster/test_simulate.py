@@ -1,4 +1,5 @@
-"""Tests for cluster-consolidation evaluation."""
+"""Tests for cluster-consolidation evaluation: a placement evaluated on
+the control plane (``run_controlplane(placement=...)``)."""
 
 import pytest
 
@@ -6,13 +7,17 @@ from repro.cluster import (
     ClusterJob,
     Placement,
     dedicated_placement,
-    evaluate_placement,
     packed_placement,
+    run_controlplane,
 )
 from repro.errors import HarnessError
 from repro.harness import RunConfig
 
 CFG = RunConfig(duration=3.0, warmup=0.5)
+
+
+def evaluate(placement, policy="Tally"):
+    return run_controlplane(placement=placement, policy=policy, config=CFG)
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +33,7 @@ def small_fleet():
 class TestEvaluatePlacement:
     @pytest.mark.slow
     def test_dedicated_meets_sla_trivially(self, small_fleet):
-        result = evaluate_placement(dedicated_placement(small_fleet),
-                                    "Tally", CFG)
+        result = evaluate(dedicated_placement(small_fleet))
         assert result.gpus_used == 4
         assert result.sla_violations == 0
         assert len(result.services) == 2
@@ -38,7 +42,7 @@ class TestEvaluatePlacement:
     def test_packed_uses_fewer_gpus(self, small_fleet):
         packed = packed_placement(small_fleet, compute_budget=1.5)
         assert packed.gpus_used < len(small_fleet)
-        result = evaluate_placement(packed, "Tally", CFG)
+        result = evaluate(packed)
         assert result.gpus_used == packed.gpus_used
         assert result.sla_violations == 0, (
             f"worst p99 {result.worst_p99_ratio:.2f}x"
@@ -46,8 +50,7 @@ class TestEvaluatePlacement:
 
     @pytest.mark.slow
     def test_throughput_accounts_all_jobs(self, small_fleet):
-        result = evaluate_placement(dedicated_placement(small_fleet),
-                                    "Tally", CFG)
+        result = evaluate(dedicated_placement(small_fleet))
         # Each isolated job runs at ~1.0 normalized throughput.
         assert result.total_normalized_throughput == pytest.approx(
             len(small_fleet), abs=0.8)
@@ -57,7 +60,7 @@ class TestEvaluatePlacement:
                 ClusterJob("resnet50_infer", load=0.1, offline=True,
                            traffic_seed=1)]
         placement = packed_placement(jobs)
-        result = evaluate_placement(placement, "Tally", CFG)
+        result = evaluate(placement)
         assert len(result.services) == 1  # only the online service
 
     def test_duplicate_models_mapped_correctly(self):
@@ -67,13 +70,13 @@ class TestEvaluatePlacement:
                 ClusterJob("resnet50_infer", load=0.1, offline=True,
                            traffic_seed=2)]
         placement = Placement(bins=[list(jobs)])
-        result = evaluate_placement(placement, "Tally", CFG)
+        result = evaluate(placement)
         assert result.gpus_used == 1
         assert len(result.services) == 1
 
     def test_empty_placement_rejected(self):
         with pytest.raises(HarnessError):
-            evaluate_placement(Placement(bins=[]), "Tally", CFG)
+            evaluate(Placement(bins=[]))
 
     @pytest.mark.slow
     def test_mps_packing_violates_sla_where_tally_does_not(self):
@@ -83,8 +86,8 @@ class TestEvaluatePlacement:
                 ClusterJob("gpt2_train")]
         placement = packed_placement(jobs, compute_budget=2.0)
         assert placement.gpus_used == 1
-        tally = evaluate_placement(placement, "Tally", CFG)
-        mps = evaluate_placement(placement, "MPS", CFG)
+        tally = evaluate(placement)
+        mps = evaluate(placement, "MPS")
         assert tally.sla_violations == 0
         assert mps.sla_violations >= 1
 

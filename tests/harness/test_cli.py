@@ -34,8 +34,6 @@ class TestParser:
         args = parser.parse_args(["colocate", "--seeds", "4", "--jobs", "2"])
         assert args.seeds == 4 and args.jobs == 2
         assert parser.parse_args(["colocate"]).jobs == 1
-        assert parser.parse_args(["cluster", "--jobs", "3"]).jobs == 3
-        assert parser.parse_args(["cluster"]).jobs == 1
 
     @pytest.mark.parametrize("command", ["cluster", "storm"])
     def test_parallel_shards_must_be_positive(self, command, capsys):
@@ -71,6 +69,21 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "inference p99" in out
         assert "system throughput" in out
+
+    @pytest.mark.slow
+    def test_cluster_runs_one_table(self, capsys):
+        """The plain ``repro cluster``: the packed placement on the
+        control plane, checked, in one table."""
+        assert main(["cluster", "--duration", "2", "--check"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("Cluster consolidation under Tally") == 1
+        rows = {line.split("  ")[0]: line.split()
+                for line in out.splitlines()}
+        assert rows["GPUs, dedicated"][2] == "13"
+        assert rows["GPUs, Tally-packed"][2:5] == ["6", "54%", "saved"]
+        assert rows["SLA violations"][2] == "0"
+        assert int(rows["invariant checks"][2]) > 0
+        assert "0 violations" in out
 
     def test_colocate_seed_sweep_runs(self, capsys):
         assert main([

@@ -8,10 +8,7 @@ returns results byte-for-byte equal (via the serialization layer) to
 
 import pytest
 
-from repro.cluster import ClusterJob, packed_placement
-from repro.cluster.simulate import evaluate_placement
 from repro.check.differential import run_validation
-from repro.errors import HarnessError
 from repro.faults import FaultConfig
 from repro.harness import (JobSpec, RunConfig, SweepCase, run_sweep,
                            seed_sweep)
@@ -118,33 +115,6 @@ class TestSeedSweep:
         cases = seed_sweep("Tally", JOBS, CONFIG, seeds=(0,),
                            check=True, faults=FaultConfig(seed=1))
         assert pickle.loads(pickle.dumps(cases[0])) == cases[0]
-
-
-class TestClusterJobs:
-    def place(self):
-        jobs = [ClusterJob("bert_infer", load=0.12, traffic_seed=0),
-                ClusterJob("resnet50_infer", load=0.10, traffic_seed=1),
-                ClusterJob("pointnet_train", traffic_seed=2),
-                ClusterJob("resnet50_train", traffic_seed=3)]
-        return packed_placement(jobs, compute_budget=1.4)
-
-    @pytest.mark.slow
-    def test_evaluate_placement_parallel_is_identical(self):
-        placement = self.place()
-        serial = evaluate_placement(placement, "Tally", CONFIG, jobs=1)
-        parallel = evaluate_placement(placement, "Tally", CONFIG, jobs=4)
-        assert serial.services == parallel.services
-        assert (serial.total_normalized_throughput
-                == parallel.total_normalized_throughput)
-        assert serial.events == parallel.events
-        assert serial.gpus_used == parallel.gpus_used
-
-    def test_tracer_rejected_with_multiple_jobs(self):
-        from repro.trace import Tracer
-
-        with pytest.raises(HarnessError, match="jobs=1"):
-            evaluate_placement(self.place(), "Tally", CONFIG,
-                               tracer=Tracer(), jobs=2)
 
 
 class TestValidationJobs:

@@ -7,9 +7,9 @@ re-export.
 
 * **Budget.** Importing the harness, and building a fig4 co-location's
   inputs as the benchmark child does, load a bounded set of ``repro``
-  modules and none of the functional stack (PTX builder/parser/library,
-  virtualization, transform pipeline), the cluster, the parallel engine
-  or the process machinery.
+  modules and none of the functional stack (PTX, the functional
+  runtime, virtualization, transform pipeline), the LLM serving driver,
+  the cluster, the parallel engine or the process machinery.
 * **Public surface.** Every name in every package's ``__all__``
   resolves, is listed by ``dir()`` and survives ``import *``.
 * **Timed window.** For each benchmark workload, everything the
@@ -32,9 +32,10 @@ TALLYBENCH = ROOT / "tallybench"
 
 #: repro modules and source lines a fig4 co-location's set-up may load
 #: (it loaded 93 modules and 19,577 lines when every package imported
-#: all of its submodules)
-SETUP_MODULES, SETUP_LINES = 50, 11_000
-FORBIDDEN = ("repro.ptx.library", "repro.ptx.builder", "repro.ptx.parser",
+#: all of its submodules, and 49 modules and 9,605 lines while it still
+#: loaded the LLM driver it does not run)
+SETUP_MODULES, SETUP_LINES = 44, 7_800
+FORBIDDEN = ("repro.ptx", "repro.runtime", "repro.workloads.llm",
              "repro.virt", "repro.cluster", "repro.engine",
              "repro.transform.pipeline", "multiprocessing",
              "concurrent.futures", "socket")
