@@ -94,16 +94,16 @@ def main() -> None:
     job.start()
     engine.run_until(10.0)
 
-    mm = job.kv.manager
+    kv = job.kv
     print(f"\nKV pressure: pool of {squeezed.kv_capacity_bytes >> 20} MiB "
           f"(~1.2 max requests), {traffic.count} arrivals")
     print(f"  completed {job.completed_requests}, "
           f"evicted {job.evictions} (youngest-first, terminal)")
-    print(f"  KV conservation: {mm.allocated_elements_total} tokens "
-          f"allocated == {mm.freed_elements_total} freed, "
-          f"{mm.live_bytes()} live at drain")
+    print(f"  KV conservation: {kv.block_allocs} blocks allocated == "
+          f"{kv.block_frees} freed, {kv.used_tokens} tokens live at drain")
     assert job.evictions > 0, "the squeezed pool must evict"
-    assert mm.allocated_elements_total == mm.freed_elements_total
+    assert kv.block_allocs == kv.block_frees
+    assert kv.used_tokens == 0
 
 
 if __name__ == "__main__":

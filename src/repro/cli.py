@@ -18,7 +18,8 @@ corresponding benchmark also writes to ``results/``.  ``colocate`` and
 audit simulator invariants through :mod:`repro.check` (see
 ``docs/validation.md``), and ``--faults SPEC`` to enable seeded fault
 injection through :mod:`repro.faults` (see ``docs/fault_tolerance.md``),
-e.g. ``--faults "seed=1,drop=0.05,crash_at=3.0"``.
+e.g. ``--faults "seed=1,lost_ack=0.2,crash_at=3.0"``; a knob the
+command's run does not honour is rejected.
 """
 
 from __future__ import annotations
@@ -537,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                   "trace_event JSON to PATH (a .jsonl suffix streams "
                   "raw events instead); also prints derived counters")
     faults_help = ('seeded fault injection, e.g. '
-                   '"seed=1,drop=0.05,lost_ack=0.2,crash_at=3.0" '
+                   '"seed=1,lost_ack=0.2,slot_fault_rate=2.0,crash_at=3.0" '
                    '(see docs/fault_tolerance.md)')
     check_help = ("audit simulator invariants after every event and "
                   "fail on the first violation (docs/validation.md)")
@@ -555,9 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help='seeded fault injection, e.g. '
                               '"seed=1,device_crash_rate=0.2,'
                               'slot_fault_rate=0.5" (see '
-                              "docs/fault_tolerance.md); crash_at is "
-                              "rejected here: crash a device with "
-                              "--fail-device instead")
+                              "docs/fault_tolerance.md); crash_at and "
+                              "the channel kinds are rejected here: "
+                              "crash a device with --fail-device instead")
     cluster.add_argument("--arrivals", type=float, default=None,
                          metavar="RATE",
                          help="online control plane: jobs arrive at "

@@ -9,12 +9,11 @@ keep its latency-critical tenants alive through all of it.
 
 One :class:`ClusterController` drives one device shard per simulated
 GPU — a :class:`~repro.gpu.device.GPUDevice`, its own sharing-policy
-instance, and a :class:`~repro.core.server.TallyServer` holding the
-shard's functional client state — each on its own event loop in a
-:class:`~repro.cluster.parallel.ClusterShardDomain`.  The controller's
-loop holds only control events; it reaches the shards through the
-shard engine's op protocol (:mod:`repro.engine`): every shard advances
-exactly to each control event, in-process or, with
+instance and the workload drivers placed there — each on its own event
+loop in a :class:`~repro.cluster.parallel.ClusterShardDomain`.  The
+controller's loop holds only control events; it reaches the shards
+through the shard engine's op protocol (:mod:`repro.engine`): every
+shard advances exactly to each control event, in-process or, with
 ``engine="parallel"`` and ``workers > 1``, in worker processes.  On
 top of the shards it runs:
 
@@ -29,15 +28,14 @@ top of the shards it runs:
   and is ridden through, and *flapping* past ``flap_threshold``
   transitions quarantines the device and proactively migrates its
   latency-critical tenants;
-* **checkpoint/restore live migration** — the driver freezes
+* **checkpoint/restore live migration** — the driver pauses
   (:meth:`~repro.workloads.InferenceJob.checkpoint`: cancel timers,
   requeue the in-flight request, bump the stale-completion epoch), the
   source policy disconnects the client (killing resident launches), the
-  functional state moves via :func:`~repro.core.server.migrate_client`
-  (allocations, module registrations, reply cache — so retried requests
-  replay idempotently), and after ``migration_downtime`` simulated
-  seconds the driver resumes on the target shard.  Arrivals keep
-  queueing throughout, so no admitted request is lost — the
+  frozen driver moves to the target shard
+  (:meth:`~repro.workloads.InferenceJob.freeze_state`), and after
+  ``migration_downtime`` simulated seconds it resumes there.  Arrivals
+  keep queueing throughout, so no admitted request is lost — the
   migration-conservation invariant
   (:func:`~repro.check.check_request_conservation`) audits exactly that;
 * **re-pack on failover** — when a displaced high-priority tenant fits
@@ -314,11 +312,11 @@ class ClusterController:
         if standby > 0 and autoscale is None:
             raise HarnessError(
                 "standby devices need autoscale= to ever activate")
-        if faults is not None and faults.crash_at is not None:
-            raise HarnessError(
-                "FaultConfig.crash_at (a client crash) has no meaning on "
-                "the cluster control plane; crash a device with "
-                "fail_device=((index, time),) instead")
+        if faults is not None:
+            faults.reject_unhonoured(
+                "ClusterController",
+                "crash a device with fail_device=((index, time),) instead"
+                if faults.crash_at is not None else "")
         self.config = config if config is not None else RunConfig(
             duration=6.0, warmup=1.0)
         self.policy_name = policy
@@ -774,19 +772,18 @@ class ClusterController:
                  reason: str) -> None:
         now = self.engine.now
         if tenant.role == "llm":
-            # LLM endpoints have no driver-level checkpoint surface yet
-            # (the functional KV image migrates fine — the continuous-
-            # batching driver state does not).  On a dead device the
-            # endpoint is lost; on a draining/flapping one it rides out.
+            # LLM endpoints have no driver-level checkpoint surface
+            # (the continuous-batching state does not freeze).  On a
+            # dead device the endpoint is lost; on a draining/flapping
+            # one it rides out.
             if not source.alive:
                 self._evict(tenant, source)
             return
-        self._issue(source.index, "checkpoint", tenant.client_id)
         if tenant.paused_since is None:
             tenant.paused_since = now
         tenant.move_seq += 1
-        # disconnect from the source policy; an inference driver
-        # reports the requests it still holds
+        # pause the driver and disconnect it from the source policy; an
+        # inference driver reports the requests it still holds
         pending = self._issue(
             source.index, "detach", tenant.client_id,
             want_result=tenant.role == "inference") or 0
@@ -808,13 +805,11 @@ class ClusterController:
         if target is None:
             self._evict(tenant, source)
             return
-        # functional state (memory image, modules, reply cache) and the
-        # frozen driver move from source to target
-        image = self._issue(source.index, "export", tenant.client_id,
-                            want_result=True)
+        # the frozen driver moves from source to target
+        frozen = self._issue(source.index, "export", tenant.client_id,
+                             want_result=True)
         self._issue(target.index, "import",
-                    (tenant.client_id, tenant.spec, image))
-        self._issue(source.index, "finish_export", tenant.client_id)
+                    (tenant.client_id, tenant.spec, frozen))
         target.add(tenant)
         tenant.device = target.index
         seq = tenant.move_seq

@@ -2,15 +2,14 @@
 
 Every :class:`~repro.cluster.controlplane.ClusterController` run keeps
 its device shards here, on the shard engine in :mod:`repro.engine`:
-each shard (device + policy + server + drivers) lives in its own
+each shard (device + policy + drivers) lives in its own
 :class:`ClusterShardDomain` with a private event loop, while the
 controller keeps the *decision* half (admission, migration targeting,
 autoscaling) and reaches a shard only through timestamped ops
 (``apply``), read-only queries (``query``) and the end-of-run
 ``finalize``.  This module is the one place in the cluster where
-devices, policies and servers are built; drivers come from the same
-factory as a single-GPU run's
-(:func:`~repro.harness.colocate.make_driver`).
+devices and policies are built; drivers come from the same factory as
+a single-GPU run's (:func:`~repro.harness.colocate.make_driver`).
 
 The controller's loop holds only control events, so its next event
 time is a *horizon*: every shard runs exclusively up to it and no
@@ -26,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..check import InvariantChecker
-from ..core.server import TallyServer
 from ..engine.shard import ShardProgram
+from ..engine.sync import ShardBuffer
 from ..errors import HarnessError
 from ..faults import FaultConfig, FaultInjector, arm_slot_faults
 from ..gpu import EventLoop, GPUDevice
@@ -40,18 +39,6 @@ __all__ = [
     "ClusterShardDomain",
     "ClusterShardProgram",
 ]
-
-
-class _BufferTracer:
-    """Tracer-shaped sink appending into a shard's output buffer."""
-
-    enabled = True
-
-    def __init__(self, outputs: list) -> None:
-        self._outputs = outputs
-
-    def emit(self, event) -> None:
-        self._outputs.append(event)
 
 
 @dataclass(frozen=True)
@@ -69,7 +56,7 @@ class ClusterShardProgram(ShardProgram):
 
 
 class ClusterShardDomain:
-    """One simulated GPU: device, policy, functional server, drivers.
+    """One simulated GPU: device, policy, drivers.
 
     Implements the engine's domain contract (``loop`` / ``apply`` /
     ``query`` / ``outputs`` / ``finalize``).  Each op kind is one
@@ -81,9 +68,8 @@ class ClusterShardDomain:
         self.index = index
         config = self.config = program.config
         self.loop = EventLoop()
-        self.outputs: list = []
-        tracer = (_BufferTracer(self.outputs) if program.traced
-                  else NULL_TRACER)
+        self.outputs = ShardBuffer()
+        tracer = self.outputs if program.traced else NULL_TRACER
         self.checker = InvariantChecker() if program.check else None
         self.injector = (FaultInjector(program.faults)
                          if program.faults is not None else None)
@@ -94,7 +80,6 @@ class ClusterShardDomain:
         )
         self.policy = make_policy(program.policy, self.device, self.loop,
                                   tally_config=config.tally_config)
-        self.server = TallyServer(tracer=tracer)
         self.drivers: dict[str, object] = {}
         self.roles: dict[str, str] = {}
         if (program.faults is not None
@@ -106,9 +91,8 @@ class ClusterShardDomain:
     def apply(self, kind: str, payload, at: float):
         if kind == "admit":
             client_id, spec = payload
-            driver = make_driver(spec, self.config, self.policy, client_id)
-            self.server.connect(client_id, spec.effective_priority)
-            self.drivers[client_id] = driver
+            self.drivers[client_id] = make_driver(spec, self.config,
+                                                  self.policy, client_id)
             self.roles[client_id] = spec.role
             return None
         if kind == "start":
@@ -128,29 +112,25 @@ class ClusterShardDomain:
         if kind == "speed":
             self.device.set_speed_factor(payload)
             return None
-        if kind == "checkpoint":
-            self.drivers[payload].checkpoint()
-            return None
         if kind == "detach":
+            # pause the driver, then kill its launches on this device;
+            # an inference driver reports the requests it still holds
+            driver = self.drivers[payload]
+            driver.checkpoint()
             self.policy.disconnect(payload)
             if self.roles[payload] == "inference":
-                return self.drivers[payload].pending_requests
+                return driver.pending_requests
             return 0
         if kind == "export":
-            ckpt = self.server.checkpoint(payload)
-            frozen = self.drivers[payload].freeze_state()
-            return (ckpt, frozen)
-        if kind == "import":
-            client_id, spec, (ckpt, frozen) = payload
-            self.server.restore(ckpt)
-            driver = _thaw_driver(self.config, spec, self.policy, frozen)
-            self.drivers[client_id] = driver
-            self.roles[client_id] = spec.role
-            return None
-        if kind == "finish_export":
-            self.server.disconnect(payload, ts=at)
-            self.drivers.pop(payload)
+            # freezing cancels the pending arrival, so only a driver
+            # that really leaves is frozen
             self.roles.pop(payload)
+            return self.drivers.pop(payload).freeze_state()
+        if kind == "import":
+            client_id, spec, frozen = payload
+            self.drivers[client_id] = _thaw_driver(self.config, spec,
+                                                   self.policy, frozen)
+            self.roles[client_id] = spec.role
             return None
         if kind == "restore":
             self.drivers[payload].restore(self.policy)
@@ -158,7 +138,6 @@ class ClusterShardDomain:
         if kind == "evict":
             self.drivers[payload].crash()
             self.policy.disconnect(payload)
-            self.server.disconnect(payload, ts=at)
             return None
         raise HarnessError(f"unknown shard op {kind!r}")
 

@@ -32,8 +32,6 @@ class TallyConfig:
     slice_fractions: tuple[float, ...] = (0.02, 0.05, 0.10, 0.25, 0.50)
     #: candidate PTB worker counts are these multiples of the SM count
     worker_sm_multiples: tuple[int, ...] = (1, 2, 4, 6, 8)
-    #: priority value used for best-effort device launches
-    best_effort_priority: int = 1
     #: seed the profiler with analytic estimates so short simulations
     #: behave like a long-running server with a warm profile cache;
     #: runtime measurements still refine the estimates (EWMA).  Set

@@ -50,6 +50,10 @@ from .profiler import TransparentProfiler
 
 __all__ = ["Tally", "TallyStats"]
 
+#: device priority of best-effort launches (high-priority launches use
+#: 0, which the device serves first)
+BEST_EFFORT_PRIORITY = 1
+
 
 @dataclass
 class TallyStats:
@@ -487,7 +491,7 @@ class Tally(SharingPolicy):
         launch = DeviceLaunch(
             execution.descriptor,
             client_id=client_id,
-            priority=self.config.best_effort_priority,
+            priority=BEST_EFFORT_PRIORITY,
             blocks=remaining,
             block_offset=execution.next_block,
             on_complete=lambda l: self._original_done(client_id, execution, l),
@@ -530,7 +534,7 @@ class Tally(SharingPolicy):
         launch = DeviceLaunch(
             execution.descriptor,
             client_id=client_id,
-            priority=self.config.best_effort_priority,
+            priority=BEST_EFFORT_PRIORITY,
             blocks=blocks,
             block_offset=execution.next_block,
             on_complete=lambda l: self._slice_done(client_id, execution, l),
@@ -582,7 +586,7 @@ class Tally(SharingPolicy):
             execution.descriptor,
             LaunchConfig(LaunchKind.PTB, workers=execution.config.workers),
             client_id=client_id,
-            priority=self.config.best_effort_priority,
+            priority=BEST_EFFORT_PRIORITY,
             blocks=execution.tasks_remaining,
             block_offset=(execution.descriptor.num_blocks
                           - execution.tasks_remaining),

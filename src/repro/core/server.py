@@ -71,10 +71,9 @@ class ClientCheckpoint:
 
     Everything :meth:`TallyServer.restore` needs to resume the client on
     another server with no observable difference: execution plan,
-    registered device code, the full memory image (which *is* the LLM
-    KV-cache occupancy — KV blocks are ordinary ``MemoryManager``
-    allocations), and the client's cached replies so a request retried
-    across the migration replays idempotently instead of re-executing.
+    registered device code, the full memory image, and the client's
+    cached replies so a request retried across the migration replays
+    idempotently instead of re-executing.
     """
 
     client_id: str
@@ -105,6 +104,8 @@ class TallyServer:
         # repeated workloads, chaos cells, and reconnecting clients.
         self.transformer = KernelTransformer(memo=transform_memo(),
                                              tracer=tracer)
+        if faults.enabled:
+            faults.config.reject_unhonoured("TallyServer")
         self.faults = faults
         self.tracer = tracer
         # Deadline propagation needs a notion of "now"; without an

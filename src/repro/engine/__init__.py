@@ -1,7 +1,7 @@
 """Conservative parallel simulation engine: horizon grants, GVT commit.
 
 One large simulation — the cluster control plane, a retry storm — is a
-set of *shards* (device + policy + server + drivers) whose events are
+set of *shards* (device + policy + drivers) whose events are
 almost entirely shard-local: cross-shard interaction happens only at
 *control operations* (admissions, migrations, fault reactions,
 autoscaler ticks) issued by a coordinator at times it already knows.
@@ -33,5 +33,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".backends": ("EngineBackend", "InlineBackend", "ProcessBackend"),
     ".ops": ("Op", "OpQueue"),
     ".shard": ("ShardCell", "ShardProgram", "WorkerHost"),
-    ".sync": ("CommitTracer",),
+    ".sync": ("CommitTracer", "ShardBuffer"),
 })

@@ -19,10 +19,18 @@ and the bit-identity suite asserts exactly that.
 
 from __future__ import annotations
 
-__all__ = ["CommitTracer"]
+__all__ = ["CommitTracer", "ShardBuffer"]
 
 #: merge rank of coordinator-emitted events (before any shard)
 COORDINATOR_SOURCE = -1
+
+
+class ShardBuffer(list):
+    """A :class:`~repro.trace.Tracer`-shaped list of one shard's events,
+    held for the commit merge."""
+
+    enabled = True
+    emit = list.append
 
 
 class CommitTracer:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".config": ("FaultConfig",),
+    ".config": ("FaultConfig", "HONOURED"),
     ".injector": ("NULL_INJECTOR", "DeviceFaultEvent", "FaultInjector",
                   "NullInjector"),
     ".scenarios": ("arm_slot_faults", "schedule_client_crash"),

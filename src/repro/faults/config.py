@@ -10,6 +10,10 @@ assert recovery instead of merely surviving.
 Configs are CLI-friendly: ``FaultConfig.parse("seed=7,lost_ack=1,
 slot_fault_rate=2")`` builds one from the ``--faults`` argument of
 ``colocate``/``cluster``.
+
+An entry point honours the fields its layers consult (:data:`HONOURED`)
+and rejects the rest when it is built
+(:meth:`FaultConfig.reject_unhonoured`): an ignored knob is an error.
 """
 
 from __future__ import annotations
@@ -18,11 +22,23 @@ from dataclasses import dataclass, fields
 
 from ..errors import HarnessError
 
-__all__ = ["FaultConfig"]
+__all__ = ["FaultConfig", "HONOURED"]
 
 #: probability fields, validated to lie in [0, 1]
 _RATE_FIELDS = ("drop", "duplicate", "corrupt", "delay", "kernel_fault",
                 "transform_fail_rate", "lost_ack")
+
+#: the fields each entry point honours besides ``seed``; ``lost_ack``
+#: and ``transform_fail_rate`` act on Tally's PTB and transformations
+HONOURED = {entry: frozenset(names.split()) for entry, names in {
+    "TallyServer": "drop duplicate corrupt delay delay_time "
+                   "crash_after_calls kernel_fault transform_fail_rate",
+    "run_colocation": "transform_fail_rate lost_ack slot_fault_rate crash_at",
+    "ClusterController": "transform_fail_rate lost_ack slot_fault_rate "
+                         "device_crash_rate device_degraded_rate "
+                         "degraded_factor degraded_duration "
+                         "device_flap_rate flap_count flap_period",
+}.items()}
 
 
 @dataclass(frozen=True)
@@ -112,6 +128,20 @@ class FaultConfig:
         if self.flap_period <= 0:
             raise HarnessError("flap_period must be > 0")
 
+    def reject_unhonoured(self, entry_point: str, hint: str = "") -> None:
+        """Raise :class:`HarnessError` naming each field ``entry_point``
+        does not honour that is set away from its default, the entry
+        points that do honour it, and ``hint``."""
+        ignored = [
+            f"{f.name}={getattr(self, f.name)!r} (honoured by "
+            + ", ".join(e for e, names in HONOURED.items() if f.name in names)
+            + ")" for f in fields(self)
+            if f.name != "seed" and f.name not in HONOURED[entry_point]
+            and getattr(self, f.name) != f.default]
+        if ignored:
+            raise HarnessError(f"{entry_point} ignores FaultConfig "
+                               + "; ".join(filter(None, [*ignored, hint])))
+
     @property
     def any_channel_faults(self) -> bool:
         return (self.drop > 0 or self.duplicate > 0 or self.corrupt > 0
@@ -128,7 +158,7 @@ class FaultConfig:
         """Build a config from a ``key=value,key=value`` CLI string.
 
         Keys are the dataclass field names; values are parsed by the
-        field's type (``seed=7,drop=0.01,crash_at=2.5``).
+        field's type (``seed=7,lost_ack=0.01,crash_at=2.5``).
         """
         known = {f.name: f for f in fields(FaultConfig)}
         values: dict[str, object] = {}

@@ -62,6 +62,7 @@ from ..errors import (
     HarnessError,
     VirtError,
 )
+from ..engine.sync import CommitTracer, ShardBuffer
 from ..gpu import EventLoop
 from ..harness.sweep import pool_map
 from ..metrics import OverloadReport, attainment_through_window
@@ -196,18 +197,6 @@ class _StormCell:
     trace_events: tuple = ()
 
 
-class _CellBuffer:
-    """Tracer-shaped buffer: shard events queue for the GVT merge."""
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.events: list = []
-
-    def emit(self, event) -> None:
-        self.events.append(event)
-
-
 def _storm_cell(config: StormConfig, shard: int,
                 collect_events: bool = False) -> _StormCell:
     """Run one service shard: a self-contained seeded simulation.
@@ -217,7 +206,7 @@ def _storm_cell(config: StormConfig, shard: int,
     index, so a client's arrival process is the same under any shard
     count) and a server replica with ``capacity / shards``.
     """
-    tracer = _CellBuffer() if collect_events else NULL_TRACER
+    tracer = ShardBuffer() if collect_events else NULL_TRACER
     engine = EventLoop()
     server = _SaturableServer(
         engine, config, capacity=config.capacity / config.shards)
@@ -285,7 +274,7 @@ def _storm_cell(config: StormConfig, shard: int,
         peak_backlog=server.peak_backlog,
         checks=checks,
         events=engine.events_processed,
-        trace_events=tuple(tracer.events) if collect_events else (),
+        trace_events=tuple(tracer) if collect_events else (),
     )
 
 
@@ -307,7 +296,6 @@ def run_storm(config: StormConfig, *, tracer=None,
                      range(shards), jobs=jobs)
 
     if want_events:
-        from ..engine import CommitTracer
         commit = CommitTracer(tracer)
         for shard, cell in enumerate(cells):
             commit.add_shard_events(shard, list(cell.trace_events))

@@ -33,6 +33,7 @@ from ..faults import FaultConfig, FaultInjector
 from ..gpu import A100_SXM4_40GB, EventLoop, GPUDevice, GPUSpec
 from ..metrics import LatencySummary, ServingSLO, ServingSummary
 from ..trace import Tracer
+from ..transform.memo import TransformMemo
 from ..traffic import TrafficTrace, bursty_trace, maf_trace, poisson_trace
 from ..workloads import InferenceJob, TrainingJob, get_model
 from ..workloads.llm_models import get_llm_model
@@ -295,9 +296,10 @@ def run_colocation(policy_name: str, jobs: list[JobSpec],
 
     ``faults`` (a :class:`~repro.faults.FaultConfig` or a pre-built
     :class:`~repro.faults.FaultInjector`) enables seeded fault
-    injection — device kernel faults, slot faults, client crashes —
-    and arms the crash times on each :class:`JobSpec` (see
-    ``docs/fault_tolerance.md``).  ``FaultConfig.crash_at`` without a
+    injection — lost preemption acks, transformation faults, slot
+    faults, client crashes — and arms the crash times on each
+    :class:`JobSpec` (see ``docs/fault_tolerance.md``); a knob a run
+    does not honour raises :class:`~repro.errors.HarnessError`.  ``FaultConfig.crash_at`` without a
     per-job ``crash_at`` kills the first best-effort client, the
     common chaos scenario.  Injection is off — and free — by default.
     """
@@ -318,6 +320,8 @@ def run_colocation(policy_name: str, jobs: list[JobSpec],
         injector = FaultInjector(faults)
     else:
         injector = faults  # pre-built (possibly shared) injector
+    if injector is not None:
+        injector.config.reject_unhonoured("run_colocation")
 
     if config.check_memory:
         capacity = (config.memory_capacity_bytes
@@ -431,20 +435,20 @@ def _arm_faults(injector: FaultInjector, drivers: list[tuple[JobSpec, object]],
 # Standalone baselines (cached)
 # ---------------------------------------------------------------------------
 
+#: bound on memoized baselines (so unbounded parameter sweeps cannot
+#: grow the store forever)
+STANDALONE_MEMO_CAPACITY = 256
+
 # The key holds every input a solo run reads: the job, the whole
 # (frozen) GPUSpec rather than its name, the window, the traffic shape
 # and the serving SLO that LLM goodput is judged against.
 # Each entry pins the explicit traffic object (when one was supplied)
 # alongside the result: the key uses id(traffic), and without a strong
 # reference a garbage-collected traffic list could recycle its id and
-# alias a different workload's baseline.  The cache is per-process —
+# alias a different workload's baseline.  The store is per-process —
 # sweep workers (see sweep.py) each warm their own, which only costs
 # repeated baseline runs, never stale or cross-process state.
-_STANDALONE_CACHE: dict[tuple, tuple[JobResult, object]] = {}
-
-#: entry bound; oldest entries are evicted first (dict preserves
-#: insertion order) so unbounded parameter sweeps can't grow it forever
-_STANDALONE_CACHE_MAX = 256
+_STANDALONE = TransformMemo(STANDALONE_MEMO_CAPACITY)
 
 
 def standalone(job: JobSpec, config: RunConfig | None = None) -> JobResult:
@@ -457,18 +461,16 @@ def standalone(job: JobSpec, config: RunConfig | None = None) -> JobResult:
         config.traffic_kind, config.burst_ratio, config.trace_seed,
         config.slo,
     )
-    cached = _STANDALONE_CACHE.get(key)
+    cached = _STANDALONE.get(key)
     if cached is not None and cached[1] is job.traffic:
         return cached[0]
     solo = replace(job, priority=Priority.HIGH)
     result = run_colocation("Ideal", [solo], config)
     job_result = next(iter(result.jobs.values()))
-    while len(_STANDALONE_CACHE) >= _STANDALONE_CACHE_MAX:
-        _STANDALONE_CACHE.pop(next(iter(_STANDALONE_CACHE)))
-    _STANDALONE_CACHE[key] = (job_result, job.traffic)
+    _STANDALONE.put(key, (job_result, job.traffic))
     return job_result
 
 
 def clear_standalone_cache() -> None:
     """Drop cached standalone baselines (tests use this)."""
-    _STANDALONE_CACHE.clear()
+    _STANDALONE.clear()

@@ -15,11 +15,10 @@ same discrete-event substrate as the rest of the suite:
   served model — prompt and output length distributions,
   per-token prefill/decode costs, KV bytes per token, batching limits,
   and the KV pool carved out of device memory;
-* a :class:`KVCache` accounts per-request cache blocks (paged, vLLM
-  style) through :class:`~repro.runtime.memory.MemoryManager`, so
-  allocation, growth, eviction, and release flow through the same
-  allocator the functional runtime uses and conservation is auditable
-  (bytes allocated == bytes freed at drain);
+* a :class:`KVCache` counts per-request cache blocks (paged, vLLM
+  style) in a bounded pool, with lifetime allocation and free counters
+  that make conservation auditable (blocks allocated == blocks freed
+  at drain);
 * an :class:`LLMServingJob` drives requests from a
   :class:`~repro.traffic.TrafficTrace` through a sharing policy: it
   submits prefill-chunk and batched-decode-step kernels, admits
@@ -45,7 +44,6 @@ from ..baselines.base import Priority, SharingPolicy
 from ..errors import WorkloadError
 from ..gpu.engine import EventLoop
 from ..metrics.serving import ServingSLO, ServingSummary
-from ..runtime.memory import MemoryManager
 from .. import trace
 from ..traffic.maf import TrafficTrace
 from .llm_models import LLMServingModel
@@ -65,33 +63,22 @@ __all__ = [
 class KVCache:
     """Paged per-request KV accounting over a bounded pool.
 
-    Every block is a real :class:`~repro.runtime.memory.MemoryManager`
-    allocation (one element per token), so cache pressure is exercised
-    through the same allocator the functional runtime uses and the
-    drain invariant — every element allocated is eventually freed — is
-    checked against the manager's lifetime counters, not a shadow
-    tally.
+    A request holds whole blocks of ``kv_block_tokens`` tokens;
+    ``used_tokens`` counts every token of every held block, and the
+    lifetime counters ``block_allocs``/``block_frees`` audit the drain
+    invariant (every block allocated is eventually freed).
     """
 
-    def __init__(self, model: LLMServingModel,
-                 manager: MemoryManager | None = None) -> None:
+    def __init__(self, model: LLMServingModel) -> None:
         self.model = model
-        self.manager = manager if manager is not None else MemoryManager()
         self.capacity_tokens = model.kv_capacity_tokens()
-        self._blocks: dict[int, list] = {}  # request index -> block refs
+        self._blocks: dict[int, int] = {}  # request index -> blocks held
         self._block_tokens = model.kv_block_tokens
+        self.used_tokens = 0
         self.block_allocs = 0
         self.block_frees = 0
 
     # ------------------------------------------------------------------
-    @property
-    def used_tokens(self) -> int:
-        return self.manager.live_bytes()  # one element per token
-
-    @property
-    def used_bytes(self) -> int:
-        return self.used_tokens * self.model.kv_bytes_per_token
-
     @property
     def utilization(self) -> float:
         return self.used_tokens / self.capacity_tokens
@@ -113,10 +100,10 @@ class KVCache:
                 f"KV pool cannot hold {tokens} tokens "
                 f"({self.used_tokens}/{self.capacity_tokens} used)"
             )
-        refs = [self.manager.malloc(self._block_tokens)
-                for _ in range(self.blocks_for(tokens))]
-        self._blocks[index] = refs
-        self.block_allocs += len(refs)
+        blocks = self.blocks_for(tokens)
+        self._blocks[index] = blocks
+        self.used_tokens += blocks * self._block_tokens
+        self.block_allocs += blocks
 
     def grow(self, index: int, tokens_now: int) -> bool:
         """Ensure ``tokens_now`` tokens fit; returns False on pressure.
@@ -124,25 +111,27 @@ class KVCache:
         Growth is block-granular: most steps are free, and a False
         return means the pool is exhausted — the driver must evict.
         """
-        refs = self._blocks.get(index)
-        if refs is None:
+        held = self._blocks.get(index)
+        if held is None:
             raise WorkloadError(f"request {index} holds no KV blocks")
-        needed = self.blocks_for(tokens_now)
-        while len(refs) < needed:
-            if self.used_tokens + self._block_tokens > self.capacity_tokens:
-                return False
-            refs.append(self.manager.malloc(self._block_tokens))
-            self.block_allocs += 1
-        return True
+        wanted = self.blocks_for(tokens_now) - held
+        if wanted <= 0:
+            return True
+        # the blocks that fit are kept even when the rest do not
+        free = (self.capacity_tokens - self.used_tokens) // self._block_tokens
+        taken = min(wanted, free)
+        self._blocks[index] = held + taken
+        self.used_tokens += taken * self._block_tokens
+        self.block_allocs += taken
+        return taken == wanted
 
     def release(self, index: int) -> None:
         """Free every block of a finished or evicted request."""
-        refs = self._blocks.pop(index, None)
-        if refs is None:
+        held = self._blocks.pop(index, None)
+        if held is None:
             return
-        for ref in refs:
-            self.manager.free(ref)
-        self.block_frees += len(refs)
+        self.used_tokens -= held * self._block_tokens
+        self.block_frees += held
 
     def release_all(self) -> None:
         for index in list(self._blocks):
@@ -285,7 +274,6 @@ class LLMServingJob:
                  policy: SharingPolicy, client_id: str, *,
                  priority: Priority = Priority.HIGH,
                  seed: int = 0,
-                 kv_manager: MemoryManager | None = None,
                  brownout: BrownoutConfig | None = None,
                  ttft_deadline: float | None = None) -> None:
         self.model = model
@@ -295,7 +283,7 @@ class LLMServingJob:
         self.client_id = client_id
         self.priority = priority
         self.spec = policy.device.spec
-        self.kv = KVCache(model, kv_manager)
+        self.kv = KVCache(model)
         self.requests: list[LLMRequest] = []
         self.evictions = 0
         self.crashed = False

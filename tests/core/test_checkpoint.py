@@ -17,7 +17,6 @@ from repro.runtime import FatBinary, MemoryManager, MemorySnapshot
 from repro.runtime.api import CudaRuntime
 from repro.virt.interposer import InterposedBackend
 from repro.virt.protocol import Envelope, MallocRequest, checksum_of
-from repro.workloads import KVCache, get_llm_model
 
 
 def runtime_for(channel, client_id):
@@ -131,25 +130,3 @@ class TestMigrateClient:
         assert target.replay_hits == 1
         live_after = target.client("tenant").memory_manager.live_bytes()
         assert live_after == live_before  # no second allocation
-
-    def test_kv_cache_occupancy_is_captured(self):
-        """LLM KV blocks are MemoryManager allocations — they migrate."""
-        source, target = TallyServer(), TallyServer()
-        source.connect("llm", Priority.HIGH)
-        model = get_llm_model("llama7b_serve")
-        kv = KVCache(model, source.client("llm").memory_manager)
-        kv.admit(0, 300)
-        kv.admit(1, 120)
-        used = kv.used_tokens
-        assert used > 0
-        ckpt = source.checkpoint("llm")
-        assert ckpt.live_elements == used
-        migrate_client(source, target, "llm")
-        restored = target.client("llm").memory_manager
-        assert restored.live_bytes() == used
-        # The restored pool keeps functioning: release on a KVCache
-        # rebuilt over the migrated manager frees real allocations.
-        moved_kv = KVCache(model, restored)
-        moved_kv._blocks = kv._blocks  # the driver's block map moves too
-        moved_kv.release_all()
-        assert restored.live_bytes() == 0

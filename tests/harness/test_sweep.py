@@ -47,7 +47,7 @@ class TestRunSweep:
         assert all(r.invariant_checks > 0 for r in parallel)
 
     def test_parallel_matches_serial_under_faults(self):
-        faults = FaultConfig(seed=3, drop=0.02, lost_ack=0.1)
+        faults = FaultConfig(seed=3, lost_ack=0.1, slot_fault_rate=4.0)
         cases = seed_sweep("REEF", JOBS, CONFIG, seeds=range(2),
                            faults=faults)
         serial = run_sweep(cases, jobs=1)
@@ -55,6 +55,7 @@ class TestRunSweep:
         assert dicts(serial) == dicts(parallel)
         assert [r.fault_counts for r in serial] == \
             [r.fault_counts for r in parallel]
+        assert all(r.fault_counts.get("slot_fault") for r in serial)
 
     def test_parallel_matches_serial_with_warm_memo(self):
         """Workers warmed from the parent's transform-memo snapshot

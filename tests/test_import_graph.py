@@ -9,7 +9,11 @@ re-export.
   inputs as the benchmark child does, load a bounded set of ``repro``
   modules and none of the functional stack (PTX, the functional
   runtime, virtualization, transform pipeline), the LLM serving driver,
-  the cluster, the parallel engine or the process machinery.
+  the cluster, the parallel engine or the process machinery.  A
+  cluster_failover set-up has a budget of its own.
+* **Timing only.** No benchmark workload's set-up loads the functional
+  stack: the timing simulator builds no server, channel or buffer
+  allocator.
 * **Public surface.** Every name in every package's ``__all__``
   resolves, is listed by ``dir()`` and survives ``import *``.
 * **Timed window.** For each benchmark workload, everything the
@@ -39,6 +43,12 @@ FORBIDDEN = ("repro.ptx", "repro.runtime", "repro.workloads.llm",
              "repro.virt", "repro.cluster", "repro.engine",
              "repro.transform.pipeline", "multiprocessing",
              "concurrent.futures", "socket")
+#: repro modules and source lines a cluster_failover set-up may load
+#: (80 modules and 15,398 lines while each shard built a TallyServer)
+CLUSTER_SETUP_MODULES, CLUSTER_SETUP_LINES = 60, 11_300
+#: the functional half of Tally, which no timing run executes
+FUNCTIONAL = ("repro.ptx", "repro.runtime", "repro.virt",
+              "repro.core.server", "repro.transform.pipeline")
 COLOCATION_WORKLOADS = ("fig4_tally", "fig4_tgs", "llm_serve")
 #: the ``BENCHMARK.json`` workloads
 WORKLOADS = (*COLOCATION_WORKLOADS, "cluster_failover")
@@ -97,6 +107,16 @@ def test_the_cli_loads_no_event_class():
 def test_no_colocation_setup_loads_the_process_machinery(workload):
     report = probe(_child(f"child.build_inputs({workload!r}, 0)"))
     assert _loaded(report, ("multiprocessing", "concurrent.futures")) == []
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_no_benchmark_setup_loads_the_functional_stack(workload):
+    report = probe(_child(f"child.build_inputs({workload!r}, 0)"))
+    assert _loaded(report, FUNCTIONAL) == []
+    if workload == "cluster_failover":
+        modules = report["repro"]
+        assert len(modules) <= CLUSTER_SETUP_MODULES, sorted(modules)
+        assert sum(modules.values()) <= CLUSTER_SETUP_LINES
 
 
 @pytest.mark.slow

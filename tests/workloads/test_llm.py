@@ -113,8 +113,7 @@ def test_kv_cache_paged_accounting():
     assert kv.used_tokens == 24
     kv.release(0)
     assert kv.used_tokens == 0
-    mm = kv.manager
-    assert mm.allocated_elements_total == mm.freed_elements_total
+    assert kv.block_allocs == kv.block_frees == 3
 
 
 def test_kv_cache_rejects_double_admit_and_unknown_grow():
@@ -176,11 +175,9 @@ def test_kv_bytes_allocated_equal_freed_at_drain():
     model = _tiny_model()
     traffic = poisson_trace(8.0, 8.0, seed=3)
     job = _run(model, traffic, 12.0)
-    mm = job.kv.manager
-    assert mm.allocated_elements_total > 0
-    assert mm.allocated_elements_total == mm.freed_elements_total
-    assert mm.live_bytes() == 0
+    assert job.kv.block_allocs > 0
     assert job.kv.block_allocs == job.kv.block_frees
+    assert job.kv.used_tokens == 0
 
 
 def test_token_counts_match_request_outputs():
@@ -212,8 +209,8 @@ def test_eviction_under_kv_pressure():
     evicted = [r for r in job.requests if r.evicted]
     assert len(evicted) == job.evictions
     # Evicted requests are terminal and their KV is freed.
-    mm = job.kv.manager
-    assert mm.allocated_elements_total == mm.freed_elements_total
+    assert job.kv.block_allocs == job.kv.block_frees
+    assert job.kv.used_tokens == 0
     # Non-evicted admitted requests still completed.
     assert job.completed_requests > 0
 
@@ -255,8 +252,8 @@ def test_crash_sheds_state_and_frees_kv():
     engine.run_until(8.0)
     assert job.crashed
     assert job.pending_requests == 0
-    mm = job.kv.manager
-    assert mm.allocated_elements_total == mm.freed_elements_total
+    assert job.kv.block_allocs == job.kv.block_frees
+    assert job.kv.used_tokens == 0
     # Completions before the crash are retained.
     assert all(r.finished is None or r.finished <= 2.0
                for r in job.requests if r.completed)
