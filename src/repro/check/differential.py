@@ -30,11 +30,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from ..errors import HarnessError
 from ..gpu.device import DeviceLaunch, GPUDevice
 from ..gpu.engine import EventLoop
 from ..gpu.kernel import KernelDescriptor, LaunchConfig, LaunchKind
 from ..gpu.specs import A100_SXM4_40GB, GPUSpec
+from ..harness.colocate import POLICY_NAMES, make_policy
 from .invariants import InvariantChecker
 
 __all__ = [
@@ -51,10 +51,6 @@ __all__ = [
     "run_mix",
     "run_validation",
 ]
-
-#: every sharing policy the differential layer exercises
-POLICY_NAMES = ("Ideal", "Time-Slicing", "MPS", "MPS-Priority",
-                "TGS", "REEF", "Tally")
 
 #: relative tolerance for float-exact comparisons (accumulated
 #: floating-point addition over event times, nothing more)
@@ -95,24 +91,6 @@ class KernelRecord:
     @property
     def latency(self) -> float:
         return self.completed_at - self.submitted_at
-
-
-def make_policy(name: str, device: GPUDevice, engine: EventLoop):
-    """Instantiate a sharing policy by name (harness-independent)."""
-    from ..baselines import MPS, MPSPriority, Ideal, REEF, TGS, TimeSlicing
-    from ..core import Tally
-
-    factories = {
-        "Ideal": Ideal, "Time-Slicing": TimeSlicing, "MPS": MPS,
-        "MPS-Priority": MPSPriority, "TGS": TGS, "REEF": REEF,
-        "Tally": Tally,
-    }
-    try:
-        return factories[name](device, engine)
-    except KeyError:
-        raise HarnessError(
-            f"unknown policy {name!r}; choose from {POLICY_NAMES}"
-        ) from None
 
 
 def _checked_device(spec: GPUSpec, engine: EventLoop, *,

@@ -13,9 +13,10 @@ instance and the workload drivers placed there — each on its own event
 loop in a :class:`~repro.cluster.parallel.ClusterShardDomain`.  The
 controller's loop holds only control events; it reaches the shards
 through the shard engine's op protocol (:mod:`repro.engine`): every
-shard advances exactly to each control event, in-process or, with
-``engine="parallel"`` and ``workers > 1``, in worker processes.  On
-top of the shards it runs:
+shard advances exactly to each control event, on one in-process
+:class:`~repro.engine.shard.ShardHost` or, with ``engine="parallel"``
+and ``workers > 1``, in worker processes.  On top of the shards it
+runs:
 
 * **admission control** — arriving jobs are first-fit placed under the
   same compute-budget / memory / one-HP-per-GPU constraints as
@@ -66,7 +67,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, fields
 
 from ..check import ServiceLedger, check_request_conservation
-from ..engine import CommitTracer, InlineBackend, Op, ProcessBackend
+from ..engine.shard import Op, ShardHost
+from ..engine.sync import CommitTracer
 from ..errors import HarnessError
 from ..faults import DeviceFaultEvent, FaultConfig, FaultInjector
 from ..gpu import EventLoop
@@ -271,8 +273,9 @@ class ClusterController:
     engine (:mod:`repro.engine`) and is reached only through
     timestamped ops.  Every shard advances exactly to each control
     event; ``engine="parallel"`` with ``workers > 1`` runs the shards
-    in that many worker processes, otherwise they run in-process.
-    Both commit bit-identical results.
+    in that many worker processes, otherwise they run in-process (the
+    serial engine rejects ``workers > 1``).  Both commit bit-identical
+    results.
     """
 
     def __init__(self, jobs: list[ClusterJob], devices: int, *,
@@ -299,6 +302,10 @@ class ClusterController:
                 f"engine must be 'serial' or 'parallel', got {engine!r}")
         if workers < 0:
             raise HarnessError(f"workers must be >= 0, got {workers}")
+        if engine == "serial" and workers > 1:
+            raise HarnessError(
+                f"workers={workers} needs engine='parallel'; the serial "
+                f"engine runs every shard in-process")
         if devices < 1:
             raise HarnessError("need at least one device")
         if not jobs:
@@ -385,9 +392,10 @@ class ClusterController:
             config=self.config, policy=policy, check=bool(check),
             faults=faults, traced=self.tracer.enabled)
         if engine == "parallel" and workers > 1 and devices > 1:
+            from ..engine.process import ProcessBackend
             self._backend = ProcessBackend(program, devices, workers)
         else:
-            self._backend = InlineBackend(program, devices)
+            self._backend = ShardHost(program, range(devices))
         self._seq = 0
         #: per-shard events processed, filled in by :meth:`run`
         self.shard_events: dict[int, int] = {}
@@ -1015,7 +1023,8 @@ def run_controlplane(jobs: list[ClusterJob] | None = None,
 
     Every device shard advances exactly to each control event on the
     shard engine (:mod:`repro.engine`); ``engine="parallel"`` runs the
-    shards in ``workers`` processes (``workers<=1`` stays in-process).
+    shards in ``workers`` processes (``workers<=1`` stays in-process;
+    ``engine="serial"`` rejects ``workers > 1``).
     Committed results are bit-identical between the two.
     """
     if placement is not None:

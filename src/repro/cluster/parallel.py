@@ -14,10 +14,12 @@ a single-GPU run's (:func:`~repro.harness.colocate.make_driver`).
 The controller's loop holds only control events, so its next event
 time is a *horizon*: every shard runs exclusively up to it and no
 further, so each op lands on a shard sitting exactly at its time.
-``engine="parallel"`` with ``workers > 1`` advances the shards to each
-horizon in worker processes.  Committed metrics, trace summaries and
-invariant audits are bit-identical between the inline and process
-backends; see ``docs/performance.md`` for measured speedups.
+The serial engine holds every shard on one in-process
+:class:`~repro.engine.shard.ShardHost`; ``engine="parallel"`` with
+``workers > 1`` advances the shards to each horizon in worker
+processes.  Committed metrics, trace summaries and invariant audits
+are bit-identical between the two; see ``docs/performance.md`` for
+measured speedups.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..check import InvariantChecker
-from ..engine.shard import ShardProgram
 from ..engine.sync import ShardBuffer
 from ..errors import HarnessError
 from ..faults import FaultConfig, FaultInjector, arm_slot_faults
@@ -42,7 +43,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ClusterShardProgram(ShardProgram):
+class ClusterShardProgram:
     """Picklable genesis for one cluster shard (configs only)."""
 
     config: RunConfig

@@ -1,11 +1,11 @@
 """Conservative parallel simulation engine: horizon grants, GVT commit.
 
-One large simulation — the cluster control plane, a retry storm — is a
-set of *shards* (device + policy + drivers) whose events are
-almost entirely shard-local: cross-shard interaction happens only at
-*control operations* (admissions, migrations, fault reactions,
-autoscaler ticks) issued by a coordinator at times it already knows.
-This package exploits that structure:
+One large simulation — the cluster control plane — is a set of
+*shards* (device + policy + drivers) whose events are almost entirely
+shard-local: cross-shard interaction happens only at *control
+operations* (admissions, migrations, fault reactions, autoscaler
+ticks) issued by a coordinator at times it already knows.  This
+package exploits that structure:
 
 * each shard owns a **private** :class:`~repro.gpu.engine.EventLoop`
   and advances independently;
@@ -19,19 +19,17 @@ This package exploits that structure:
   merge order (:class:`~repro.engine.sync.CommitTracer`) and their
   buffers fossil-collected.
 
-Backends: :class:`~repro.engine.backends.InlineBackend` runs every
-shard in-process (the serial engine and ``workers<=1``);
-:class:`~repro.engine.backends.ProcessBackend` runs shard groups in
-worker processes that advance to each grant in parallel — the
-configuration that buys wall-clock speedup.  Both speak the identical
-protocol and commit bit-identical results (see ``docs/performance.md``).
+One :class:`~repro.engine.shard.ShardHost` runs every shard
+in-process; :class:`~repro.engine.process.ProcessBackend`, imported
+only when worker processes are asked for, runs one host per worker and
+advances them to each grant in parallel.  Both commit bit-identical
+results (see ``docs/performance.md``).
 """
 
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".backends": ("EngineBackend", "InlineBackend", "ProcessBackend"),
-    ".ops": ("Op", "OpQueue"),
-    ".shard": ("ShardCell", "ShardProgram", "WorkerHost"),
+    ".process": ("ProcessBackend",),
+    ".shard": ("Op", "ShardHost"),
     ".sync": ("CommitTracer", "ShardBuffer"),
 })

@@ -12,9 +12,9 @@ real tracer in a deterministic merge order:
 work shards then perform); per-source arrival order last.
 Cross-source ties at *identical float timestamps* are measure-zero
 between continuous processes, so this normalized order makes the
-committed trace the same on either backend, up to same-timestamp
-permutation — summaries (which count, not order) are bit-identical,
-and the bit-identity suite asserts exactly that.
+committed trace the same in-process or in worker processes, up to
+same-timestamp permutation — summaries (which count, not order) are
+bit-identical, and the bit-identity suite asserts exactly that.
 """
 
 from __future__ import annotations

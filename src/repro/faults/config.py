@@ -143,11 +143,6 @@ class FaultConfig:
                                + "; ".join(filter(None, [*ignored, hint])))
 
     @property
-    def any_channel_faults(self) -> bool:
-        return (self.drop > 0 or self.duplicate > 0 or self.corrupt > 0
-                or self.delay > 0 or self.crash_after_calls is not None)
-
-    @property
     def any_device_faults(self) -> bool:
         """Whether any cluster-level device fault kind is enabled."""
         return (self.device_crash_rate > 0 or self.device_degraded_rate > 0

@@ -143,6 +143,21 @@ def test_engine_parameter_is_validated():
                          workers=-4)
 
 
+def test_serial_engine_rejects_workers():
+    """Workers need the parallel engine; the serial one would run
+    in-process without saying so."""
+    message = "workers=4 needs engine='parallel'"
+    with pytest.raises(HarnessError, match=message):
+        ClusterController(_jobs(), 3, config=_CONFIG, workers=4)
+    with pytest.raises(HarnessError, match=message):
+        run_controlplane(jobs=_jobs(), devices=3, config=_CONFIG,
+                         engine="serial", workers=4)
+    # one worker, or the parallel engine with one, stays in-process
+    ClusterController(_jobs(), 3, config=_CONFIG, workers=1)
+    ClusterController(_jobs(), 3, config=_CONFIG, engine="parallel",
+                      workers=1)
+
+
 def _oracle_placement(seed: int) -> Placement:
     """Three bins, each an HP service next to a trainer."""
     pairs = [("bert_infer", "resnet50_train"),

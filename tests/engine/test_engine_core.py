@@ -3,22 +3,18 @@
 A toy counting domain stands in for the cluster: one tick per second
 increments a counter and emits an output event, and cross-shard ops
 add to the counter.  These tests assert the horizon protocol's
-mechanics: exclusive grants, ops coasting forward (and refusing to land
-behind a shard's clock), exactly-once output shipping and GVT ordering.
+mechanics on the in-process shard host: exclusive grants, ops coasting
+forward (and refusing to land behind a shard's clock), exactly-once
+output shipping and GVT ordering; and that the process backend gives
+the same results, applying batched ops in push order.
 """
 
 from dataclasses import dataclass
 
 import pytest
 
-from repro.engine import (
-    CommitTracer,
-    InlineBackend,
-    Op,
-    OpQueue,
-    ShardCell,
-    ShardProgram,
-)
+from repro.engine import CommitTracer, Op, ShardHost
+from repro.engine.process import ProcessBackend
 from repro.gpu import EventLoop
 
 
@@ -37,6 +33,7 @@ class _ToyDomain:
         self.index = index
         self.outputs: list[_Evt] = []
         self.value = 0
+        self.added: list[tuple[float, int]] = []
         t = 1.0
         while t <= until:
             self.loop.schedule_at(t, self._tick)
@@ -49,12 +46,15 @@ class _ToyDomain:
     def apply(self, kind: str, payload, at: float):
         if kind == "add":
             self.value += payload
+            self.added.append((at, payload))
             return None
         if kind == "read":
             return self.value
         raise AssertionError(f"unknown op {kind!r}")
 
     def query(self, kind: str, payload):
+        if kind == "added":
+            return self.added
         assert kind == "value"
         return self.value
 
@@ -64,7 +64,7 @@ class _ToyDomain:
 
 
 @dataclass(frozen=True)
-class _ToyProgram(ShardProgram):
+class _ToyProgram:
     until: float = 10.0
 
     def build(self, index: int) -> _ToyDomain:
@@ -74,20 +74,6 @@ class _ToyProgram(ShardProgram):
 def _op(seq, shard, at, kind="add", payload=1, want_result=False):
     return Op(seq=seq, shard=shard, at=at, kind=kind, payload=payload,
               want_result=want_result)
-
-
-# ---------------------------------------------------------------------------
-# OpQueue: the coordinator's outbox
-# ---------------------------------------------------------------------------
-
-def test_opqueue_preserves_push_order():
-    q = OpQueue()
-    ops = [_op(i, 0, float(i)) for i in range(5)]
-    for op in ops:
-        q.push(op)
-    assert q.drain() == ops
-    assert q.drain() == []
-
 
 
 # ---------------------------------------------------------------------------
@@ -129,80 +115,119 @@ def test_commit_tracer_frees_committed_buffers():
 
 
 # ---------------------------------------------------------------------------
-# ShardCell: exclusive grants, coasting ops, exactly-once outputs
+# ShardHost: exclusive grants, coasting ops, exactly-once outputs
 # ---------------------------------------------------------------------------
 
+def _host(shards: int = 1) -> ShardHost:
+    host = ShardHost(_ToyProgram(), range(shards))
+    host.start()
+    return host
+
+
 def test_advance_never_runs_a_grant_time_event():
-    cell = ShardCell(_ToyProgram(), 0)
-    cell.advance(2.0)
+    host = _host()
+    domain = host.domains[0]
+    host.advance(2.0)
     # exclusive: the tick at exactly 2.0 has not run
-    assert cell.domain.value == 1
-    assert cell.domain.loop.now == 2.0
-    assert cell.domain.loop.peek_time() == 2.0
+    assert domain.value == 1
+    assert domain.loop.now == 2.0
+    assert domain.loop.peek_time() == 2.0
     # an op issued at the grant applies before the grant-time tick
-    assert cell.apply(_op(0, 0, 2.0, kind="read", want_result=True)) == 1
-    cell.advance(2.0)  # re-granting the same horizon runs nothing
-    assert cell.domain.value == 1
-    cell.advance(4.5)
-    assert cell.domain.value == 4
-    assert cell.events_processed == 4
+    assert host.op(_op(0, 0, 2.0, kind="read", want_result=True)) == 1
+    host.advance(2.0)  # re-granting the same horizon runs nothing
+    assert domain.value == 1
+    host.advance(4.5)
+    assert domain.value == 4
+    assert domain.loop.events_processed == 4
 
 
 def test_apply_in_the_future_coasts_forward():
-    cell = ShardCell(_ToyProgram(), 0)
-    result = cell.apply(_op(0, 0, 3.5, kind="read", want_result=True))
+    host = _host()
+    result = host.op(_op(0, 0, 3.5, kind="read", want_result=True))
     assert result == 3  # ticks 1..3 ran on the way
-    assert cell.domain.loop.now == 3.5
+    assert host.domains[0].loop.now == 3.5
+    # an op without want_result returns nothing
+    assert host.op(_op(1, 0, 3.5, kind="read")) is None
 
 
 def test_op_behind_the_shard_clock_raises():
     """A shard never runs past its grant, so an op timestamped before
     its clock means the horizon protocol is broken."""
-    cell = ShardCell(_ToyProgram(), 0)
-    cell.advance(4.5)
+    host = _host()
+    host.advance(4.5)
     with pytest.raises(RuntimeError, match="horizon protocol broken"):
-        cell.apply(_op(7, 0, 3.5, payload=10))
-    assert cell.domain.value == 4  # the op never applied
+        host.op(_op(7, 0, 3.5, payload=10))
+    assert host.domains[0].value == 4  # the op never applied
     # an op exactly at the clock is fine
-    cell.apply(_op(8, 0, 4.5, payload=10))
-    assert cell.domain.value == 14
+    host.op(_op(8, 0, 4.5, payload=10))
+    assert host.domains[0].value == 14
 
 
 def test_drain_outputs_ships_each_output_once():
-    cell = ShardCell(_ToyProgram(), 0)
-    cell.advance(4.5)
-    assert [e.ts for e in cell.drain_outputs(4.5)] == [1.0, 2.0, 3.0, 4.0]
-    assert cell.drain_outputs(4.5) == []
-    cell.advance(6.0)
+    host = _host()
+    shipped = host.advance(4.5)
+    assert [e.ts for e in shipped[0]] == [1.0, 2.0, 3.0, 4.0]
+    assert host.advance(4.5) == {}
     # the grant-time tick at 6.0 has not run; 5.0 ships alone
-    assert [e.ts for e in cell.drain_outputs(6.0)] == [5.0]
-    assert cell.domain.outputs == []  # shipped buffers are freed
+    assert [e.ts for e in host.advance(6.0)[0]] == [5.0]
+    assert host.domains[0].outputs == []  # shipped buffers are freed
 
 
-# ---------------------------------------------------------------------------
-# InlineBackend: the protocol end to end
-# ---------------------------------------------------------------------------
-
-def test_inline_backend_ships_outputs_exactly_once():
-    backend = InlineBackend(_ToyProgram(), 2)
-    backend.start()
+def _drive(host) -> dict[int, list]:
+    """The protocol end to end on two shards; returns what shipped."""
     shipped = {0: [], 1: []}
 
     def collect(outputs):
         for index, events in outputs.items():
             shipped[index].extend(events)
 
-    collect(backend.advance(2.5))
-    assert backend.op(_op(0, 0, 2.5, payload=10)) is None
-    collect(backend.advance(4.0))
-    assert backend.query(0, "value", None) == 13
-    collect(backend.advance(4.0))  # same grant again: nothing new
-    reports, outputs, stats = backend.finalize(10.0)
-    collect(outputs)
+    host.start()
+    try:
+        collect(host.advance(2.5))
+        assert host.op(_op(0, 0, 2.5, payload=10)) is None
+        collect(host.advance(4.0))
+        assert host.query(0, "value", None) == 13
+        collect(host.advance(4.0))  # same grant again: nothing new
+        reports, outputs, stats = host.finalize(10.0)
+        collect(outputs)
+    finally:
+        host.stop()
     assert reports[0] == (20, 10)
     assert reports[1] == (10, 10)
     assert stats == {0: 10, 1: 10}
+    return shipped
+
+
+def test_host_ships_outputs_exactly_once():
+    shipped = _drive(ShardHost(_ToyProgram(), range(2)))
     for index in (0, 1):
         assert [e.ts for e in shipped[index]] == [
             float(t) for t in range(1, 11)]
-    backend.stop()
+
+
+# ---------------------------------------------------------------------------
+# ProcessBackend: the same verbs over worker pipes
+# ---------------------------------------------------------------------------
+
+def test_process_backend_matches_the_host():
+    inline = _drive(ShardHost(_ToyProgram(), range(2)))
+    assert _drive(ProcessBackend(_ToyProgram(), 2, workers=2)) == inline
+
+
+def test_process_backend_applies_batched_ops_in_push_order():
+    """Ops sent without a reply wait in their worker's outbox; a
+    blocking query flushes them first, and the worker applies them in
+    push order before it answers."""
+    backend = ProcessBackend(_ToyProgram(), 2, workers=2)
+    backend.start()
+    try:
+        backend.advance(2.5)
+        pushed = [(2.5, 3), (2.5, 1), (3.5, 2), (3.5, 7)]
+        for seq, (at, payload) in enumerate(pushed):
+            assert backend.op(_op(seq, 0, at, payload=payload)) is None
+        assert len(backend._outboxes[0]) == len(pushed)  # nothing sent
+        assert backend.query(0, "added", None) == pushed
+        assert backend.query(0, "value", None) == 3 + 13
+        assert backend.query(1, "added", None) == []
+    finally:
+        backend.stop()

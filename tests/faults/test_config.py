@@ -9,7 +9,6 @@ from repro.faults import FaultConfig
 class TestValidation:
     def test_defaults_are_all_off(self):
         cfg = FaultConfig()
-        assert not cfg.any_channel_faults
         assert cfg.crash_after_calls is None and cfg.crash_at is None
 
     @pytest.mark.parametrize("field", ["drop", "duplicate", "corrupt",
@@ -25,11 +24,6 @@ class TestValidation:
         with pytest.raises(HarnessError):
             FaultConfig(slot_fault_rate=-1.0)
         FaultConfig(slot_fault_rate=7.5)  # a rate, not a probability
-
-    def test_any_channel_faults(self):
-        assert FaultConfig(drop=0.1).any_channel_faults
-        assert FaultConfig(delay=0.1).any_channel_faults
-        assert not FaultConfig(lost_ack=0.5).any_channel_faults
 
 
 class TestParse:

@@ -73,6 +73,27 @@ def launch_mix(draw):
     return launches, disruptions
 
 
+@st.composite
+def partial_fit_mix(draw):
+    """A grid that leaves exactly ``fit`` blocks' threads and slots free,
+    and one launch below it that wants more than that: ``fit`` lies
+    between an eighth and a quarter of the waiting launch's capacity,
+    the band where the coalescing minimum decides whether a partial
+    chunk starts."""
+    tpb = draw(st.sampled_from([64, 128, 256, 512, 1024]))
+    smem = draw(st.sampled_from([0, 24 * 1024, 48 * 1024]))
+    capacity = SPEC.concurrent_blocks(tpb, smem)
+    fit = draw(st.integers(min_value=capacity // 8,
+                           max_value=capacity // 4 - 1))
+    duration = draw(st.floats(min_value=5e-5, max_value=1e-4))
+    grid = (SPEC.concurrent_blocks(tpb, 0) - fit, tpb, 0, duration, 0,
+            0.0, 0)
+    waiting = (fit + draw(st.integers(min_value=1, max_value=5_000)), tpb,
+               smem, draw(st.floats(min_value=5e-6, max_value=1e-4)), 1,
+               draw(st.floats(min_value=1e-6, max_value=duration / 2)), 0)
+    return [grid, waiting]
+
+
 def _simulate(launches, disruptions=(), boundaries=None, *, world="walk",
               probe=None):
     """Run one mix to the end in ``world`` (``"walk"``, ``"checked"`` or
@@ -149,6 +170,12 @@ def _compare(launches, disruptions=()):
 def test_dispatch_matches_the_resident_scan(mix):
     launches, disruptions = mix
     assume(_compare(launches, disruptions) is not None)
+
+
+@given(partial_fit_mix())
+@_settings
+def test_a_partial_fit_above_the_coalescing_minimum_starts(launches):
+    assert _compare(launches) is not None
 
 
 def test_a_level_of_one_that_fits_no_thread_is_skipped():

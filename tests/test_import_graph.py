@@ -10,7 +10,8 @@ re-export.
   modules and none of the functional stack (PTX, the functional
   runtime, virtualization, transform pipeline), the LLM serving driver,
   the cluster, the parallel engine or the process machinery.  A
-  cluster_failover set-up has a budget of its own.
+  cluster_failover set-up has a budget of its own and loads neither
+  the engine's process backend nor ``multiprocessing``.
 * **Timing only.** No benchmark workload's set-up loads the functional
   stack: the timing simulator builds no server, channel or buffer
   allocator.
@@ -44,8 +45,9 @@ FORBIDDEN = ("repro.ptx", "repro.runtime", "repro.workloads.llm",
              "repro.transform.pipeline", "multiprocessing",
              "concurrent.futures", "socket")
 #: repro modules and source lines a cluster_failover set-up may load
-#: (80 modules and 15,398 lines while each shard built a TallyServer)
-CLUSTER_SETUP_MODULES, CLUSTER_SETUP_LINES = 60, 11_300
+#: (80 modules and 15,398 lines while each shard built a TallyServer,
+#: and 58 modules and 10,862 lines while it loaded the process backend)
+CLUSTER_SETUP_MODULES, CLUSTER_SETUP_LINES = 56, 10_600
 #: the functional half of Tally, which no timing run executes
 FUNCTIONAL = ("repro.ptx", "repro.runtime", "repro.virt",
               "repro.core.server", "repro.transform.pipeline")
@@ -113,10 +115,17 @@ def test_no_colocation_setup_loads_the_process_machinery(workload):
 def test_no_benchmark_setup_loads_the_functional_stack(workload):
     report = probe(_child(f"child.build_inputs({workload!r}, 0)"))
     assert _loaded(report, FUNCTIONAL) == []
-    if workload == "cluster_failover":
-        modules = report["repro"]
-        assert len(modules) <= CLUSTER_SETUP_MODULES, sorted(modules)
-        assert sum(modules.values()) <= CLUSTER_SETUP_LINES
+
+
+def test_a_serial_cluster_setup_loads_no_process_backend():
+    """The process backend loads only when worker processes are asked
+    for; a serial cluster run reaches its shards in-process."""
+    report = probe(_child("child.build_inputs('cluster_failover', 0)\n"
+                          "import repro.cluster"))
+    modules = report["repro"]
+    assert len(modules) <= CLUSTER_SETUP_MODULES, sorted(modules)
+    assert sum(modules.values()) <= CLUSTER_SETUP_LINES
+    assert _loaded(report, ("repro.engine.process", "multiprocessing")) == []
 
 
 @pytest.mark.slow
