@@ -117,23 +117,22 @@ class SharingPolicy(abc.ABC):
         the stretch at the gap instead."""
         return True
 
-    def inline_runner(self, client_id: str) -> Callable[
-            [KernelDescriptor, float, tuple[float, bool]], float | None]:
+    def inline_runner(self, client_id: str) -> Callable | None:
         """How ``client_id``'s kernels settle inline inside a window
-        from :meth:`run_ahead`: a callable ``(descriptor, start, window)
-        -> end | None`` that submits the kernel at ``start`` and
-        returns its completion time, or None (nothing happened) if it
-        would not complete inside ``window``.  By default one ORIGINAL
-        launch alone on the device
-        (:meth:`~repro.gpu.device.GPUDevice.run_solo`).  A stretch
+        from :meth:`run_ahead`: None (the default) if each is one
+        ORIGINAL launch alone on the device, which
+        :meth:`~repro.gpu.device.GPUDevice.run_trace` walks itself;
+        otherwise a callable ``(descriptor, start, window) -> end |
+        None`` that submits the kernel at ``start`` and returns its
+        completion time, or None (nothing happened) if it would not
+        complete inside ``window``.  A stretch
         (:func:`~repro.workloads.runahead.run_ahead`) fetches it once
         and calls :meth:`count_inline` once at its end."""
-        return self.device.run_solo
+        return None
 
     def count_inline(self, client_id: str, kernels: int) -> None:
-        """Count ``kernels`` kernels that :meth:`inline_runner`'s
-        callable ran for ``client_id``, as :meth:`submit` and their
-        completions would have counted them."""
+        """Count ``kernels`` kernels a run-ahead stretch ran for
+        ``client_id``, as :meth:`submit` and their completions would."""
         info = self.clients[client_id]
         info.kernels_submitted += kernels
         info.kernels_completed += kernels

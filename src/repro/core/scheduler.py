@@ -207,13 +207,12 @@ class Tally(SharingPolicy):
         happens when a best-effort client's stream pauses."""
         return self.clients[client_id].priority is not Priority.HIGH
 
-    def inline_runner(self, client_id: str) -> Callable[
-            [KernelDescriptor, float, tuple[float, bool]], float | None]:
+    def inline_runner(self, client_id: str) -> Callable | None:
         """A high-priority kernel runs alone, as on a passthrough
         policy; a best-effort kernel runs its whole execution
         (:meth:`_run_best_effort_inline`)."""
         if self.clients[client_id].priority is Priority.HIGH:
-            return self.device.run_solo
+            return None
         return self._run_best_effort_inline
 
     def count_inline(self, client_id: str, kernels: int) -> None:

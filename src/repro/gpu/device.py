@@ -35,10 +35,11 @@ over block sub-ranges (see :mod:`repro.core.scheduler`).
 An idle, uninstrumented device can also run launches that would start
 alone on it (a passthrough policy's kernels, a Tally high-priority
 client's, a Tally best-effort client's slices or whole launch)
-*inline* (:meth:`GPUDevice.run_solo`, :meth:`GPUDevice.run_solo_ptb`):
-when the event loop proves that nothing else runs before a launch
-ends, its completion time and busy time follow from the same closed
-form without any event at all.
+*inline* (:meth:`GPUDevice.run_solo`, :meth:`GPUDevice.run_solo_ptb`,
+and :meth:`GPUDevice.run_trace` for a trace's whole stretch of solo
+kernels): when the event loop proves that nothing else runs before a
+launch ends, its completion time and busy time follow from the same
+closed form without any event at all.
 
 A mild ``colocation_slowdown`` factor inflates block durations while
 blocks of more than one client are resident, standing in for memory
@@ -74,7 +75,7 @@ __all__ = ["LaunchStatus", "DeviceLaunch", "GPUDevice"]
 _priority = attrgetter("priority")
 
 #: bound on each of a device's solo plan caches (see
-#: :meth:`GPUDevice._solo_plan`)
+#: :meth:`GPUDevice._cache_plan`)
 _SOLO_PLANS_MAX = 4096
 
 
@@ -209,10 +210,13 @@ class GPUDevice:
         self._capacity_cache: dict[tuple[int, int], int] = {}
         #: solo plans of :meth:`run_solo` and :meth:`run_solo_ptb`,
         #: keyed on (descriptor, blocks or workers, threads free, slots
-        #: free); they also depend on the speed factor, so
-        #: :meth:`set_speed_factor` drops them
+        #: free), and the plan lists of :meth:`run_solo`'s chains and
+        #: :meth:`run_trace`'s traces (:meth:`_chain_plan`,
+        #: :meth:`_trace_plan`); they also depend on the speed factor,
+        #: so :meth:`set_speed_factor` drops them
         self._solo_plans: dict[tuple, tuple] = {}
         self._ptb_plans: dict[tuple, tuple | None] = {}
+        self._plan_lists: dict[tuple, tuple] = {}
         #: heap of wave records ``(end, born, seq, launch, count, base,
         #: d, k)``, one per wave or PTB iteration in flight: wave ``k``
         #: of a chunk of ``count`` blocks (workers) priced ``d`` from
@@ -236,9 +240,9 @@ class GPUDevice:
         self._busy_level = 0
         self._touched = 0.0
         self.launches_completed = 0
-        #: events :meth:`run_solo` and :meth:`run_solo_ptb` stand for
-        #: (each launch's arrival and its boundaries), which a run-ahead
-        #: stretch credits
+        #: events :meth:`run_solo`, :meth:`run_solo_ptb` and
+        #: :meth:`run_trace` stand for (each launch's arrival and its
+        #: boundaries), which a run-ahead stretch credits
         self.inline_events = 0
 
     # ------------------------------------------------------------------
@@ -268,6 +272,7 @@ class GPUDevice:
         self._speed_factor = factor
         self._solo_plans.clear()
         self._ptb_plans.clear()
+        self._plan_lists.clear()
 
     def submit(self, launch: DeviceLaunch, *,
                launch_overhead: float | None = None) -> DeviceLaunch:
@@ -675,83 +680,26 @@ class GPUDevice:
         Each launch arrives after the launch overhead and starts the
         chunk :meth:`_dispatch_single` starts on an idle device, from
         its arrival: wave ``k`` ends at ``arrival + d * k``, its partial
-        last wave included.  Busy time accrues as :meth:`_account`
-        accrues it on the event path, at the arrival, at the end of the
-        whole waves if a partial wave follows, and at the completion;
-        :attr:`inline_events` counts the arrival and every boundary.
-        Inside the window nothing can observe the device before the last
-        launch would have completed, so settling the chain now is
-        indistinguishable.  The chain's timing depends only on the
-        launch sizes, so it is planned once per size
-        (:meth:`_solo_plan`) and only summed here.
+        last wave included.  The launches' plans are listed once per
+        chain (:meth:`_chain_plan`), and :meth:`_settle_inline` settles
+        the chain once its last completion is known to fit the window.
         """
-        total = descriptor.num_blocks
-        if per is None:
-            per = total
-        plans = self._solo_plans
+        key = (descriptor, per or descriptor.num_blocks,
+               self._threads_free, self._slots_free)
+        entry = self._plan_lists.get(key)
+        plans = entry[1] if entry else self._chain_plan(key)
         overhead = self.spec.kernel_launch_overhead
-        seconds = self._busy_thread_seconds
-        last = self._last_change
-        level = self._busy_level
-        touched = self._touched
         done = start
-        left = total
-        planned = launches = events = 0
-        while left:
-            blocks = per if left > per else left
-            if blocks != planned:
-                key = (descriptor, blocks, self._threads_free,
-                       self._slots_free)
-                try:
-                    plan = plans[key]
-                except KeyError:
-                    plan = self._solo_plan(key)
-                span, tail_span, busy, wave_busy, tail_busy, count = plan
-                planned = blocks
-            arrived = done + overhead
-            end = arrived + span
-            # _account() at the arrival, the end of the whole waves (if
-            # a partial wave follows) and the completion, inline
-            if arrived != touched:
-                if busy != level:
-                    seconds += level * (touched - last)
-                    last = touched
-                    level = busy
-                touched = arrived
-            if tail_span is None:
-                done = end
-                final = wave_busy
-            else:
-                done = arrived + tail_span
-                final = tail_busy
-                if end != touched:
-                    if wave_busy != level:
-                        seconds += level * (touched - last)
-                        last = touched
-                        level = wave_busy
-                    touched = end
-            if done != touched:
-                if final != level:
-                    seconds += level * (touched - last)
-                    last = touched
-                    level = final
-                touched = done
+        for plan in plans:
+            done = (done + overhead) + (plan[1] or plan[0])
             if ends is not None:
                 ends.append(done)
-            left -= blocks
-            launches += 1
-            events += count
         bound, inclusive = window
         if done > bound or (done == bound and not inclusive):
             if ends:
                 ends.clear()
             return None
-        self._busy_thread_seconds = seconds
-        self._last_change = last
-        self._busy_level = level
-        self._touched = touched
-        self.launches_completed += launches
-        self.inline_events += events
+        self._settle_inline(plans, None, 0, start, window, None, False)
         return done
 
     def _solo_plan(self, key: tuple) -> tuple:
@@ -776,6 +724,144 @@ class GPUDevice:
                 1 + waves + (tail > 0))
         self._cache_plan(self._solo_plans, key, plan)
         return plan
+
+    def _chain_plan(self, key: tuple) -> list:
+        """Cache and return the :meth:`_solo_plan` of each launch of
+        :meth:`run_solo`'s chain for ``key = (descriptor, per, threads
+        free, slots free)``."""
+        descriptor, per, threads_free, slots_free = key
+        whole, rest = divmod(descriptor.num_blocks, per)
+        plans = []
+        for blocks, launches in ((per, whole), (rest, rest > 0)):
+            if launches:
+                launch = (descriptor, blocks, threads_free, slots_free)
+                plans += [self._solo_plans.get(launch)
+                          or self._solo_plan(launch)] * launches
+        self._cache_plan(self._plan_lists, key, (descriptor, plans))
+        return plans
+
+    def run_trace(self, workload_trace, index: int, start: float,
+                  window: tuple[float, bool], completions: list | None,
+                  crosses_gaps: bool, run_inline: Callable | None = None
+                  ) -> tuple[int, float, int, int]:
+        """Walk ``workload_trace``'s ops from ``index`` at ``start`` while
+        each ends inside ``window`` (from :meth:`solo_window`); return
+        ``(index, end, kernels, gaps)``: the first op left, the last end
+        and the ops run.  Host gaps run if ``crosses_gaps``; past the
+        last op the walk wraps, appending the time to ``completions``,
+        or stops if that is None.  A kernel runs through ``run_inline``
+        or, without it, as :meth:`run_solo` would run it, from the
+        trace's plan list (:meth:`_trace_plan`): no inline launch moves
+        the free pool."""
+        entry = self._plan_lists.get(
+            (id(workload_trace), self._threads_free, self._slots_free))
+        plans = entry[1] if entry else self._trace_plan(workload_trace)
+        return self._settle_inline(plans, workload_trace.ops, index, start,
+                                   window, completions, crosses_gaps,
+                                   run_inline)
+
+    def _trace_plan(self, workload_trace) -> list:
+        """Cache and return :meth:`run_trace`'s plan list of
+        ``workload_trace`` on the free pool: per op, its kernel's
+        :meth:`_solo_plan`, or None for a host gap.  The entry holds the
+        trace, so the identity in its key is not reused while it lives."""
+        threads_free = self._threads_free
+        slots_free = self._slots_free
+        plans = []
+        for op in workload_trace.ops:
+            if op.kind == "gap":
+                plans.append(None)
+            else:
+                key = (op.kernel, op.kernel.num_blocks, threads_free,
+                       slots_free)
+                plans.append(self._solo_plans.get(key)
+                             or self._solo_plan(key))
+        self._cache_plan(self._plan_lists,
+                         (id(workload_trace), threads_free, slots_free),
+                         (workload_trace, plans))
+        return plans
+
+    def _settle_inline(self, plans, ops, index, start, window,
+                       completions, crosses_gaps, run_inline=None):
+        """The one loop that settles solo launches inline, for
+        :meth:`run_trace`, :meth:`run_solo` and :meth:`run_solo_ptb`:
+        walk ``plans`` (per launch its plan; None for a host gap, whose
+        length is in ``ops``) from ``index``, as :meth:`run_trace` walks
+        its trace, and return what it returns.  Each launch arrives one
+        launch overhead after the previous end, and busy time accrues as
+        :meth:`_account` accrues it, at the arrival, at the end of the
+        whole waves if a partial wave follows, and at the completion.
+        The first launch that would end outside ``window`` changes
+        nothing; the walk commits once, at its end (inside the window
+        nothing can observe the device in between)."""
+        last = len(plans)
+        bound, inclusive = window
+        overhead = self.spec.kernel_launch_overhead
+        seconds = self._busy_thread_seconds
+        changed = self._last_change
+        level = self._busy_level
+        touched = self._touched
+        now = start
+        kernels = gaps = events = 0
+        while True:
+            if index == last:
+                if completions is None:
+                    break
+                index = 0
+                completions.append(now)
+            plan = plans[index]
+            if plan is None:
+                end = now + ops[index].gap
+                if (not crosses_gaps or end > bound
+                        or (end == bound and not inclusive)):
+                    break
+                gaps += 1
+            elif run_inline is not None:
+                end = run_inline(ops[index].kernel, now, window)
+                if end is None:
+                    break
+                kernels += 1
+            else:
+                span, tail_span, busy, wave_busy, tail_busy, count = plan
+                arrived = now + overhead
+                end = arrived + (span if tail_span is None else tail_span)
+                if end > bound or (end == bound and not inclusive):
+                    break
+                if arrived != touched:
+                    if busy != level:
+                        seconds += level * (touched - changed)
+                        changed = touched
+                        level = busy
+                    touched = arrived
+                if tail_span is None:
+                    final = wave_busy
+                else:
+                    final = tail_busy
+                    waves_end = arrived + span
+                    if waves_end != touched:
+                        if wave_busy != level:
+                            seconds += level * (touched - changed)
+                            changed = touched
+                            level = wave_busy
+                        touched = waves_end
+                if end != touched:
+                    if final != level:
+                        seconds += level * (touched - changed)
+                        changed = touched
+                        level = final
+                    touched = end
+                kernels += 1
+                events += count
+            now = end
+            index += 1
+        if run_inline is None and kernels:
+            self._busy_thread_seconds = seconds
+            self._last_change = changed
+            self._busy_level = level
+            self._touched = touched
+            self.launches_completed += kernels
+            self.inline_events += events
+        return index, now, kernels, gaps
 
     @staticmethod
     def _cache_plan(plans: dict, key: tuple, plan: tuple | None) -> None:
@@ -805,43 +891,20 @@ class GPUDevice:
             plan = self._ptb_plan(key)
         if plan is None:
             return None
-        span, busy, workers_busy, events = plan
-        arrived = start + self.spec.kernel_launch_overhead
-        done = arrived + span
+        done = (start + self.spec.kernel_launch_overhead) + plan[0]
         bound, inclusive = window
         if done > bound or (done == bound and not inclusive):
             return None
-        # _account() at the arrival and at the completion, inline
-        seconds = self._busy_thread_seconds
-        last = self._last_change
-        level = self._busy_level
-        touched = self._touched
-        if arrived != touched:
-            if busy != level:
-                seconds += level * (touched - last)
-                last = touched
-                level = busy
-            touched = arrived
-        if done != touched:
-            if workers_busy != level:
-                seconds += level * (touched - last)
-                last = touched
-                level = workers_busy
-            touched = done
-        self._busy_thread_seconds = seconds
-        self._last_change = last
-        self._busy_level = level
-        self._touched = touched
-        self.launches_completed += 1
-        self.inline_events += events
+        self._settle_inline((plan,), None, 0, start, window, None, False)
         return done
 
     def _ptb_plan(self, key: tuple) -> tuple | None:
         """Plan and cache :meth:`run_solo_ptb`'s launch for ``key =
-        (descriptor, workers, threads free, slots free)``: ``(span,
-        busy, workers_busy, events)`` — its length, the busy threads
-        before and during it, and the events it stands for — or None if
-        its workers do not all fit."""
+        (descriptor, workers, threads free, slots free)``, in
+        :meth:`_solo_plan`'s shape with no partial wave: ``(span, None,
+        busy, workers_busy, None, events)`` — its length, the busy
+        threads before and during it, and the events it stands for — or
+        None if its workers do not all fit."""
         descriptor, workers, threads_free, slots_free = key
         tpb = descriptor.threads_per_block
         blocks = descriptor.num_blocks
@@ -854,7 +917,7 @@ class GPUDevice:
             busy = self._total_threads - threads_free
             iterations = -(-blocks // count)
             plan = (self._ptb_iteration(descriptor, base) * iterations,
-                    busy, busy + count * tpb, 1 + iterations)
+                    None, busy, busy + count * tpb, None, 1 + iterations)
         self._cache_plan(self._ptb_plans, key, plan)
         return plan
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,13 +14,30 @@ __all__ = ["LatencySummary", "percentile"]
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (q in [0, 100]) of ``samples``."""
+    """The ``q``-th percentile (q in [0, 100]) of ``samples`` by NumPy's
+    ``linear`` method, in Python (``np.percentile`` imports
+    ``numpy.ma``): the same float up to the sign of a zero, which the
+    two sorts may place differently, and NaN if a sample is NaN."""
     if not 0 <= q <= 100:
         raise HarnessError(f"percentile {q} outside [0, 100]")
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
+    ordered = sorted(map(float, samples))
+    if not ordered:
         raise HarnessError("cannot take a percentile of zero samples")
-    return float(np.percentile(arr, q))
+    if any(x != x for x in ordered):
+        return math.nan
+    top = len(ordered) - 1
+    v = top * (q / 100)
+    if v >= top:  # NumPy takes the top sample at weight v + 1
+        i = -1
+        a = b = ordered[top]
+    else:
+        i = math.floor(v)
+        a = ordered[i]
+        b = ordered[i + 1]
+    g = v - i
+    if g < 0.5:
+        return a + (b - a) * g
+    return b - (b - a) * (1 - g)
 
 
 @dataclass(frozen=True)
@@ -45,9 +63,9 @@ class LatencySummary:
         return LatencySummary(
             count=int(arr.size),
             mean=mean,
-            p50=float(np.percentile(arr, 50)),
-            p90=float(np.percentile(arr, 90)),
-            p99=float(np.percentile(arr, 99)),
+            p50=percentile(samples, 50),
+            p90=percentile(samples, 90),
+            p99=percentile(samples, 99),
             max=float(arr.max()),
         )
 

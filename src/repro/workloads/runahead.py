@@ -14,6 +14,9 @@ runs and the drain does not return, so nothing can observe the driver,
 the policy or the device between the stretch and its end (see
 ``docs/performance.md``, "Solo run-ahead").
 
+The stretch is one :meth:`~repro.gpu.device.GPUDevice.run_trace` call,
+which walks solo kernels against the trace's plan list.
+
 The stretch credits the events it stands for — per device launch its
 arrival and every wave or PTB iteration boundary
 (:attr:`~repro.gpu.device.GPUDevice.inline_events`; a sliced kernel
@@ -48,37 +51,13 @@ def run_ahead(job, completions: list[float] | None) -> int | None:
     window = policy.run_ahead(client_id)
     if window is None:
         return None
-    bound, inclusive = window
-    run_inline = policy.inline_runner(client_id)
-    crosses_gaps = policy.run_ahead_crosses_gaps(client_id)
     device = policy.device
     events = device.inline_events
     engine = job.engine
-    ops = job.trace.ops
-    last = len(ops)
-    index = job._op_index
-    now = engine.now
-    kernels = gaps = 0
-    while True:
-        if index == last:
-            if completions is None:
-                break
-            index = 0
-            completions.append(now)
-        op = ops[index]
-        if op.kind == "gap":
-            end = now + op.gap
-            if (not crosses_gaps or end > bound
-                    or (end == bound and not inclusive)):
-                break
-            gaps += 1
-        else:
-            end = run_inline(op.kernel, now, window)
-            if end is None:
-                break
-            kernels += 1
-        now = end
-        index += 1
+    index, now, kernels, gaps = device.run_trace(
+        job.trace, job._op_index, engine.now, window, completions,
+        policy.run_ahead_crosses_gaps(client_id),
+        policy.inline_runner(client_id))
     if not kernels and not gaps:
         return None
     job._op_index = index

@@ -28,6 +28,42 @@ class TestPercentile:
         with pytest.raises(HarnessError):
             percentile([1.0], 101)
 
+    # Bit-equality with np.percentile, which the pure-Python form
+    # replaces (it would import numpy.ma inside a timed run).  Samples
+    # are non-negative, as latencies are: -0.0 and 0.0 tie in both
+    # sorts, which may order them differently.
+    @given(st.lists(st.one_of(st.floats(min_value=0.0, max_value=1e9),
+                              st.sampled_from([0.0, 1e-3, 0.5, 2.0])),
+                    min_size=1, max_size=60),
+           st.one_of(st.sampled_from([0, 50, 90, 99, 100]),
+                     st.floats(min_value=0.0, max_value=100.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy_bit_for_bit(self, samples, q):
+        expected = np.percentile(np.asarray(samples, dtype=float), q)
+        got = percentile(samples, q)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == expected.tobytes()
+        summary = LatencySummary.of(samples)
+        for level, value in ((50, summary.p50), (90, summary.p90),
+                             (99, summary.p99)):
+            assert (np.float64(value).tobytes()
+                    == np.percentile(samples, level).tobytes())
+
+    @pytest.mark.parametrize("q", [0, 50, 90, 99, 100])
+    def test_one_sample_and_duplicates(self, q):
+        for samples in ([3.5], [2.0, 2.0, 2.0], [1.0, 4.0, 4.0, 4.0, 9.0]):
+            assert percentile(samples, q) == np.percentile(samples, q)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e3), max_size=20),
+           st.integers(min_value=0, max_value=20),
+           st.floats(min_value=0.0, max_value=100.0))
+    @settings(max_examples=50, deadline=None)
+    def test_a_nan_sample_gives_nan_as_numpy(self, samples, at, q):
+        samples.insert(min(at, len(samples)), float("nan"))
+        assert np.isnan(np.percentile(samples, q))
+        assert np.isnan(percentile(samples, q))
+        assert np.isnan(LatencySummary.of(samples).p99)
+
 
 class TestLatencySummary:
     def test_of_computes_order_statistics(self):

@@ -5,7 +5,8 @@ their cost is the Python work per kernel.  Two caches keep it small,
 and these counters, unlike wall time, do not move with host noise:
 
 * ``GPUDevice._solo_plan`` / ``_ptb_plan`` compute each launch shape's
-  plan once per device and speed factor;
+  plan once per device and speed factor, and ``_trace_plan`` builds
+  each trace's plan list once per device, free pool and speed factor;
 * ``TransparentProfiler._fastest`` ranks a kernel's candidates again
   only after a ``record`` that moved the ranking — the winner, the
   runner-up or the bound they qualify under.
@@ -28,7 +29,7 @@ def test_each_solo_plan_is_computed_once_per_device(monkeypatch):
     runs = Counter()
     plans = {"_solo_plan": GPUDevice._solo_plan,
              "_ptb_plan": GPUDevice._ptb_plan}
-    run_solo, run_ptb = GPUDevice.run_solo, GPUDevice.run_solo_ptb
+    run_ptb = GPUDevice.run_solo_ptb
 
     def counted(name):
         def plan(self, key):
@@ -36,22 +37,43 @@ def test_each_solo_plan_is_computed_once_per_device(monkeypatch):
             return plans[name](self, key)
         return plan
 
-    def solo(self, *args):
-        runs["solo"] += 1
-        return run_solo(self, *args)
-
     def ptb(self, *args):
         runs["ptb"] += 1
         return run_ptb(self, *args)
 
     for name in plans:
         monkeypatch.setattr(GPUDevice, name, counted(name))
-    monkeypatch.setattr(GPUDevice, "run_solo", solo)
     monkeypatch.setattr(GPUDevice, "run_solo_ptb", ptb)
     run_colocation("Tally", JOBS, CONFIG)
     assert computed and set(computed.values()) == {1}
-    assert runs["solo"] > 10 * len(computed), (runs, len(computed))
     assert runs["ptb"] > 0
+
+
+def test_each_trace_plan_is_built_once_per_device_pool_and_speed(
+        monkeypatch):
+    """Solo kernels settle in :meth:`GPUDevice.run_trace`'s walk, whose
+    plan list is built once per (device, trace, free pool, speed
+    factor) and then serves far more kernels than lists were built."""
+    built: Counter = Counter()
+    walked = Counter()
+    trace_plan, run_trace = GPUDevice._trace_plan, GPUDevice.run_trace
+
+    def counted_plan(self, trace):
+        built[(self, trace, self.threads_free, self.slots_free,
+               self.speed_factor)] += 1
+        return trace_plan(self, trace)
+
+    def counted_walk(self, *args):
+        result = run_trace(self, *args)
+        if args[-1] is None:  # no per-kernel runner: the plan walk
+            walked["kernels"] += result[2]
+        return result
+
+    monkeypatch.setattr(GPUDevice, "_trace_plan", counted_plan)
+    monkeypatch.setattr(GPUDevice, "run_trace", counted_walk)
+    run_colocation("Tally", JOBS, CONFIG)
+    assert built and set(built.values()) == {1}
+    assert walked["kernels"] > 100 * len(built), (walked, len(built))
 
 
 def _ranking(profile, strict):
