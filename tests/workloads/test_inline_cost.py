@@ -12,11 +12,14 @@ and these counters, unlike wall time, do not move with host noise:
   runner-up or the bound they qualify under.
 """
 
+import importlib.util
+import pathlib
+import sys
 from collections import Counter
 
 from repro.core.profiler import TransparentProfiler
 from repro.gpu import GPUDevice
-from repro.harness import JobSpec, RunConfig, run_colocation
+from repro.harness import JobSpec, RunConfig, run_colocation, standalone
 
 #: a service with idle gaps and a trainer whose kernels fill them
 JOBS = [JobSpec.inference("bert_infer", load=0.3),
@@ -128,3 +131,86 @@ def test_candidates_are_ranked_once_per_record_that_moves_them(monkeypatch):
     for profile, calls in ranked.items():
         assert calls <= 1 + moves[profile], (calls, moves[profile])
     assert sum(ranked.values()) * 4 < counts["picks"], (ranked, counts)
+
+
+#: calls per best-effort inline kernel once verdicts stand, counted as
+#: below, before kernels settled under standing decisions: a pick
+#: (``_pick`` -> ``pick`` -> ``_select``), a ``_BEExecution``, a
+#: ``run_solo``/``run_solo_ptb`` call with its nested walk, then
+#: ``_*_ran`` -> ``_record_*`` -> ``record`` and ``_count_pick``
+CALLS_PER_BEST_EFFORT_KERNEL_BEFORE = 29.88
+
+
+def test_a_best_effort_kernel_settles_in_a_quarter_of_the_calls(
+        monkeypatch):
+    """Python and C calls (``sys.setprofile``'s ``call`` and ``c_call``
+    events) per best-effort kernel that a run-ahead stretch settles,
+    counting the stretches after the trainer's first iteration, by
+    which every descriptor has a verdict, in a second run of the mix
+    (the profiler set-up memo is warm).  A kernel now takes one
+    profile lookup and one fold (``Tally._fold`` ->
+    ``_Profile.fold`` -> ``Measurement.update``, ``revise``): 7.08
+    calls, against 29.88 before."""
+    counts = Counter()
+    run_trace = GPUDevice.run_trace
+
+    def hook(_frame, event, _arg):
+        if event in ("call", "c_call"):
+            counts["calls"] += 1
+
+    def counted_walk(self, *args):
+        completions, decisions = args[4], args[-1]
+        if decisions is None or not completions:
+            return run_trace(self, *args)
+        sys.setprofile(hook)
+        try:
+            result = run_trace(self, *args)
+        finally:
+            sys.setprofile(None)
+        counts["kernels"] += result[2]
+        return result
+
+    run_colocation("Tally", JOBS, CONFIG)
+    monkeypatch.setattr(GPUDevice, "run_trace", counted_walk)
+    run_colocation("Tally", JOBS, CONFIG)
+    assert counts["kernels"] > 1000, counts
+    per_kernel = counts["calls"] / counts["kernels"]
+    assert per_kernel <= CALLS_PER_BEST_EFFORT_KERNEL_BEFORE / 4, per_kernel
+
+
+def _benchmark_child():
+    path = (pathlib.Path(__file__).resolve().parents[2] / "tallybench"
+            / "child.py")
+    spec = importlib.util.spec_from_file_location("tallybench_child", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_best_effort_trace_plans_no_launch(monkeypatch):
+    """cluster_failover's control plane at seed 0 (after its standalone
+    baselines): a best-effort stretch walks its trace's gap markers and
+    plans only the launches its decisions make, so ``_solo_plan`` runs
+    at most as often as before best-effort traces had plan lists (526);
+    planning every kernel of those traces took 1,336."""
+    from repro.cluster import run_controlplane
+
+    child = _benchmark_child()
+    inputs = child.build_inputs("cluster_failover", 0)
+    for spec in inputs.baseline_specs:
+        standalone(spec, inputs.config)
+    calls = Counter()
+    solo_plan = GPUDevice._solo_plan
+
+    def counted(self, key):
+        calls["_solo_plan"] += 1
+        return solo_plan(self, key)
+
+    monkeypatch.setattr(GPUDevice, "_solo_plan", counted)
+    run_controlplane(jobs=inputs.jobs, devices=child.CLUSTER_DEVICES,
+                     config=inputs.config,
+                     arrival_rate=child.CLUSTER_ARRIVALS,
+                     fail_device=child.CLUSTER_FAILURE, engine=inputs.engine,
+                     workers=inputs.workers)
+    assert 0 < calls["_solo_plan"] <= 526, calls
