@@ -100,7 +100,7 @@ class SharingPolicy(abc.ABC):
     def run_ahead(self, client_id: str) -> tuple[float, bool] | None:
         """The window (see :meth:`~repro.gpu.engine.EventLoop.quiet_until`)
         in which ``client_id``'s next kernels may settle inline through
-        :meth:`inline_runner`, or None to keep them on the event path.
+        :meth:`inline_decisions`, or None to keep them on the event path.
 
         Declines by default: a policy that queues, reorders, preempts or
         transforms kernels makes decisions the inline path would skip.
@@ -117,15 +117,15 @@ class SharingPolicy(abc.ABC):
         the stretch at the gap instead."""
         return True
 
-    def inline_runner(self, client_id: str) -> Callable | None:
+    def inline_decisions(self, client_id: str) -> tuple | None:
         """How ``client_id``'s kernels settle inline inside a window
         from :meth:`run_ahead`: None (the default) if each is one
         ORIGINAL launch alone on the device, which
-        :meth:`~repro.gpu.device.GPUDevice.run_trace` walks itself;
-        otherwise a callable ``(descriptor, start, window) -> end |
-        None`` that submits the kernel at ``start`` and returns its
-        completion time, or None (nothing happened) if it would not
-        complete inside ``window``.  A stretch
+        :meth:`~repro.gpu.device.GPUDevice.run_trace` plans itself;
+        otherwise ``(profiles, decide, fold)``, through which the walk
+        settles each kernel under the policy's standing decision for
+        its descriptor and hands back its measurement (see
+        :meth:`~repro.gpu.device.GPUDevice.run_trace`).  A stretch
         (:func:`~repro.workloads.runahead.run_ahead`) fetches it once
         and calls :meth:`count_inline` once at its end."""
         return None

@@ -53,14 +53,15 @@ def bench_colocation(scale: str = "smoke") -> BenchmarkResult:
     timer = PhaseTimer()
 
     clear_standalone_cache()
-    credited = credited_total()
     start = time.perf_counter()
     standalone(inference, config)
     standalone(training, config)
     timer.add("standalone", time.perf_counter() - start)
 
     start = time.perf_counter()
+    credited = credited_total()  # the scope of ``events``: this run only
     result = run_colocation("Tally", [inference, training], config)
+    credited = credited_total() - credited
     sim_wall = time.perf_counter() - start
     timer.add("simulate", sim_wall, result.events)
 
@@ -78,7 +79,7 @@ def bench_colocation(scale: str = "smoke") -> BenchmarkResult:
             "sim_per_wall": duration / sim_wall if sim_wall > 0 else 0.0,
             "policy": "Tally",
             "utilization": result.utilization,
-            "events_credited": credited_total() - credited,
+            "events_credited": credited,
         },
     )
 
@@ -146,14 +147,15 @@ def bench_llm_serve(scale: str = "smoke") -> BenchmarkResult:
     timer = PhaseTimer()
 
     clear_standalone_cache()
-    credited = credited_total()
     start = time.perf_counter()
     standalone(llm, config)
     standalone(training, config)
     timer.add("standalone", time.perf_counter() - start)
 
     start = time.perf_counter()
+    credited = credited_total()  # the scope of ``events``: this run only
     result = run_colocation("Tally", [llm, training], config)
+    credited = credited_total() - credited
     sim_wall = time.perf_counter() - start
     timer.add("simulate", sim_wall, result.events)
 
@@ -172,7 +174,7 @@ def bench_llm_serve(scale: str = "smoke") -> BenchmarkResult:
             "policy": "Tally",
             "tokens_per_s": serving.tokens_per_s,
             "utilization": result.utilization,
-            "events_credited": credited_total() - credited,
+            "events_credited": credited,
         },
     )
 

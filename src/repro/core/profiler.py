@@ -25,6 +25,11 @@ and the standing verdict.  A decision hashes the descriptor once and
 returns the verdict; it ranks the candidates again only after a
 :meth:`TransparentProfiler.record` that may have changed the ranking,
 which the winner's own samples rarely do (:meth:`_Profile.revise`).
+The record also keeps the scheduler's *standing decision* for the
+descriptor's kernels that settle inline (:attr:`_Profile.decision`):
+the device's trace walk finds it there and folds each run into its
+measurement (:meth:`_Profile.fold`) without asking for a pick, until
+the verdict is dropped.
 
 What a record starts from — the candidate list and the analytic cost
 model's estimate of each candidate (the prewarm seeds) — depends only on
@@ -123,6 +128,14 @@ class _Profile:
     including configurations outside the candidate list (a degraded
     execution records the rung it actually ran).
 
+    ``decision`` is the scheduler's standing decision for kernels of
+    the descriptor that settle inline, or None: a tuple ``(pool, plans,
+    gap, measure)`` that :meth:`~repro.gpu.device.GPUDevice.run_trace`
+    reads (see there), where ``measure`` holds the chosen configuration
+    and the :class:`Measurement` each run updates (see
+    :meth:`repro.core.scheduler.Tally._decide`).  It is dropped with the
+    verdict, whenever ``winner`` is reset.
+
     The rest is the standing verdict of
     :meth:`TransparentProfiler._select` (``winner`` None while there is
     none).  A candidate's *rank* is ``((duration, turnaround), index)``:
@@ -137,7 +150,7 @@ class _Profile:
 
     __slots__ = ("candidates", "estimates", "measured", "unmeasured",
                  "by_config", "winner", "runner", "bound", "relaxed",
-                 "others_least")
+                 "others_least", "decision")
 
     def __init__(self, candidates: tuple[SchedConfig, ...],
                  estimates: tuple[tuple[float, float], ...]) -> None:
@@ -151,6 +164,7 @@ class _Profile:
         self.bound = 0.0
         self.relaxed = False
         self.others_least = math.inf
+        self.decision: tuple | None = None
 
     def add(self, config: SchedConfig, measurement: Measurement) -> None:
         """Store the first measurement of ``config``."""
@@ -161,7 +175,16 @@ class _Profile:
             return
         self.measured[index] = measurement
         self.unmeasured -= 1
-        self.winner = None
+        self.winner = self.decision = None
+
+    def fold(self, measurement: Measurement, turnaround: float,
+             duration: float, strict: float) -> None:
+        """Fold one more sample into ``measurement``, one of this
+        record's, and keep or drop the verdict (:meth:`revise`);
+        ``strict`` is the turnaround bound."""
+        measurement.update(turnaround, duration)
+        if self.winner is not None:
+            self.revise(measurement, strict)
 
     def revise(self, updated: Measurement, strict: float) -> None:
         """Keep the standing verdict after ``updated`` took a new
@@ -202,7 +225,7 @@ class _Profile:
             elif turnaround > strict or (runner is not None
                                          and key > runner[0]):
                 return
-        self.winner = None
+        self.winner = self.decision = None
 
 
 class TransparentProfiler:
@@ -269,10 +292,8 @@ class TransparentProfiler:
         if existing is None:
             profile.add(config, Measurement(turnaround, duration))
         else:
-            existing.update(turnaround, duration)
-            if profile.winner is not None:
-                profile.revise(existing,
-                               self.config.turnaround_latency_bound)
+            profile.fold(existing, turnaround, duration,
+                         self.config.turnaround_latency_bound)
 
     # ------------------------------------------------------------------
     def choose(self, descriptor: KernelDescriptor) -> tuple[SchedConfig, bool]:

@@ -30,6 +30,13 @@ PTB launch or its whole launch — then runs alone and undisturbed, so it
 settles inline under the configuration the profiler picks and is
 measured and counted as :meth:`Tally._slice_done`, :meth:`Tally._ptb_done`
 and :meth:`Tally._original_done` do ("Tally's best-effort stream").
+The pick stands: a descriptor's *standing decision* (:meth:`Tally._decide`)
+holds the configuration, its launches' device plans and the measurement
+each run updates, and the device's trace walk settles kernel after
+kernel under it, folding each run into the measurement
+(:meth:`Tally._fold`), until a sample drops the profiler's verdict or
+the device's free pool or speed changes.  Only the event path builds a
+:class:`_BEExecution`.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ class _BEExecution:
     """One best-effort kernel making its way through the scheduler."""
 
     descriptor: KernelDescriptor
-    on_done: Callable[[], None] | None  # None: settled inline
+    on_done: Callable[[], None]
     config: SchedConfig | None = None
     profiling: bool = False
     launch: DeviceLaunch | None = None  # in-flight device launch
@@ -207,17 +214,19 @@ class Tally(SharingPolicy):
         happens when a best-effort client's stream pauses."""
         return self.clients[client_id].priority is not Priority.HIGH
 
-    def inline_runner(self, client_id: str) -> Callable | None:
+    def inline_decisions(self, client_id: str) -> tuple | None:
         """A high-priority kernel runs alone, as on a passthrough
-        policy; a best-effort kernel runs its whole execution
-        (:meth:`_run_best_effort_inline`)."""
+        policy; a best-effort kernel runs its whole execution under its
+        standing decision (:meth:`_decide`, :meth:`_fold`)."""
         if self.clients[client_id].priority is Priority.HIGH:
             return None
-        return self._run_best_effort_inline
+        return self.profiler._profiles, self._decide, self._fold
 
     def count_inline(self, client_id: str, kernels: int) -> None:
         super().count_inline(client_id, kernels)
-        if kernels and self.clients[client_id].priority is Priority.HIGH:
+        if self.clients[client_id].priority is not Priority.HIGH:
+            self.stats.be_kernels += kernels
+        elif kernels:
             self.stats.hp_kernels += kernels
             if client_id not in self._stretches:
                 # the event path keeps a count outstanding from the
@@ -225,51 +234,64 @@ class Tally(SharingPolicy):
                 self._stretches.add(client_id)
                 self._hp_outstanding += 1
 
-    def _run_best_effort_inline(self, descriptor: KernelDescriptor,
-                                start: float,
-                                window: tuple[float, bool]) -> float | None:
-        """Run a best-effort kernel's whole execution inline, under the
-        configuration :meth:`_advance` would pick; return its end, or
-        None (nothing changed, not even the profiler's counters) if a
-        launch of it would end outside ``window``.
+    def _decide(self, descriptor: KernelDescriptor, pool) -> tuple:
+        """The decision a best-effort kernel of ``descriptor`` settles
+        inline under on the device's free ``pool`` (see
+        :meth:`~repro.gpu.device.GPUDevice.run_trace`): the
+        configuration :meth:`_advance` would pick, the plans of its
+        launches and ``measure = (descriptor, config, profile,
+        measurement, profiling, divisor, launches)`` for :meth:`_fold`.
 
         Each launch is submitted when the previous one completes and
-        starts on arrival, one launch overhead later, so its
-        ``elapsed`` (what :meth:`_elapsed` reads off a device launch) is
-        its completion minus its arrival."""
+        starts on arrival, one launch overhead later, so its elapsed
+        time (what :meth:`_elapsed` reads off a device launch) is its
+        completion minus its arrival.  A slice adds its launch overhead
+        to the kernel's active time, and a PTB launch's turnaround is
+        its active time over its ``divisor`` of iterations, as on the
+        event path.  The decision stands on the descriptor's profile
+        until the verdict is dropped (:meth:`_Profile.revise`) or the
+        pool changes; a pick whose configuration has no measurement
+        yet (a profiling run, or a first whole launch without
+        transformations) serves one kernel."""
         config, profiling = self._pick(descriptor)
         device = self.device
-        overhead = device.spec.kernel_launch_overhead
-        execution = _BEExecution(descriptor, None, config, profiling)
-        execution.tasks_remaining = total = descriptor.num_blocks
         kind = config.kind
-        if kind is SchedKind.PTB:
-            end = device.run_solo_ptb(descriptor, start, window,
-                                      config.workers)
-            if end is None:
-                return None
-            self.stats.ptb_launches += 1
-            self._ptb_ran(execution, end - (start + overhead), total, True)
-        elif kind is SchedKind.ORIGINAL:
-            end = device.run_solo(descriptor, start, window)
-            if end is None:
-                return None
-            self._original_ran(execution, end - (start + overhead), total)
+        plans = device.launch_plans(descriptor, config.blocks_per_slice,
+                                    config.workers)
+        divisor = max(1, math.ceil(descriptor.num_blocks / config.workers)
+                      ) if kind is SchedKind.PTB else 1
+        gap = (device.spec.kernel_launch_overhead
+               if kind is SchedKind.SLICED else 0.0)
+        profile = self.profiler._profiles.get(descriptor)
+        measurement = profile.by_config.get(config) if profile else None
+        decision = (pool, plans, gap, (
+            descriptor, config, profile, measurement, profiling, divisor,
+            len(plans) if kind is SchedKind.SLICED else 0))
+        if measurement is not None:
+            profile.decision = decision
+        return decision
+
+    def _fold(self, measure: tuple, longest: float, active: float) -> None:
+        """Measure and count a best-effort kernel that settled inline
+        under the decision holding ``measure``: its longest launch ran
+        ``longest`` and it was active ``active``.  It is recorded as
+        :meth:`_ptb_done`, :meth:`_slice_done` and
+        :meth:`_original_done` record it, and counted as a pick."""
+        (descriptor, config, profile, measurement, profiling, divisor,
+         launches) = measure
+        turnaround = longest / divisor
+        if measurement is None:
+            self.profiler.record(descriptor, config, turnaround, active)
+            self._count_pick(profiling)
         else:
-            per = config.blocks_per_slice
-            ends: list[float] = []
-            end = device.run_solo(descriptor, start, window, per, ends)
-            if end is None:
-                return None
-            self.stats.slices_launched += len(ends)
-            submitted = start
-            for end in ends:
-                self._slice_ran(execution, end - (submitted + overhead),
-                                min(per, total - execution.next_block))
-                submitted = end
-        self._count_pick(profiling)
-        self.stats.be_kernels += 1
-        return end
+            profile.fold(measurement, turnaround, active,
+                         self.config.turnaround_latency_bound)
+            if self.config.use_transformations:
+                self.profiler.decisions += 1
+        if config.kind is SchedKind.PTB:
+            self.stats.ptb_launches += 1
+        else:
+            self.stats.slices_launched += launches
 
     def run_ahead_resume(self, client_id: str,
                          resume: Callable[[], None]) -> Callable[[], None]:
@@ -502,28 +524,20 @@ class Tally(SharingPolicy):
                        launch: DeviceLaunch) -> None:
         execution.launch = None
         execution.preempt_pending = False
-        if self._original_ran(execution, self._elapsed(launch),
-                              launch.blocks_done):
+        execution.active_time += self._elapsed(launch)
+        execution.next_block += launch.blocks_done
+        execution.tasks_remaining = (
+            execution.descriptor.num_blocks - execution.next_block
+        )
+        if execution.tasks_remaining <= 0:
+            # a whole launch releases the device only when it ends
+            self.profiler.record(execution.descriptor, execution.config,
+                                 execution.active_time, execution.active_time)
             self._finish(client_id, execution)
         elif not self.high_priority_active:
             # A slot fault reset the launch mid-grid; re-run the rest.
             self._launch_original(client_id, execution)
         # else: paused; _resume_best_effort continues from next_block.
-
-    def _original_ran(self, execution: _BEExecution, elapsed: float,
-                      blocks: int) -> bool:
-        """Fold a whole launch that ran ``blocks`` blocks in ``elapsed``
-        into ``execution``; True, with the run measured, once the
-        kernel is done."""
-        execution.active_time += elapsed
-        execution.next_block += blocks
-        execution.tasks_remaining = (
-            execution.descriptor.num_blocks - execution.next_block
-        )
-        if execution.next_block < execution.descriptor.num_blocks:
-            return False
-        self._record_original(execution)
-        return True
 
     def _launch_slice(self, client_id: str, execution: _BEExecution) -> None:
         assert execution.config is not None
@@ -553,31 +567,24 @@ class Tally(SharingPolicy):
                     launch: DeviceLaunch) -> None:
         execution.launch = None
         execution.preempt_pending = False
+        elapsed = self._elapsed(launch)
+        execution.active_time += elapsed + self.device.spec.kernel_launch_overhead
+        execution.slice_times.append(elapsed)
         # blocks_done, not total_blocks: a fault-killed slice completes
         # only part of its range, and the next slice must re-cover the
         # destroyed blocks
-        if self._slice_ran(execution, self._elapsed(launch),
-                           launch.blocks_done):
+        execution.next_block += launch.blocks_done
+        execution.tasks_remaining = (
+            execution.descriptor.num_blocks - execution.next_block
+        )
+        if execution.tasks_remaining <= 0:
+            self.profiler.record(execution.descriptor, execution.config,
+                                 max(execution.slice_times),
+                                 execution.active_time)
             self._finish(client_id, execution)
         elif not self.high_priority_active:
             self._launch_slice(client_id, execution)
         # else: paused; _resume_best_effort continues from next_block.
-
-    def _slice_ran(self, execution: _BEExecution, elapsed: float,
-                   blocks: int) -> bool:
-        """Fold a slice that ran ``blocks`` blocks in ``elapsed`` into
-        ``execution``; True, with the slices measured, once the kernel
-        is done."""
-        execution.active_time += elapsed + self.device.spec.kernel_launch_overhead
-        execution.slice_times.append(elapsed)
-        execution.next_block += blocks
-        execution.tasks_remaining = (
-            execution.descriptor.num_blocks - execution.next_block
-        )
-        if execution.next_block < execution.descriptor.num_blocks:
-            return False
-        self._record_sliced(execution)
-        return True
 
     def _launch_ptb(self, client_id: str, execution: _BEExecution) -> None:
         assert execution.config is not None
@@ -608,24 +615,21 @@ class Tally(SharingPolicy):
                   launch: DeviceLaunch) -> None:
         execution.launch = None
         execution.preempt_pending = False
-        if self._ptb_ran(execution, self._elapsed(launch), launch.tasks_done,
-                         launch.status is LaunchStatus.COMPLETED):
+        execution.active_time += self._elapsed(launch)
+        execution.tasks_remaining -= launch.tasks_done
+        if launch.status is LaunchStatus.COMPLETED:
+            # The paper's heuristic: turnaround = kernel latency divided
+            # by blocks per worker, i.e. the per-iteration time.
+            iterations = max(1, math.ceil(execution.descriptor.num_blocks
+                                          / execution.config.workers))
+            self.profiler.record(execution.descriptor, execution.config,
+                                 execution.active_time / iterations,
+                                 execution.active_time)
             self._finish(client_id, execution)
         elif not self.high_priority_active:
             # Preempted, but the high-priority burst already ended.
             self._launch_ptb(client_id, execution)
         # else: resumed by _resume_best_effort from the task counter.
-
-    def _ptb_ran(self, execution: _BEExecution, elapsed: float, tasks: int,
-                 completed: bool) -> bool:
-        """Fold a PTB launch that ran ``tasks`` logical blocks in
-        ``elapsed`` into ``execution``; True, with the run measured,
-        once it ``completed`` the kernel."""
-        execution.active_time += elapsed
-        execution.tasks_remaining -= tasks
-        if completed:
-            self._record_ptb(execution)
-        return completed
 
     # ------------------------------------------------------------------
     def _on_disconnect(self, info: ClientInfo) -> int:
@@ -674,37 +678,3 @@ class Tally(SharingPolicy):
         if math.isnan(launch.started_at):
             return 0.0
         return launch.finished_at - launch.started_at
-
-    # ------------------------------------------------------------------
-    # Profiling measurements (paper §4.2)
-    # ------------------------------------------------------------------
-    def _record_original(self, execution: _BEExecution) -> None:
-        # a whole launch releases the device only when it ends
-        assert execution.config is not None
-        self.profiler.record(
-            execution.descriptor, execution.config,
-            turnaround=execution.active_time, duration=execution.active_time,
-        )
-
-    def _record_sliced(self, execution: _BEExecution) -> None:
-        assert execution.config is not None
-        if not execution.slice_times:
-            return
-        turnaround = max(execution.slice_times)
-        self.profiler.record(
-            execution.descriptor, execution.config,
-            turnaround=turnaround, duration=execution.active_time,
-        )
-
-    def _record_ptb(self, execution: _BEExecution) -> None:
-        assert execution.config is not None
-        workers = execution.config.workers
-        total = execution.descriptor.num_blocks
-        iterations = max(1, math.ceil(total / workers))
-        # The paper's heuristic: turnaround = kernel latency divided by
-        # blocks per worker, i.e. the per-iteration time.
-        turnaround = execution.active_time / iterations
-        self.profiler.record(
-            execution.descriptor, execution.config,
-            turnaround=turnaround, duration=execution.active_time,
-        )

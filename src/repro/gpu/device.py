@@ -34,12 +34,11 @@ over block sub-ranges (see :mod:`repro.core.scheduler`).
 
 An idle, uninstrumented device can also run launches that would start
 alone on it (a passthrough policy's kernels, a Tally high-priority
-client's, a Tally best-effort client's slices or whole launch)
-*inline* (:meth:`GPUDevice.run_solo`, :meth:`GPUDevice.run_solo_ptb`,
-and :meth:`GPUDevice.run_trace` for a trace's whole stretch of solo
-kernels): when the event loop proves that nothing else runs before a
-launch ends, its completion time and busy time follow from the same
-closed form without any event at all.
+client's, a Tally best-effort client's slices, PTB launch or whole
+launch) *inline*, a trace's whole stretch of them in one walk
+(:meth:`GPUDevice.run_trace`): when the event loop proves that nothing
+else runs before a launch ends, its completion time and busy time
+follow from the same closed form without any event at all.
 
 A mild ``colocation_slowdown`` factor inflates block durations while
 blocks of more than one client are resident, standing in for memory
@@ -208,12 +207,12 @@ class GPUDevice:
         #: threads alone would alias kernels whose shared-memory
         #: pressure lowers their occupancy
         self._capacity_cache: dict[tuple[int, int], int] = {}
-        #: solo plans of :meth:`run_solo` and :meth:`run_solo_ptb`,
-        #: keyed on (descriptor, blocks or workers, threads free, slots
-        #: free), and the plan lists of :meth:`run_solo`'s chains and
-        #: :meth:`run_trace`'s traces (:meth:`_chain_plan`,
-        #: :meth:`_trace_plan`); they also depend on the speed factor,
-        #: so :meth:`set_speed_factor` drops them
+        #: solo plans of ORIGINAL and PTB launches, keyed on
+        #: (descriptor, blocks or workers, threads free, slots free),
+        #: the plan lists of sliced chains and of :meth:`run_trace`'s
+        #: traces (:meth:`_chain_plan`, :meth:`_trace_plan`), and the
+        #: walk's free-pool tokens; they also depend on the speed
+        #: factor, so :meth:`set_speed_factor` drops them
         self._solo_plans: dict[tuple, tuple] = {}
         self._ptb_plans: dict[tuple, tuple | None] = {}
         self._plan_lists: dict[tuple, tuple] = {}
@@ -240,9 +239,8 @@ class GPUDevice:
         self._busy_level = 0
         self._touched = 0.0
         self.launches_completed = 0
-        #: events :meth:`run_solo`, :meth:`run_solo_ptb` and
-        #: :meth:`run_trace` stand for (each launch's arrival and its
-        #: boundaries), which a run-ahead stretch credits
+        #: events :meth:`run_trace` stands for (each launch's arrival
+        #: and its boundaries), which a run-ahead stretch credits
         self.inline_events = 0
 
     # ------------------------------------------------------------------
@@ -653,7 +651,7 @@ class GPUDevice:
 
     def solo_window(self) -> tuple[float, bool] | None:
         """The window (see :meth:`EventLoop.quiet_until`) in which
-        :meth:`run_solo` may settle kernels inline, or None: the device
+        :meth:`run_trace` may settle kernels inline, or None: the device
         must be idle — nothing resident, nothing in its submission
         delay — and run without tracer, checker or fault injector,
         whose observations the event path alone produces."""
@@ -664,53 +662,45 @@ class GPUDevice:
             return None
         return self.engine.quiet_until()
 
-    def run_solo(self, descriptor: KernelDescriptor, start: float,
-                 window: tuple[float, bool], per: int | None = None,
-                 ends: list[float] | None = None) -> float | None:
-        """Run an ORIGINAL launch of ``descriptor`` submitted at
-        ``start`` to this idle device, inline — or, given ``per``, the
-        chain of launches of ``per`` blocks each (the last takes the
-        rest) that a sliced kernel makes, each submitted when the
-        previous one completes: return the time the last completion
-        would fire, or None (and change nothing) if that lies outside
-        ``window`` (from :meth:`solo_window`).  ``ends``, an empty list
-        if given, receives every launch's completion time when the
-        chain runs.
+    def launch_plans(self, descriptor: KernelDescriptor, per: int = 0,
+                     workers: int = 0) -> tuple | list | None:
+        """The plans of the launches one kernel of ``descriptor`` makes
+        alone on this idle device's free pool, for :meth:`run_trace`:
+        ORIGINAL launches of ``per`` blocks each, the last taking the
+        rest (a sliced kernel's chain; one launch of the whole grid if
+        ``per`` is 0), each submitted when the previous one completes,
+        or one PTB launch of ``workers`` persistent blocks over the
+        whole grid — None if its workers do not all fit at once (they
+        would start in groups, on the event path).
 
-        Each launch arrives after the launch overhead and starts the
-        chunk :meth:`_dispatch_single` starts on an idle device, from
-        its arrival: wave ``k`` ends at ``arrival + d * k``, its partial
-        last wave included.  The launches' plans are listed once per
-        chain (:meth:`_chain_plan`), and :meth:`_settle_inline` settles
-        the chain once its last completion is known to fit the window.
-        """
-        key = (descriptor, per or descriptor.num_blocks,
-               self._threads_free, self._slots_free)
+        Each ORIGINAL launch starts the chunk :meth:`_dispatch_single`
+        starts on an idle device, from its arrival: wave ``k`` ends at
+        ``arrival + d * k``, its partial last wave included; a PTB
+        launch's iterations are one chunk priced by
+        :meth:`_ptb_iteration`.  The plans are cached per (descriptor,
+        ``per`` or ``workers``, free pool) and speed factor."""
+        if workers:
+            key = (descriptor, workers, self._threads_free,
+                   self._slots_free)
+            try:
+                plan = self._ptb_plans[key]
+            except KeyError:
+                plan = self._ptb_plan(key)
+            return None if plan is None else (plan,)
+        key = (descriptor, per or descriptor.num_blocks, self._threads_free,
+               self._slots_free)
         entry = self._plan_lists.get(key)
-        plans = entry[1] if entry else self._chain_plan(key)
-        overhead = self.spec.kernel_launch_overhead
-        done = start
-        for plan in plans:
-            done = (done + overhead) + (plan[1] or plan[0])
-            if ends is not None:
-                ends.append(done)
-        bound, inclusive = window
-        if done > bound or (done == bound and not inclusive):
-            if ends:
-                ends.clear()
-            return None
-        self._settle_inline(plans, None, 0, start, window, None, False)
-        return done
+        return entry[1] if entry else self._chain_plan(key)
 
     def _solo_plan(self, key: tuple) -> tuple:
-        """Plan and cache :meth:`run_solo`'s launch of ``blocks`` blocks
-        for ``key = (descriptor, blocks, threads free, slots free)``:
-        ``(span, tail_span, busy, wave_busy, tail_busy, events)`` — the
-        ends of the whole waves and of the partial wave (None if none)
-        from the arrival, the busy threads before the launch, during its
-        whole waves and during its partial wave, and the events it
-        stands for.  The plans depend on the speed factor too, so
-        :meth:`set_speed_factor` drops them."""
+        """Plan and cache an ORIGINAL launch of ``blocks`` blocks alone
+        on the device for ``key = (descriptor, blocks, threads free,
+        slots free)``: ``(span, tail_span, busy, wave_busy, tail_busy,
+        events)`` — the ends of the whole waves and of the partial wave
+        (None if none) from the arrival, the busy threads before the
+        launch, during its whole waves and during its partial wave, and
+        the events it stands for.  The plans depend on the speed factor
+        too, so :meth:`set_speed_factor` drops them."""
         descriptor, blocks, threads_free, slots_free = key
         tpb = descriptor.threads_per_block
         count = min(threads_free // tpb, slots_free, blocks)
@@ -727,8 +717,8 @@ class GPUDevice:
 
     def _chain_plan(self, key: tuple) -> list:
         """Cache and return the :meth:`_solo_plan` of each launch of
-        :meth:`run_solo`'s chain for ``key = (descriptor, per, threads
-        free, slots free)``."""
+        :meth:`launch_plans`'s chain for ``key = (descriptor, per,
+        threads free, slots free)``."""
         descriptor, per, threads_free, slots_free = key
         whole, rest = divmod(descriptor.num_blocks, per)
         plans = []
@@ -742,58 +732,50 @@ class GPUDevice:
 
     def run_trace(self, workload_trace, index: int, start: float,
                   window: tuple[float, bool], completions: list | None,
-                  crosses_gaps: bool, run_inline: Callable | None = None
+                  crosses_gaps: bool, decisions: tuple | None = None
                   ) -> tuple[int, float, int, int]:
         """Walk ``workload_trace``'s ops from ``index`` at ``start`` while
         each ends inside ``window`` (from :meth:`solo_window`); return
         ``(index, end, kernels, gaps)``: the first op left, the last end
         and the ops run.  Host gaps run if ``crosses_gaps``; past the
         last op the walk wraps, appending the time to ``completions``,
-        or stops if that is None.  A kernel runs through ``run_inline``
-        or, without it, as :meth:`run_solo` would run it, from the
-        trace's plan list (:meth:`_trace_plan`): no inline launch moves
-        the free pool."""
-        entry = self._plan_lists.get(
-            (id(workload_trace), self._threads_free, self._slots_free))
-        plans = entry[1] if entry else self._trace_plan(workload_trace)
-        return self._settle_inline(plans, workload_trace.ops, index, start,
-                                   window, completions, crosses_gaps,
-                                   run_inline)
+        or stops if that is None.  No inline launch moves the free pool.
 
-    def _trace_plan(self, workload_trace) -> list:
-        """Cache and return :meth:`run_trace`'s plan list of
-        ``workload_trace`` on the free pool: per op, its kernel's
-        :meth:`_solo_plan`, or None for a host gap.  The entry holds the
-        trace, so the identity in its key is not reused while it lives."""
-        threads_free = self._threads_free
-        slots_free = self._slots_free
-        plans = []
-        for op in workload_trace.ops:
-            if op.kind == "gap":
-                plans.append(None)
-            else:
-                key = (op.kernel, op.kernel.num_blocks, threads_free,
-                       slots_free)
-                plans.append(self._solo_plans.get(key)
-                             or self._solo_plan(key))
-        self._cache_plan(self._plan_lists,
-                         (id(workload_trace), threads_free, slots_free),
-                         (workload_trace, plans))
-        return plans
+        Without ``decisions`` each kernel is one ORIGINAL launch of its
+        whole grid, planned in the trace's plan list (:meth:`_trace_plan`).
+        With them, ``(profiles, decide, fold)`` from a policy that
+        decides each kernel's launches (Tally's best-effort clients),
+        each kernel settles under its descriptor's standing decision,
+        ``profiles[descriptor].decision``: a tuple ``(pool, plans, gap,
+        measure)`` — the free pool it was planned on (a token of this
+        device's, renewed by a new pool or speed factor), the plans of
+        the kernel's launches (:meth:`launch_plans`), the time the
+        policy adds to each launch's elapsed time, and what ``fold``
+        reads.  If there is none for this pool, ``decide(descriptor,
+        pool)`` makes one.  Once the kernel's last launch ends inside
+        the window, ``fold(measure, longest, active)`` takes the longest
+        launch's elapsed time (arrival to completion) and the sum, in
+        launch order, of each one's elapsed time plus ``gap``.
 
-    def _settle_inline(self, plans, ops, index, start, window,
-                       completions, crosses_gaps, run_inline=None):
-        """The one loop that settles solo launches inline, for
-        :meth:`run_trace`, :meth:`run_solo` and :meth:`run_solo_ptb`:
-        walk ``plans`` (per launch its plan; None for a host gap, whose
-        length is in ``ops``) from ``index``, as :meth:`run_trace` walks
-        its trace, and return what it returns.  Each launch arrives one
-        launch overhead after the previous end, and busy time accrues as
-        :meth:`_account` accrues it, at the arrival, at the end of the
-        whole waves if a partial wave follows, and at the completion.
-        The first launch that would end outside ``window`` changes
+        Each launch arrives one launch overhead after the previous end,
+        and busy time accrues as :meth:`_account` accrues it, at the
+        arrival, at the end of the whole waves if a partial wave
+        follows, and at the completion.  The first kernel that would
+        end outside ``window`` (or whose plans are None) changes
         nothing; the walk commits once, at its end (inside the window
         nothing can observe the device in between)."""
+        solo = decisions is None
+        pool = (self._threads_free, self._slots_free)
+        key = (id(workload_trace), solo, *pool)
+        entry = self._plan_lists.get(key)
+        plans = entry[1] if entry else self._trace_plan(workload_trace, key)
+        if not solo:
+            profiles, decide, fold = decisions
+            token = self._plan_lists.get(pool)
+            if token is None:
+                token = pool
+                self._cache_plan(self._plan_lists, pool, pool)
+        ops = workload_trace.ops
         last = len(plans)
         bound, inclusive = window
         overhead = self.spec.kernel_launch_overhead
@@ -802,7 +784,7 @@ class GPUDevice:
         level = self._busy_level
         touched = self._touched
         now = start
-        kernels = gaps = events = 0
+        kernels = gaps = events = launches = 0
         while True:
             if index == last:
                 if completions is None:
@@ -816,12 +798,7 @@ class GPUDevice:
                         or (end == bound and not inclusive)):
                     break
                 gaps += 1
-            elif run_inline is not None:
-                end = run_inline(ops[index].kernel, now, window)
-                if end is None:
-                    break
-                kernels += 1
-            else:
+            elif solo:
                 span, tail_span, busy, wave_busy, tail_busy, count = plan
                 arrived = now + overhead
                 end = arrived + (span if tail_span is None else tail_span)
@@ -852,16 +829,86 @@ class GPUDevice:
                     touched = end
                 kernels += 1
                 events += count
+            else:
+                profile = profiles.get(plan)
+                decision = profile.decision if profile else None
+                if decision is None or decision[0] is not token:
+                    decision = decide(plan, token)
+                _, chain, gap, measure = decision
+                if chain is None:
+                    break
+                end = now
+                for launch in chain:
+                    end = (end + overhead) + (launch[1] or launch[0])
+                if end > bound or (end == bound and not inclusive):
+                    break
+                longest = active = 0.0
+                for span, tail_span, busy, wave_busy, tail_busy, count in chain:
+                    arrived = now + overhead
+                    now = arrived + (span if tail_span is None else tail_span)
+                    if arrived != touched:
+                        if busy != level:
+                            seconds += level * (touched - changed)
+                            changed = touched
+                            level = busy
+                        touched = arrived
+                    if tail_span is None:
+                        final = wave_busy
+                    else:
+                        final = tail_busy
+                        waves_end = arrived + span
+                        if waves_end != touched:
+                            if wave_busy != level:
+                                seconds += level * (touched - changed)
+                                changed = touched
+                                level = wave_busy
+                            touched = waves_end
+                    if now != touched:
+                        if final != level:
+                            seconds += level * (touched - changed)
+                            changed = touched
+                            level = final
+                        touched = now
+                    elapsed = now - arrived
+                    active += elapsed + gap
+                    if elapsed > longest:
+                        longest = elapsed
+                    events += count
+                    launches += 1
+                fold(measure, longest, active)
+                kernels += 1
             now = end
             index += 1
-        if run_inline is None and kernels:
+        if kernels:
             self._busy_thread_seconds = seconds
             self._last_change = changed
             self._busy_level = level
             self._touched = touched
-            self.launches_completed += kernels
+            self.launches_completed += kernels if solo else launches
             self.inline_events += events
         return index, now, kernels, gaps
+
+    def _trace_plan(self, workload_trace, key: tuple) -> list:
+        """Cache and return :meth:`run_trace`'s plan list of
+        ``workload_trace`` for ``key = (trace identity, solo, threads
+        free, slots free)``: per op, None for a host gap, and for a
+        kernel its :meth:`_solo_plan` in a ``solo`` walk, else its
+        descriptor.  The entry holds the trace, so the identity in its
+        key is not reused while it lives."""
+        _, solo, threads_free, slots_free = key
+        plans = []
+        for op in workload_trace.ops:
+            if op.kind == "gap":
+                plans.append(None)
+            elif not solo:
+                plans.append(op.kernel)
+            else:
+                launch = (op.kernel, op.kernel.num_blocks, threads_free,
+                          slots_free)
+                plans.append(self._solo_plans.get(launch)
+                             or self._solo_plan(launch))
+        self._cache_plan(self._plan_lists, key, (workload_trace, plans))
+        return plans
 
     @staticmethod
     def _cache_plan(plans: dict, key: tuple, plan: tuple | None) -> None:
@@ -871,35 +918,8 @@ class GPUDevice:
             plans.clear()
         plans[key] = plan
 
-    def run_solo_ptb(self, descriptor: KernelDescriptor, start: float,
-                     window: tuple[float, bool],
-                     workers: int) -> float | None:
-        """The PTB form of :meth:`run_solo`: a launch of ``workers``
-        persistent blocks over ``descriptor``'s whole grid.
-
-        It runs inline only if every worker fits on the idle device at
-        once: then its iterations are one chunk, iteration ``k`` ending
-        at ``arrival + d * k`` at the price of :meth:`_ptb_iteration`;
-        workers placed in groups take the event path.  Busy time
-        accrues at the arrival and at the completion, as
-        :meth:`_start_batch` and :meth:`_release` accrue it.
-        """
-        key = (descriptor, workers, self._threads_free, self._slots_free)
-        try:
-            plan = self._ptb_plans[key]
-        except KeyError:
-            plan = self._ptb_plan(key)
-        if plan is None:
-            return None
-        done = (start + self.spec.kernel_launch_overhead) + plan[0]
-        bound, inclusive = window
-        if done > bound or (done == bound and not inclusive):
-            return None
-        self._settle_inline((plan,), None, 0, start, window, None, False)
-        return done
-
     def _ptb_plan(self, key: tuple) -> tuple | None:
-        """Plan and cache :meth:`run_solo_ptb`'s launch for ``key =
+        """Plan and cache :meth:`launch_plans`'s PTB launch for ``key =
         (descriptor, workers, threads free, slots free)``, in
         :meth:`_solo_plan`'s shape with no partial wave: ``(span, None,
         busy, workers_busy, None, events)`` — its length, the busy
@@ -997,7 +1017,7 @@ class GPUDevice:
     @staticmethod
     def _ptb_iteration(descriptor: KernelDescriptor, base: float) -> float:
         """One PTB iteration of ``descriptor`` whose blocks take ``base``
-        (the event path and :meth:`run_solo_ptb` price it here)."""
+        (the event path and :meth:`launch_plans` price it here)."""
         return (base * (1.0 + descriptor.ptb_overhead_fraction)
                 + PTB_ITERATION_OVERHEAD)
 

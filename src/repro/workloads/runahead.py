@@ -15,7 +15,9 @@ the policy or the device between the stretch and its end (see
 ``docs/performance.md``, "Solo run-ahead").
 
 The stretch is one :meth:`~repro.gpu.device.GPUDevice.run_trace` call,
-which walks solo kernels against the trace's plan list.
+which walks solo kernels against the trace's plan list, and a Tally
+best-effort client's kernels under the policy's standing decisions
+(:meth:`~repro.baselines.base.SharingPolicy.inline_decisions`).
 
 The stretch credits the events it stands for — per device launch its
 arrival and every wave or PTB iteration boundary
@@ -57,7 +59,7 @@ def run_ahead(job, completions: list[float] | None) -> int | None:
     index, now, kernels, gaps = device.run_trace(
         job.trace, job._op_index, engine.now, window, completions,
         policy.run_ahead_crosses_gaps(client_id),
-        policy.inline_runner(client_id))
+        policy.inline_decisions(client_id))
     if not kernels and not gaps:
         return None
     job._op_index = index

@@ -41,6 +41,7 @@ from repro.harness import (
 )
 from repro.baselines import PassthroughPolicy, Priority, SharingPolicy
 from repro.trace import Tracer
+from repro.workloads.models import Trace, TraceOp
 
 SPEC = A100_SXM4_40GB
 
@@ -307,9 +308,9 @@ def test_the_fold_shows_the_partial_wave_resident():
 
 
 # ---------------------------------------------------------------------------
-# Cached solo plans: run_solo and run_solo_ptb look each launch's timing
-# up in a per-device plan cache (GPUDevice._solo_plan, _ptb_plan) and
-# only add the start.  The closed form below recomputes every launch
+# Cached solo plans: a kernel's launches settle in GPUDevice.run_trace's
+# walk from plans (GPUDevice.launch_plans) cached per device
+# (GPUDevice._solo_plan, _ptb_plan), which only add the start.  The closed form below recomputes every launch
 # from the arrival (wave k ends at arrival + d * k) and integrates the
 # busy threads as a step function, with no cache: the two must agree
 # bit for bit, in the times, the utilization and the events counted.
@@ -407,6 +408,24 @@ def _plan_descriptor(draw, name):
             [2.0 ** -15, 3e-6, 1.3e-5, 7.3e-5])))
 
 
+def settle(device, descriptor, start, window, per=0, workers=0):
+    """One kernel of ``descriptor`` settled by the trace walk under a
+    decision for ``per``-block launches or ``workers`` PTB workers:
+    its end (None if it did not run) and what the walk folded."""
+    trace = Trace("one", (TraceOp("kernel", kernel=descriptor),), 0.0, 0.0)
+    folded = []
+
+    def decide(kernel, pool):
+        return pool, device.launch_plans(kernel, per, workers), 0.0, None
+
+    def fold(_measure, longest, active):
+        folded.append((longest, active))
+
+    _, end, kernels, _ = device.run_trace(trace, 0, start, window, None,
+                                          False, ({}, decide, fold))
+    return (end if kernels else None), folded
+
+
 @st.composite
 def solo_stretches(draw):
     """Two descriptors and a run of inline launches over them, each
@@ -457,20 +476,25 @@ def test_cached_solo_plans_match_the_closed_form(case):
         if want is not None and not (want < bound
                                      or (want == bound and inclusive)):
             want = None
-        got_ends = []
-        if kind == "original":
-            got = device.run_solo(descriptor, start, window)
-        elif kind == "slices":
-            got = device.run_solo(descriptor, start, window, size, got_ends)
+        if kind == "ptb":
+            got, folded = settle(device, descriptor, start, window,
+                                 workers=size)
         else:
-            got = device.run_solo_ptb(descriptor, start, window, size)
+            got, folded = settle(device, descriptor, start, window,
+                                 size if kind == "slices" else 0)
         assert got == want
         if want is not None:
             model.commit(steps, len(ends), events)
+            # each launch's elapsed time runs from its arrival
+            longest = active = 0.0
+            for submitted, end in zip([start] + ends, ends):
+                elapsed = end - (submitted + SPEC.kernel_launch_overhead)
+                active += elapsed
+                longest = max(longest, elapsed)
+            assert folded == [(longest, active)]
             now = want
-            if kind == "slices":
-                assert got_ends == ends
-        assert got_ends == [] or want is not None
+        else:
+            assert folded == []
         assert device.launches_completed == model.launches
         assert device.inline_events == model.events
         assert device.threads_free == SPEC.total_threads
@@ -494,10 +518,10 @@ def test_a_speed_change_between_two_stretches_replans():
     device = GPUDevice(SPEC, EventLoop())
     model = ClosedForm(SPEC)
     window = (math.inf, False)
-    first = device.run_solo(descriptor, 0.0, window)
+    first = settle(device, descriptor, 0.0, window)[0]
     assert first == model.original(descriptor, 0.0, 2_000)[0]
     device.set_speed_factor(2.0)
     model.speed = 2.0
-    second = device.run_solo(descriptor, first, window)
+    second = settle(device, descriptor, first, window)[0]
     assert second == model.original(descriptor, first, 2_000)[0]
     assert second - first > first  # a stale plan would equal it

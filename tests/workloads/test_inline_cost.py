@@ -1,15 +1,19 @@
 """Deterministic counters of the inline path's cost.
 
 Most best-effort and baseline kernels settle inline (run-ahead), so
-their cost is the Python work per kernel.  Two caches keep it small,
+their cost is the Python work per kernel.  Three caches keep it small,
 and these counters, unlike wall time, do not move with host noise:
 
 * ``GPUDevice._solo_plan`` / ``_ptb_plan`` compute each launch shape's
   plan once per device and speed factor, and ``_trace_plan`` builds
-  each trace's plan list once per device, free pool and speed factor;
+  each trace's plan list once per device, free pool and speed factor
+  (a best-effort trace's list plans no launch: it only marks gaps);
 * ``TransparentProfiler._fastest`` ranks a kernel's candidates again
   only after a ``record`` that moved the ranking — the winner, the
-  runner-up or the bound they qualify under.
+  runner-up or the bound they qualify under;
+* a best-effort kernel settles under its descriptor's standing
+  decision (``Tally._decide``), which the trace walk reads and folds
+  into without a pick, a scheduler execution or a record.
 """
 
 import importlib.util
@@ -17,7 +21,8 @@ import pathlib
 import sys
 from collections import Counter
 
-from repro.core.profiler import TransparentProfiler
+from repro.core import TallyConfig
+from repro.core.profiler import TransparentProfiler, _Profile
 from repro.gpu import GPUDevice
 from repro.harness import JobSpec, RunConfig, run_colocation, standalone
 
@@ -29,10 +34,8 @@ CONFIG = RunConfig(duration=1.0, warmup=0.2)
 
 def test_each_solo_plan_is_computed_once_per_device(monkeypatch):
     computed: Counter = Counter()
-    runs = Counter()
     plans = {"_solo_plan": GPUDevice._solo_plan,
              "_ptb_plan": GPUDevice._ptb_plan}
-    run_ptb = GPUDevice.run_solo_ptb
 
     def counted(name):
         def plan(self, key):
@@ -40,16 +43,12 @@ def test_each_solo_plan_is_computed_once_per_device(monkeypatch):
             return plans[name](self, key)
         return plan
 
-    def ptb(self, *args):
-        runs["ptb"] += 1
-        return run_ptb(self, *args)
-
     for name in plans:
         monkeypatch.setattr(GPUDevice, name, counted(name))
-    monkeypatch.setattr(GPUDevice, "run_solo_ptb", ptb)
     run_colocation("Tally", JOBS, CONFIG)
     assert computed and set(computed.values()) == {1}
-    assert runs["ptb"] > 0
+    # the trainer's PTB launches are planned (and settle inline)
+    assert any(name == "_ptb_plan" for _, name, *_ in computed)
 
 
 def test_each_trace_plan_is_built_once_per_device_pool_and_speed(
@@ -61,14 +60,13 @@ def test_each_trace_plan_is_built_once_per_device_pool_and_speed(
     walked = Counter()
     trace_plan, run_trace = GPUDevice._trace_plan, GPUDevice.run_trace
 
-    def counted_plan(self, trace):
-        built[(self, trace, self.threads_free, self.slots_free,
-               self.speed_factor)] += 1
-        return trace_plan(self, trace)
+    def counted_plan(self, trace, key):
+        built[(self, trace, key, self.speed_factor)] += 1
+        return trace_plan(self, trace, key)
 
     def counted_walk(self, *args):
         result = run_trace(self, *args)
-        if args[-1] is None:  # no per-kernel runner: the plan walk
+        if args[-1] is None:  # no per-kernel decisions: the plan walk
             walked["kernels"] += result[2]
         return result
 
@@ -98,39 +96,40 @@ def _ranking(profile, strict):
 
 
 def test_candidates_are_ranked_once_per_record_that_moves_them(monkeypatch):
+    """Every sample lands in ``_Profile.add`` (a first measurement) or
+    ``_Profile.fold`` (a further one, from ``record`` or from the trace
+    walk's standing decision); ``_fastest`` ranks a profile at most
+    once more than the samples that moved its ranking."""
     ranked: Counter = Counter()
     moves: Counter = Counter()
     counts = Counter()
-    fastest, record = TransparentProfiler._fastest, TransparentProfiler.record
-    pick = TransparentProfiler.pick
+    fastest = TransparentProfiler._fastest
+    strict = TallyConfig().turnaround_latency_bound
 
     def counted_fastest(profile, strict):
         ranked[profile] += 1
         return fastest(profile, strict)
 
-    def counted_record(self, descriptor, config, turnaround, duration):
-        counts["records"] += 1
-        profile = self._profiles.get(descriptor)
-        strict = self.config.turnaround_latency_bound
-        before = None if profile is None else _ranking(profile, strict)
-        record(self, descriptor, config, turnaround, duration)
-        profile = self._profiles[descriptor]
-        moves[profile] += before is not None and before != _ranking(
-            profile, strict)
+    def watched(name):
+        method = getattr(_Profile, name)
 
-    def counted_pick(self, descriptor):
-        counts["picks"] += 1
-        return pick(self, descriptor)
+        def sample(profile, *args):
+            counts[name] += 1
+            before = _ranking(profile, strict)
+            method(profile, *args)
+            moves[profile] += before is not None and before != _ranking(
+                profile, strict)
+        return sample
 
     monkeypatch.setattr(TransparentProfiler, "_fastest",
                         staticmethod(counted_fastest))
-    monkeypatch.setattr(TransparentProfiler, "record", counted_record)
-    monkeypatch.setattr(TransparentProfiler, "pick", counted_pick)
+    for name in ("add", "fold"):
+        monkeypatch.setattr(_Profile, name, watched(name))
     run_colocation("Tally", JOBS, CONFIG)
-    assert counts["records"] > 100, counts
+    assert counts["fold"] > 100, counts
     for profile, calls in ranked.items():
         assert calls <= 1 + moves[profile], (calls, moves[profile])
-    assert sum(ranked.values()) * 4 < counts["picks"], (ranked, counts)
+    assert sum(ranked.values()) * 4 < counts["fold"], (ranked, counts)
 
 
 #: calls per best-effort inline kernel once verdicts stand, counted as

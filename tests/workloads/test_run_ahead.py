@@ -529,8 +529,9 @@ def test_a_declined_best_effort_attempt_changes_nothing():
                         profiler.profiling_runs, profiler.decisions)
 
             before = state()
-            run = policy.inline_runner("be")
-            if run(kernel, 0.0, (bound, False)) is None:
+            trace = Trace("t", (TraceOp("kernel", kernel=kernel),), 0.0, 0.0)
+            if not device.run_trace(trace, 0, 0.0, (bound, False), None,
+                                    True, policy.inline_decisions("be"))[2]:
                 declined += 1
                 assert state() == before, (name, bound)
             else:

@@ -2,7 +2,8 @@
 
 For each target it starts a new ``python -B -X importtime`` process, runs
 the target's import statement and prints the ``repro`` modules loaded,
-their source lines (what a checkout without ``__pycache__`` compiles),
+their lines of code (non-blank lines that are not comments or
+docstrings, counted with :mod:`tokenize`),
 the heavyweight standard-library modules among the rest, and the largest
 self times that ``-X importtime`` reports::
 
@@ -32,13 +33,33 @@ HEAVY_STDLIB = ("multiprocessing", "concurrent.futures", "socket",
                 "subprocess", "logging", "queue", "selectors")
 
 _REPORT = """
-import json, sys
+import json, sys, tokenize
+SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+        tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(path):
+    # lines holding a token other than a comment or a docstring (a
+    # string that is a whole statement)
+    lines, before = set(), tokenize.NEWLINE
+    with open(path, "rb") as fh:
+        tokens = [t for t in tokenize.tokenize(fh.readline)
+                  if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    for i, tok in enumerate(tokens):
+        after = tokens[i + 1].type if i + 1 < len(tokens) else None
+        doc = (tok.type == tokenize.STRING and after == tokenize.NEWLINE
+               and before in (tokenize.NEWLINE, tokenize.INDENT,
+                              tokenize.DEDENT, tokenize.ENCODING))
+        if tok.type not in SKIP and not doc:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+        before = tok.type
+    return len(lines)
+
+
 mods = {}
 for name, module in list(sys.modules.items()):
     if name == "repro" or name.startswith("repro."):
-        path = getattr(module, "__file__", None)
-        with open(path, encoding="utf-8") as fh:
-            mods[name] = sum(1 for _ in fh)
+        mods[name] = code_lines(getattr(module, "__file__", None))
 print(json.dumps({"repro": mods, "all": sorted(sys.modules)}))
 """
 
@@ -51,7 +72,7 @@ def statement(target: str) -> str:
 def probe(code: str, *, path: tuple[str, ...] = (SRC,)) -> dict:
     """Run ``code`` in a fresh interpreter and report what it loaded.
 
-    Returns ``repro`` (module name -> source lines), ``all`` (every
+    Returns ``repro`` (module name -> lines of code), ``all`` (every
     module name in ``sys.modules``) and ``importtime`` (``(self_us,
     cumulative_us, module)`` per ``-X importtime`` line).  ``path`` is
     put first on ``PYTHONPATH``.
@@ -81,8 +102,8 @@ def format_report(target: str, report: dict, top: int) -> str:
     slowest = sorted(report["importtime"], reverse=True)[:top]
     lines = [
         statement(target),
-        f"  repro modules: {len(repro)} ({sum(repro.values()):,} source "
-        f"lines); all modules: {len(report['all'])}",
+        f"  repro modules: {len(repro)} ({sum(repro.values()):,} lines of "
+        f"code); all modules: {len(report['all'])}",
         f"  heavy stdlib: {', '.join(heavy) or 'none'}",
         "  top self times (-X importtime, ms): " + ", ".join(
             f"{module} {self_us / 1e3:.1f}"
