@@ -745,7 +745,8 @@ class GPUDevice:
         whole grid, planned in the trace's plan list (:meth:`_trace_plan`).
         With them, ``(profiles, decide, fold)`` from a policy that
         decides each kernel's launches (Tally's best-effort clients),
-        each kernel settles under its descriptor's standing decision,
+        the walk reads the trace's ops (no plan list) and each kernel
+        settles under its descriptor's standing decision,
         ``profiles[descriptor].decision``: a tuple ``(pool, plans, gap,
         measure)`` — the free pool it was planned on (a token of this
         device's, renewed by a new pool or speed factor), the plans of
@@ -766,17 +767,19 @@ class GPUDevice:
         nothing can observe the device in between)."""
         solo = decisions is None
         pool = (self._threads_free, self._slots_free)
-        key = (id(workload_trace), solo, *pool)
-        entry = self._plan_lists.get(key)
-        plans = entry[1] if entry else self._trace_plan(workload_trace, key)
-        if not solo:
+        if solo:
+            key = (id(workload_trace), *pool)
+            entry = self._plan_lists.get(key)
+            plans = entry[1] if entry else self._trace_plan(workload_trace,
+                                                            key)
+        else:
             profiles, decide, fold = decisions
             token = self._plan_lists.get(pool)
             if token is None:
                 token = pool
                 self._cache_plan(self._plan_lists, pool, pool)
         ops = workload_trace.ops
-        last = len(plans)
+        last = len(ops)
         bound, inclusive = window
         overhead = self.spec.kernel_launch_overhead
         seconds = self._busy_thread_seconds
@@ -791,7 +794,7 @@ class GPUDevice:
                     break
                 index = 0
                 completions.append(now)
-            plan = plans[index]
+            plan = plans[index] if solo else ops[index].kernel
             if plan is None:
                 end = now + ops[index].gap
                 if (not crosses_gaps or end > bound
@@ -799,6 +802,10 @@ class GPUDevice:
                     break
                 gaps += 1
             elif solo:
+                # one whole launch: the chain loop below for a one-launch
+                # chain, without the loops and the sums no fold reads,
+                # which add about a quarter to a solo walk's time (see
+                # docs/performance.md, "Standing best-effort decisions")
                 span, tail_span, busy, wave_busy, tail_busy, count = plan
                 arrived = now + overhead
                 end = arrived + (span if tail_span is None else tail_span)
@@ -889,19 +896,16 @@ class GPUDevice:
         return index, now, kernels, gaps
 
     def _trace_plan(self, workload_trace, key: tuple) -> list:
-        """Cache and return :meth:`run_trace`'s plan list of
-        ``workload_trace`` for ``key = (trace identity, solo, threads
-        free, slots free)``: per op, None for a host gap, and for a
-        kernel its :meth:`_solo_plan` in a ``solo`` walk, else its
-        descriptor.  The entry holds the trace, so the identity in its
-        key is not reused while it lives."""
-        _, solo, threads_free, slots_free = key
+        """Cache and return a solo :meth:`run_trace`'s plan list of
+        ``workload_trace`` for ``key = (trace identity, threads free,
+        slots free)``: per op, None for a host gap, and for a kernel its
+        :meth:`_solo_plan`.  The entry holds the trace, so the identity
+        in its key is not reused while it lives."""
+        _, threads_free, slots_free = key
         plans = []
         for op in workload_trace.ops:
             if op.kind == "gap":
                 plans.append(None)
-            elif not solo:
-                plans.append(op.kernel)
             else:
                 launch = (op.kernel, op.kernel.num_blocks, threads_free,
                           slots_free)

@@ -21,8 +21,9 @@ import pathlib
 import sys
 from collections import Counter
 
-from repro.core import TallyConfig
+from repro.core import SchedKind, TallyConfig
 from repro.core.profiler import TransparentProfiler, _Profile
+from repro.core.scheduler import Tally
 from repro.gpu import GPUDevice
 from repro.harness import JobSpec, RunConfig, run_colocation, standalone
 
@@ -34,21 +35,33 @@ CONFIG = RunConfig(duration=1.0, warmup=0.2)
 
 def test_each_solo_plan_is_computed_once_per_device(monkeypatch):
     computed: Counter = Counter()
+    fitting = Counter()
+    ptb_folds = Counter()
     plans = {"_solo_plan": GPUDevice._solo_plan,
              "_ptb_plan": GPUDevice._ptb_plan}
+    fold = Tally._fold
 
     def counted(name):
         def plan(self, key):
             computed[(self, name, key, self.speed_factor)] += 1
-            return plans[name](self, key)
+            result = plans[name](self, key)
+            fitting[name] += result is not None
+            return result
         return plan
+
+    def counted_fold(self, measure, longest, active):
+        ptb_folds["kernels"] += measure[1].kind is SchedKind.PTB
+        return fold(self, measure, longest, active)
 
     for name in plans:
         monkeypatch.setattr(GPUDevice, name, counted(name))
+    monkeypatch.setattr(Tally, "_fold", counted_fold)
     run_colocation("Tally", JOBS, CONFIG)
     assert computed and set(computed.values()) == {1}
-    # the trainer's PTB launches are planned (and settle inline)
-    assert any(name == "_ptb_plan" for _, name, *_ in computed)
+    # the trainer's PTB launches are planned, their workers fit, and
+    # its PTB kernels settle inline under those plans
+    assert fitting["_ptb_plan"] > 0, fitting
+    assert ptb_folds["kernels"] > 0, ptb_folds
 
 
 def test_each_trace_plan_is_built_once_per_device_pool_and_speed(
@@ -148,7 +161,7 @@ def test_a_best_effort_kernel_settles_in_a_quarter_of_the_calls(
     which every descriptor has a verdict, in a second run of the mix
     (the profiler set-up memo is warm).  A kernel now takes one
     profile lookup and one fold (``Tally._fold`` ->
-    ``_Profile.fold`` -> ``Measurement.update``, ``revise``): 7.08
+    ``_Profile.fold`` -> ``Measurement.update``, ``revise``): 7.02
     calls, against 29.88 before."""
     counts = Counter()
     run_trace = GPUDevice.run_trace

@@ -4,8 +4,9 @@ A run-ahead stretch settles a passthrough (or Tally high-priority)
 client's kernels in one call, :meth:`GPUDevice.run_trace`, against a
 plan list resolved once per (trace, free pool, speed factor).  Before
 it, :func:`~repro.workloads.runahead.run_ahead` walked the ops itself
-and priced each kernel with one :meth:`GPUDevice.run_solo` call; that
-loop, with that call's own arithmetic, is kept here as the oracle.
+and priced each kernel with one call of the former
+``GPUDevice.run_solo``; that loop, with that call's own arithmetic, is
+kept here as the oracle.
 Hypothesis draws traces (host gaps, one-block grids, grids of whole
 waves and grids with a partial wave) and runs of stretches over them
 on two devices, one per side: windows inclusive and exclusive with the
@@ -37,8 +38,8 @@ _settings = settings(
 
 
 def solo(device, descriptor, start, window):
-    """:meth:`GPUDevice.run_solo` for one whole launch as it was before
-    the trace walk, with its own inline ``_account``: the kernel's end,
+    """The former ``GPUDevice.run_solo`` for one whole launch as it was
+    before the trace walk, with its own inline ``_account``: the kernel's end,
     or None (and nothing changed) if it lies outside ``window``."""
     key = (descriptor, descriptor.num_blocks, device._threads_free,
            device._slots_free)
